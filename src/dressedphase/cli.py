@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,36 +49,19 @@ from .propagator import (
 KINDS = ("dressed", "adiabatic", "propagate", "interfere", "hydro")
 
 
-class _Required:
-    """Sentinel marking a configuration field with no default."""
+# A configuration field with no default, marked the way dataclasses mark one.
+_REQUIRED = MISSING
 
 
-_REQUIRED = _Required()
+def _defaults(cls) -> dict:
+    """Field name -> default of a dataclass, in declaration order."""
+    return {f.name: f.default for f in fields(cls)}
 
-_SYSTEM_FIELDS = {
-    "omega_g": _REQUIRED,
-    "omega_e": _REQUIRED,
-    "mu": 1.0,
-    "gamma_re": 0.0,
-    "gamma_im": 0.0,
-}
-_ENVELOPE_FIELDS = {
-    "shape": _REQUIRED,
-    "peak": _REQUIRED,
-    "center": 0.0,
-    "width": 1.0,
-    "plateau": 0.0,
-}
-_PHASE_FIELDS = {
-    "shape": "constant",
-    "phi0": 0.0,
-    "rate": 0.0,
-    "curvature": 0.0,
-    "depth": 0.0,
-    "mod_freq": 0.0,
-    "t_ref": 0.0,
-}
-_INTEGRATOR_FIELDS = {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": None}
+
+_SYSTEM_FIELDS = _defaults(TwoLevelSystem)
+_ENVELOPE_FIELDS = _defaults(EnvelopeSpec)
+_PHASE_FIELDS = _defaults(PhaseSpec)
+_INTEGRATOR_FIELDS = _defaults(IntegratorConfig)
 
 
 @dataclass(frozen=True)
@@ -87,6 +71,8 @@ class TimeGrid:
     samples: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValidationError("grid: t0 and t1 must be finite")
         if not self.t1 > self.t0:
             raise ValidationError("grid: t1 must exceed t0")
         if self.samples < 3:
@@ -109,44 +95,14 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.system is not None:
-            out["system"] = {
-                "omega_g": self.system.omega_g,
-                "omega_e": self.system.omega_e,
-                "mu": self.system.mu,
-                "gamma_re": self.system.gamma_re,
-                "gamma_im": self.system.gamma_im,
-            }
-        if self.field is not None:
-            env = self.field.envelope
-            ph = self.field.phase
-            out["field"] = {
-                "carrier": self.field.carrier,
-                "envelope": {
-                    "shape": env.shape,
-                    "peak": env.peak,
-                    "center": env.center,
-                    "width": env.width,
-                    "plateau": env.plateau,
-                },
-                "phase": {
-                    "shape": ph.shape,
-                    "phi0": ph.phi0,
-                    "rate": ph.rate,
-                    "curvature": ph.curvature,
-                    "depth": ph.depth,
-                    "mod_freq": ph.mod_freq,
-                    "t_ref": ph.t_ref,
-                },
-            }
-        if self.grid is not None:
-            out["grid"] = {"t0": self.grid.t0, "t1": self.grid.t1, "samples": self.grid.samples}
+        for name in ("system", "field", "grid"):
+            block = getattr(self, name)
+            if block is not None:
+                out[name] = asdict(block)
+        # An unbounded max_step is left out rather than written as Infinity.
         out["integrator"] = {
-            "rel_tol": self.integrator.rel_tol,
-            "abs_tol": self.integrator.abs_tol,
+            k: v for k, v in asdict(self.integrator).items() if math.isfinite(v)
         }
-        if np.isfinite(self.integrator.max_step):
-            out["integrator"]["max_step"] = self.integrator.max_step
         out[self.kind] = dict(self.params)
         return out
 
@@ -187,9 +143,12 @@ class _Validator:
                 self.fail(f"{prefix}.{key}", "unknown field")
         return out if len(out) == len(spec) else None
 
-    def numeric(self, value, field_name: str, allow_int: bool = True):
+    def numeric(self, value, field_name: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(field_name, "must be a number")
+            return None
+        if not math.isfinite(value):
+            self.fail(field_name, "must be finite")
             return None
         return float(value)
 
@@ -284,33 +243,24 @@ def _build_field(raw, v: _Validator) -> DrivingField | None:
         return None
     carrier = v.numeric(raw.get("carrier", 0.0), "field.carrier")
     env_vals = v.section(raw.get("envelope", {}), "field.envelope", _ENVELOPE_FIELDS)
-    ph_vals = v.section(raw.get("phase", _PHASE_FIELDS.copy()), "field.phase", _PHASE_FIELDS)
+    ph_vals = v.section(raw.get("phase", {}), "field.phase", _PHASE_FIELDS)
     for key in raw:
         if key not in ("carrier", "envelope", "phase"):
             v.fail(f"field.{key}", "unknown field")
     if carrier is None or env_vals is None or ph_vals is None:
         return None
     try:
-        envelope = EnvelopeSpec(
-            env_vals["shape"],
-            float(env_vals["peak"]),
-            float(env_vals["center"]),
-            float(env_vals["width"]),
-            float(env_vals["plateau"]),
-        )
-        phase = PhaseSpec(
-            ph_vals["shape"],
-            phi0=float(ph_vals["phi0"]),
-            rate=float(ph_vals["rate"]),
-            curvature=float(ph_vals["curvature"]),
-            depth=float(ph_vals["depth"]),
-            mod_freq=float(ph_vals["mod_freq"]),
-            t_ref=float(ph_vals["t_ref"]),
-        )
+        envelope = EnvelopeSpec(**_as_floats(env_vals))
+        phase = PhaseSpec(**_as_floats(ph_vals))
         return DrivingField(carrier, envelope, phase)
     except (ValidationError, TypeError, ValueError) as exc:
         v.fail("field", str(exc))
         return None
+
+
+def _as_floats(vals: dict) -> dict:
+    """Constructor arguments: ``shape`` as given, every other entry as a float."""
+    return {k: x if k == "shape" else float(x) for k, x in vals.items()}
 
 
 def _build_grid(raw, v: _Validator) -> TimeGrid | None:
@@ -331,13 +281,10 @@ def _build_integrator(raw, v: _Validator) -> IntegratorConfig:
     vals = v.section(raw if isinstance(raw, dict) else {}, "integrator", _INTEGRATOR_FIELDS)
     if vals is None:
         return IntegratorConfig()
-    max_step = vals["max_step"]
+    if vals["max_step"] is None:
+        vals["max_step"] = math.inf  # an explicit null also means unbounded
     try:
-        return IntegratorConfig(
-            rel_tol=float(vals["rel_tol"]),
-            abs_tol=float(vals["abs_tol"]),
-            max_step=float(max_step) if max_step is not None else np.inf,
-        )
+        return IntegratorConfig(**_as_floats(vals))
     except (ValidationError, TypeError, ValueError) as exc:
         v.fail("integrator", str(exc))
         return IntegratorConfig()

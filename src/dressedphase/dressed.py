@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,12 +137,47 @@ def omega_floor(system: TwoLevelSystem, field: DrivingField) -> float:
     return OMEGA_FLOOR_FRACTION * system.mu * field.envelope.peak
 
 
-def _require_on_support(omega, floor: float, where: str) -> None:
-    low = float(np.min(omega)) if np.ndim(omega) else float(omega)
-    if low <= 0.0 or low < floor:
+def _on_support(system: TwoLevelSystem, field: DrivingField, omega) -> bool:
+    """True when every Rabi frequency in ``omega`` is above the floor; NaN fails."""
+    low = np.min(omega)
+    return bool(low > 0.0 and low >= omega_floor(system, field))
+
+
+def _require_on_support(system: TwoLevelSystem, field: DrivingField, t, where: str):
+    """Rabi frequency at ``t``, raising FieldBelowFloorError unless it is on support."""
+    omega = rabi_frequency(system, field, t, 0)
+    if not _on_support(system, field, omega):
         raise FieldBelowFloorError(
-            f"field below floor in {where}: min Rabi frequency {low:g} < floor {floor:g}"
+            f"field below floor in {where}: min Rabi frequency {float(np.min(omega)):g}"
+            f" < floor {omega_floor(system, field):g}"
         )
+    return omega
+
+
+def _as_times(t) -> np.ndarray:
+    """``t`` as a float array; a scalar becomes a one-point grid."""
+    return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+def _continued_rabi(dw: complex, omega: np.ndarray) -> np.ndarray:
+    """sqrt(dw~^2 + Omega^2) along a 1-D grid, branch-fixed and sign-continued.
+
+    The sign at the smallest |Omega| is the one closer to dw~ (the weak-field
+    limit); every other point takes the sign closer to its neighbour towards
+    that anchor, keeping +1 on an exact tie.
+    """
+    w = np.sqrt((dw * dw + omega**2).astype(complex))
+    signs = np.ones(w.shape)
+    anchor = int(np.argmin(np.abs(omega)))
+    if abs(-w[anchor] - dw) < abs(w[anchor] - dw):
+        signs[anchor] = -1.0
+    for away_from_anchor in (range(anchor + 1, w.size), range(anchor - 1, -1, -1)):
+        prev = signs[anchor] * w[anchor]
+        for i in away_from_anchor:
+            if abs(-w[i] - prev) < abs(w[i] - prev):
+                signs[i] = -1.0
+            prev = signs[i] * w[i]
+    return signs * w
 
 
 def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
@@ -152,39 +187,61 @@ def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
     the constant complex detuning, so its time derivative contributes nothing.
     The square-root branch is fixed by the weak-field limit (-> dw~ as
     Omega -> 0) and, for array input, continued along the grid by
-    sign-continuity rather than the principal cut.
+    sign-continuity rather than the principal cut.  A scalar ``t`` is a
+    one-point grid.
     """
+    omega = rabi_frequency(system, field, _as_times(t), 0)
+    w = _continued_rabi(complex_detuning(system, field), omega)
+    return complex(w[0]) if np.ndim(t) == 0 else w
+
+
+class _Frequencies(NamedTuple):
+    omega: np.ndarray
+    d_omega: np.ndarray
+    gen_rabi: np.ndarray
+    lambda_minus: np.ndarray
+    omega_G: np.ndarray
+    omega_E: np.ndarray
+    omega_E_eff: np.ndarray
+
+
+def _frequencies(system: TwoLevelSystem, field: DrivingField, t, where=None) -> _Frequencies:
+    """Omega, dOmega/dt and the auxiliary complex frequencies as arrays over ``t``.
+
+    omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt).
+    With ``where`` set the field must be above the floor on all of ``t``;
+    without it omega_E_eff is not finite where Omega vanishes.
+    """
+    t = _as_times(t)
+    if where is None:
+        omega = rabi_frequency(system, field, t, 0)
+    else:
+        omega = _require_on_support(system, field, t, where)
+    d_omega = rabi_frequency(system, field, t, 1)
     dw = complex_detuning(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    if np.ndim(omega) == 0:
-        w = complex(np.sqrt(complex(dw * dw + omega * omega)))
-        return w if abs(w - dw) <= abs(-w - dw) else -w
-    w = np.sqrt((dw * dw + np.asarray(omega) ** 2).astype(complex))
-    signs = np.ones(w.shape)
-    anchor = int(np.argmin(np.abs(omega)))
-    if abs(-w[anchor] - dw) < abs(w[anchor] - dw):
-        signs[anchor] = -1.0
-    prev = signs[anchor] * w[anchor]
-    for i in range(anchor + 1, w.size):
-        if abs(-w[i] - prev) < abs(w[i] - prev):
-            signs[i] = -1.0
-        prev = signs[i] * w[i]
-    prev = signs[anchor] * w[anchor]
-    for i in range(anchor - 1, -1, -1):
-        if abs(-w[i] - prev) < abs(w[i] - prev):
-            signs[i] = -1.0
-        prev = signs[i] * w[i]
-    return signs * w
+    gr = _continued_rabi(dw, omega)
+    lam_m = 0.5 * (dw - gr)
+    omega_E = system.omega_e - lam_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega_E_eff = (
+            omega_E
+            - field.phase.derivative(t, 1)
+            - 0.5 * system.gamma_im
+            - 1j * (0.5 * system.gamma_re - d_omega / omega)
+        )
+    return _Frequencies(
+        omega, d_omega, gr, lam_m, system.omega_g + lam_m, omega_E, omega_E_eff
+    )
 
 
-def _lambda_tilde_correction(gen_rabi, omega, d_omega, where: str):
+def _lambda_tilde_correction(f: _Frequencies) -> np.ndarray:
     """-(i/2) * d/dt ln(gen_rabi) = -(i/2) Omega dOmega / gen_rabi^2."""
-    numer = np.atleast_1d(np.asarray(omega, dtype=float) * np.asarray(d_omega, dtype=float))
-    gr = np.atleast_1d(np.asarray(gen_rabi, dtype=complex))
+    numer = f.omega * f.d_omega
+    gr = f.gen_rabi
     degenerate = np.abs(gr) < DEGENERATE_RABI_FLOOR
     if np.any(degenerate & (numer != 0.0)):
         raise DegenerateRabiError(
-            f"degenerate generalized Rabi frequency in {where}: |gen_rabi| < {DEGENERATE_RABI_FLOOR}"
+            f"degenerate generalized Rabi frequency in level_shifts: |gen_rabi| < {DEGENERATE_RABI_FLOOR}"
         )
     out = np.zeros(gr.shape, dtype=complex)
     ok = ~degenerate
@@ -201,39 +258,19 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
     are reported alongside; the oracle comparison selects the plain shifts for
     the state assembly (see the module tests).
     """
-    dw = complex_detuning(system, field)
-    omega = float(rabi_frequency(system, field, t, 0))
-    d_omega = float(rabi_frequency(system, field, t, 1))
-    gr = generalized_rabi(system, field, t)
-    lam_p = 0.5 * (dw + gr)
-    lam_m = 0.5 * (dw - gr)
-    corr = complex(_lambda_tilde_correction(gr, omega, d_omega, "level_shifts")[0])
-    omega_g_shifted = system.omega_g + lam_m
-    omega_e_shifted = system.omega_e - lam_m
-
-    floor = omega_floor(system, field)
-    omega_e_eff: Optional[complex] = None
-    if omega > 0.0 and omega >= floor:
-        omega_e_eff = _omega_e_eff_value(system, field, t, omega, d_omega, omega_e_shifted)
+    f = _frequencies(system, field, t)
+    lam_p = complex(0.5 * (complex_detuning(system, field) + f.gen_rabi[0]))
+    lam_m = complex(f.lambda_minus[0])
+    corr = complex(_lambda_tilde_correction(f)[0])
     return EffectiveFrequencies(
-        gen_rabi=complex(gr),
+        gen_rabi=complex(f.gen_rabi[0]),
         lambda_plus=lam_p,
         lambda_minus=lam_m,
         lambda_tilde_plus=lam_p + corr,
         lambda_tilde_minus=lam_m + corr,
-        omega_G=omega_g_shifted,
-        omega_E=omega_e_shifted,
-        omega_E_eff=omega_e_eff,
-    )
-
-
-def _omega_e_eff_value(system, field, t, omega, d_omega, omega_E):
-    dphi = field.phase.derivative(t, 1)
-    return (
-        omega_E
-        - dphi
-        - 0.5 * system.gamma_im
-        - 1j * (0.5 * system.gamma_re - d_omega / omega)
+        omega_G=complex(f.omega_G[0]),
+        omega_E=complex(f.omega_E[0]),
+        omega_E_eff=complex(f.omega_E_eff[0]) if _on_support(system, field, f.omega) else None,
     )
 
 
@@ -243,22 +280,8 @@ def effective_excited_frequency(system: TwoLevelSystem, field: DrivingField, t):
     omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt);
     requires the field to be above the floor because of the log-derivative term.
     """
-    floor = omega_floor(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    _require_on_support(omega, floor, "effective_excited_frequency")
-    d_omega = rabi_frequency(system, field, t, 1)
-    dw = complex_detuning(system, field)
-    gr = generalized_rabi(system, field, t)
-    lam_m = 0.5 * (dw - gr)
-    omega_E = system.omega_e - lam_m
-    dphi = field.phase.derivative(t, 1)
-    out = (
-        omega_E
-        - dphi
-        - 0.5 * system.gamma_im
-        - 1j * (0.5 * system.gamma_re - np.asarray(d_omega) / omega)
-    )
-    return complex(out) if np.ndim(t) == 0 else out
+    out = _frequencies(system, field, t, "effective_excited_frequency").omega_E_eff
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
 def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: str = "ground"):
@@ -269,13 +292,11 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
     -sin(theta~/2)); squared magnitudes sum to 1 for gamma = 0.
     """
     _check_branch(branch)
-    floor = omega_floor(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    _require_on_support(omega, floor, "dressed_amplitudes")
+    omega = _require_on_support(system, field, _as_times(t), "dressed_amplitudes")
     dw = complex_detuning(system, field)
-    gr = np.asarray(generalized_rabi(system, field, t), dtype=complex)
+    gr = _continued_rabi(dw, omega)
     cos_theta = dw / gr
-    sin_theta = np.asarray(omega) / gr
+    sin_theta = omega / gr
     cos_half = np.sqrt(0.5 * (1.0 + cos_theta))
     if np.any(np.abs(cos_half) < 1e-15):
         raise DegenerateRabiError(
@@ -287,18 +308,8 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
     else:
         real_amp, virt_amp = cos_half, -sin_half
     if np.ndim(t) == 0:
-        return complex(real_amp), complex(virt_amp)
+        return complex(real_amp[0]), complex(virt_amp[0])
     return real_amp, virt_amp
-
-
-def _phase_grid_inputs(system, field, t_grid, where: str):
-    t = check_monotone_grid(t_grid)
-    if t[0] != 0.0:
-        raise GridError(f"non-monotone grid in {where}: grid must start at t = 0")
-    floor = omega_floor(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    _require_on_support(omega, floor, where)
-    return t, omega
 
 
 def dressed_phases(
@@ -317,24 +328,12 @@ def dressed_phases(
     Phi(t) = carrier*t + phi(t).
     """
     _check_branch(branch)
-    t, omega = _phase_grid_inputs(system, field, t_grid, "dressed_phases")
-
-    d_omega = rabi_frequency(system, field, t, 1)
-    dw = complex_detuning(system, field)
-    gr = generalized_rabi(system, field, t)
-    lam_m = 0.5 * (dw - gr)
-    omega_G = system.omega_g + lam_m
-    omega_E = system.omega_e - lam_m
-    dphi = field.phase.derivative(t, 1)
-    omega_E_eff = (
-        omega_E
-        - dphi
-        - 0.5 * system.gamma_im
-        - 1j * (0.5 * system.gamma_re - d_omega / omega)
-    )
-
-    int_G = cumulative_simpson(omega_G, t)
-    int_E = cumulative_simpson(omega_E_eff, t)
+    t = check_monotone_grid(t_grid)
+    if t[0] != 0.0:
+        raise GridError("non-monotone grid in dressed_phases: grid must start at t = 0")
+    f = _frequencies(system, field, t, "dressed_phases")
+    int_G = cumulative_simpson(f.omega_G, t)
+    int_E = cumulative_simpson(f.omega_E_eff, t)
     phi_t = field.phase.value(t)
     wt = field.carrier * t
 
@@ -395,8 +394,8 @@ def _log_derivative_orders(system, field, t, n_max: int):
     Uses the Leibniz recursion on dOmega = L * Omega, which needs envelope
     derivatives up to order n_max + 1.
     """
-    omega = np.asarray(rabi_frequency(system, field, t, 0), dtype=float)
     derivs = [np.asarray(rabi_frequency(system, field, t, n), dtype=float) for n in range(n_max + 2)]
+    omega = derivs[0]
     ls = [derivs[1] / omega]
     for n in range(1, n_max + 1):
         acc = derivs[n + 1].copy()
@@ -425,9 +424,7 @@ def adiabatic_report(
             f"adiabatic_report: n_max must be in [0, {MAX_ADIABATIC_ORDER}] (derivative registry limit)"
         )
     t = check_monotone_grid(t_grid)
-    floor = omega_floor(system, field)
-    omega = np.asarray(rabi_frequency(system, field, t, 0), dtype=float)
-    _require_on_support(omega, floor, "adiabatic_report")
+    omega = _require_on_support(system, field, t, "adiabatic_report")
 
     log_derivs = _log_derivative_orders(system, field, t, n_max)
     abs_dw = abs(complex_detuning(system, field))
@@ -455,9 +452,7 @@ def adiabatic_report(
 
 def usual_adiabatic_value(system: TwoLevelSystem, field: DrivingField, t):
     """|dw~^-1 E0^-1 dE0/dt|: the n = 0, k = 0 ratio for a constant-phase field."""
-    floor = omega_floor(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    _require_on_support(omega, floor, "usual_adiabatic_value")
+    omega = _require_on_support(system, field, t, "usual_adiabatic_value")
     abs_dw = abs(complex_detuning(system, field))
     value = np.abs(np.asarray(rabi_frequency(system, field, t, 1)) / omega)
     if abs_dw == 0.0:
@@ -469,8 +464,6 @@ def usual_adiabatic_value(system: TwoLevelSystem, field: DrivingField, t):
 
 def born_fock_value(system: TwoLevelSystem, field: DrivingField, t):
     """|d(Omega^-1)/dt| = |Omega^-2 dOmega/dt|: the Born-Fock reduction."""
-    floor = omega_floor(system, field)
-    omega = rabi_frequency(system, field, t, 0)
-    _require_on_support(omega, floor, "born_fock_value")
+    omega = _require_on_support(system, field, t, "born_fock_value")
     out = np.abs(np.asarray(rabi_frequency(system, field, t, 1))) / np.asarray(omega) ** 2
     return float(out) if np.ndim(t) == 0 else out

@@ -16,6 +16,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .model import (
 from .propagator import (
     IntegratorConfig,
     TwoLevelState,
+    _integrate_pair,
+    _propagate_full,
     rwa_propagate_coupling,
 )
 
@@ -49,8 +52,10 @@ class PulsePairConfig:
     rel_phase: float
 
     def __post_init__(self):
-        if self.delay < 0.0:
-            raise ValidationError("PulsePairConfig: delay must be >= 0")
+        if not (math.isfinite(self.delay) and self.delay >= 0.0):
+            raise ValidationError("PulsePairConfig: delay must be finite and >= 0")
+        if not math.isfinite(self.rel_phase):
+            raise ValidationError("PulsePairConfig: rel_phase must be finite")
         object.__setattr__(self, "rel_phase", self.rel_phase % (2.0 * math.pi))
         env = self.base.envelope
         if self.delay > 0.0 and math.isfinite(env.support_halfwidth()):
@@ -109,22 +114,6 @@ def _pair_coupling(system: TwoLevelSystem, pair: PulsePairConfig):
     return coupling
 
 
-def _summed_field_rhs(system: TwoLevelSystem, pair: PulsePairConfig):
-    base, second = pair.base, pair.second
-    env1, env2 = scalar_envelope_fn(base.envelope), scalar_envelope_fn(second.envelope)
-    ph1, ph2 = scalar_phase_fn(base.phase), scalar_phase_fn(second.phase)
-    mu, carrier = system.mu, base.carrier
-    m_i_wg = -1j * system.omega_g
-    m_i_we = -1j * system.omega_e - 0.5 * system.gamma
-
-    def rhs(t: float, c_g: complex, c_e: complex):
-        wt = carrier * t
-        w = mu * (env1(t) * math.cos(wt + ph1(t)) + env2(t) * math.cos(wt + ph2(t)))
-        return m_i_wg * c_g + 1j * w * c_e, m_i_we * c_e + 1j * w * c_g
-
-    return rhs
-
-
 def pulse_pair_population(
     system: TwoLevelSystem,
     pair: PulsePairConfig,
@@ -159,15 +148,13 @@ def pulse_pair_population(
         traj = rwa_propagate_coupling(
             system, coupling, pair.base.carrier, initial, t_grid, cfg_eff
         )
-    elif engine == "full":
-        from .propagator import _integrate_pair  # same stepper, summed real field
-
-        rhs = _summed_field_rhs(system, pair)
-        c_g, c_e = _integrate_pair(rhs, t_grid, (initial.c_g, initial.c_e), cfg_eff)
-        return float(abs(c_e[-1]) ** 2)
-    else:
-        raise ValidationError("pulse_pair_population: engine must be 'rwa' or 'full'")
-    return float(traj.population_e[-1])
+        return float(traj.population_e[-1])
+    if engine == "full":
+        traj = _propagate_full(
+            system, (pair.base, pair.second), initial, t_grid, partial(_integrate_pair, cfg=cfg_eff)
+        )
+        return float(abs(traj.c_e[-1]) ** 2)
+    raise ValidationError("pulse_pair_population: engine must be 'rwa' or 'full'")
 
 
 def phase_scan(

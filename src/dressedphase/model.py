@@ -71,6 +71,13 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
+def _require_finite(value, names) -> None:
+    """Raise ValidationError naming the first of ``names`` that is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(value, name)):
+            raise ValidationError(f"{type(value).__name__}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class TwoLevelSystem:
     """Bare two-level system with dipole coupling and complex damping.
@@ -95,6 +102,7 @@ class TwoLevelSystem:
     gamma_im: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("omega_g", "omega_e", "mu", "gamma_re", "gamma_im"))
         if not self.omega_e > self.omega_g:
             raise ValidationError("TwoLevelSystem: omega_e must exceed omega_g")
         if self.gamma_re < 0.0:
@@ -108,8 +116,22 @@ class TwoLevelSystem:
         return complex(self.gamma_re, -self.gamma_im)
 
 
+class _TimeFunction:
+    """Scalar-or-array evaluation of a shape's ``_derivative_array``."""
+
+    def value(self, t):
+        return self.derivative(t, 0)
+
+    def derivative(self, t, order: int):
+        """Exact n-th time derivative at ``t`` (scalar or array)."""
+        order = _check_order(order)
+        u, scalar = _as_float_array(t)
+        out = self._derivative_array(u, order)
+        return float(out) if scalar else out
+
+
 @dataclass(frozen=True)
-class EnvelopeSpec:
+class EnvelopeSpec(_TimeFunction):
     """Field envelope E0(t) with exact derivatives up to order 6.
 
     ``shape`` selects one of the registered analytic forms:
@@ -131,6 +153,7 @@ class EnvelopeSpec:
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
             raise ValidationError(f"EnvelopeSpec: unknown shape {self.shape!r}")
+        _require_finite(self, ("peak", "center", "width", "plateau"))
         if self.peak < 0.0:
             raise ValidationError("EnvelopeSpec: peak must be >= 0")
         if self.width <= 0.0:
@@ -153,16 +176,6 @@ class EnvelopeSpec:
     @classmethod
     def flat_top_cos2(cls, peak: float, center: float, width: float, plateau: float) -> "EnvelopeSpec":
         return cls("flat_top_cos2", peak, center, width, plateau)
-
-    def value(self, t):
-        return self.derivative(t, 0)
-
-    def derivative(self, t, order: int):
-        """Exact n-th time derivative of the envelope at ``t`` (scalar or array)."""
-        order = _check_order(order)
-        u, scalar = _as_float_array(t)
-        out = self._derivative_array(u, order)
-        return float(out) if scalar else out
 
     def _derivative_array(self, t: np.ndarray, order: int) -> np.ndarray:
         if self.shape == "constant":
@@ -232,7 +245,7 @@ class EnvelopeSpec:
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(_TimeFunction):
     """Slow optical phase phi(t) with exact derivatives up to order 6.
 
     Shapes: ``constant`` (phi0), ``linear_chirp`` (phi0 + rate*(t - t_ref)),
@@ -251,9 +264,7 @@ class PhaseSpec:
     def __post_init__(self):
         if self.shape not in PHASE_SHAPES:
             raise ValidationError(f"PhaseSpec: unknown shape {self.shape!r}")
-        for name in ("phi0", "rate", "curvature", "depth", "mod_freq", "t_ref"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"PhaseSpec: {name} must be finite")
+        _require_finite(self, ("phi0", "rate", "curvature", "depth", "mod_freq", "t_ref"))
 
     @classmethod
     def constant(cls, phi0: float = 0.0) -> "PhaseSpec":
@@ -274,15 +285,6 @@ class PhaseSpec:
         cls, depth: float, mod_freq: float, phi0: float = 0.0, t_ref: float = 0.0
     ) -> "PhaseSpec":
         return cls("sinusoidal", phi0=phi0, depth=depth, mod_freq=mod_freq, t_ref=t_ref)
-
-    def value(self, t):
-        return self.derivative(t, 0)
-
-    def derivative(self, t, order: int):
-        order = _check_order(order)
-        u, scalar = _as_float_array(t)
-        out = self._derivative_array(u, order)
-        return float(out) if scalar else out
 
     def _derivative_array(self, t: np.ndarray, order: int) -> np.ndarray:
         dt = t - self.t_ref
@@ -333,6 +335,7 @@ class DrivingField:
     phase: PhaseSpec = dc_field(default_factory=PhaseSpec.constant)
 
     def __post_init__(self):
+        _require_finite(self, ("carrier",))
         if self.carrier < 0.0:
             raise ValidationError("DrivingField: carrier must be >= 0")
 
@@ -345,8 +348,7 @@ class InitialPhases:
     phi_e: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi_g) and math.isfinite(self.phi_e)):
-            raise ValidationError("InitialPhases: phases must be finite")
+        _require_finite(self, ("phi_g", "phi_e"))
 
 
 def scalar_envelope_fn(env: EnvelopeSpec):
@@ -418,14 +420,17 @@ def complex_detuning(system: TwoLevelSystem, field: DrivingField) -> complex:
     With gamma = gamma' - i*gamma'' this equals
     (delta_omega - gamma''/2) - i*gamma'/2; it is constant per configuration.
     """
-    delta = system.omega_e - system.omega_g - field.carrier
+    return _complex_detuning(system, field.carrier)
+
+
+def _complex_detuning(system: TwoLevelSystem, carrier: float) -> complex:
+    """:func:`complex_detuning` for a bare carrier, shared by multi-pulse drives."""
+    delta = system.omega_e - system.omega_g - carrier
     return complex(delta - 0.5 * system.gamma_im, -0.5 * system.gamma_re)
 
 
 def instantaneous_field(field: DrivingField, t):
     """Real driving field E(t) = E0(t) * cos(Phi(t))."""
     u, scalar = _as_float_array(t)
-    out = field.envelope._derivative_array(u, 0) * np.cos(
-        field.carrier * u + field.phase._derivative_array(u, 0)
-    )
+    out = field.envelope._derivative_array(u, 0) * np.cos(optical_phase(field, u))
     return float(out) if scalar else out

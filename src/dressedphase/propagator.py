@@ -1,17 +1,20 @@
 """Brute-force numerical integration of the driven two-level Schrodinger equation.
 
 This is the ground-truth oracle the closed-form dressed-state results are
-checked against.  Two engines are provided:
+checked against.  Two frames are provided:
 
 * ``full_field_propagate`` integrates the bare-frame equations with the real
   field E0(t) cos(W t + phi(t)), counter-rotating terms included;
-* ``rwa_propagate`` integrates the rotating-wave equations the dressed-state
-  solution lives in.
+* ``rwa_propagate_coupling`` integrates the rotating-wave equations the
+  dressed-state solution lives in, for any complex coupling K(t) of pulses
+  sharing one carrier; ``rwa_propagate`` is its single-pulse case.
 
-Both use an adaptive embedded Dormand-Prince 5(4) stepper written for the
-two-component complex state (samples are hit exactly by clipping the step,
-so no interpolation error enters recorded trajectories).  A fixed-step RK4
-integrator is kept as a second, independent cross-check.
+Each frame has one right-hand side, shared by every engine and by the pulse
+pairs of ``interferometry``.  The main engine is an adaptive embedded
+Dormand-Prince 5(4) stepper written for the two-component complex state
+(samples are hit exactly by clipping the step, so no interpolation error
+enters recorded trajectories).  ``rk4_propagate`` runs the same right-hand
+sides through a fixed-step RK4 stepper as a second, independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -32,7 +36,7 @@ from .errors import (
 from .model import (
     DrivingField,
     TwoLevelSystem,
-    complex_detuning,
+    _complex_detuning,
     scalar_envelope_fn,
     scalar_phase_fn,
 )
@@ -79,7 +83,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    method: str = "rk45"
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
@@ -88,8 +91,6 @@ class IntegratorConfig:
                 raise ValidationError(f"IntegratorConfig: {name} must be in (0, 1e-2]")
         if not self.max_step > 0.0:
             raise ValidationError("IntegratorConfig: max_step must be > 0")
-        if self.method != "rk45":
-            raise ValidationError("IntegratorConfig: method must be 'rk45'")
 
 
 class TwoLevelTrajectory:
@@ -248,8 +249,35 @@ def _integrate_pair(
     return out_g, out_e
 
 
+def _rk4_pair(
+    rhs: Callable[[float, complex, complex], tuple[complex, complex]],
+    t_grid: np.ndarray,
+    y0: tuple[complex, complex],
+    substeps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classic fixed-step RK4 over t_grid, ``substeps`` steps per sample interval."""
+    n = t_grid.size
+    out_g = np.empty(n, dtype=complex)
+    out_e = np.empty(n, dtype=complex)
+    g, e = y0
+    out_g[0], out_e[0] = g, e
+    for i in range(n - 1):
+        h = (t_grid[i + 1] - t_grid[i]) / substeps
+        tt = t_grid[i]
+        for _ in range(substeps):
+            k1g, k1e = rhs(tt, g, e)
+            k2g, k2e = rhs(tt + 0.5 * h, g + 0.5 * h * k1g, e + 0.5 * h * k1e)
+            k3g, k3e = rhs(tt + 0.5 * h, g + 0.5 * h * k2g, e + 0.5 * h * k2e)
+            k4g, k4e = rhs(tt + h, g + h * k3g, e + h * k3e)
+            g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+            e = e + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+            tt += h
+        out_g[i + 1], out_e[i + 1] = g, e
+    return out_g, out_e
+
+
 def _rwa_rhs(
-    system: TwoLevelSystem, coupling: Callable[[float], complex], detuning: complex
+    coupling: Callable[[float], complex], detuning: complex
 ) -> Callable[[float, complex, complex], tuple[complex, complex]]:
     """Rotating-frame right-hand side with a_g, a_e referenced to w_g and w_g + w.
 
@@ -277,6 +305,32 @@ def _field_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[
     return coupling
 
 
+def _full_field_rhs(
+    system: TwoLevelSystem, fields: tuple[DrivingField, ...]
+) -> Callable[[float, complex, complex], tuple[complex, complex]]:
+    """Bare-frame right-hand side for pulses sharing the carrier of ``fields[0]``.
+
+    The real field sum_j E0_j(t) cos(W t + phi_j(t)) is summed first and then
+    multiplied by mu.
+    """
+    (first_env, first_phi), *rest = [
+        (scalar_envelope_fn(f.envelope), scalar_phase_fn(f.phase)) for f in fields
+    ]
+    mu, carrier = system.mu, fields[0].carrier
+    m_i_wg = -1j * system.omega_g
+    m_i_we = -1j * system.omega_e - 0.5 * system.gamma
+
+    def rhs(t: float, c_g: complex, c_e: complex) -> tuple[complex, complex]:
+        wt = carrier * t
+        e_t = first_env(t) * math.cos(wt + first_phi(t))
+        for env, phi in rest:
+            e_t += env(t) * math.cos(wt + phi(t))
+        w = mu * e_t
+        return m_i_wg * c_g + 1j * w * c_e, m_i_we * c_e + 1j * w * c_g
+
+    return rhs
+
+
 def rwa_propagate(
     system: TwoLevelSystem,
     field: DrivingField,
@@ -292,10 +346,9 @@ def rwa_propagate(
         i da_g/dt = -(Omega/2) e^{+i phi} a_e
         i da_e/dt = dw a_e - (Omega/2) e^{-i phi} a_g - i (gamma/2) a_e
     """
-    t = _check_grid(t_grid)
-    coupling = _field_coupling_fn(system, field)
-    rhs = _rwa_rhs(system, coupling, complex_detuning(system, field))
-    return _propagate_rotating(system, field, rhs, initial, t, cfg, frame)
+    return rwa_propagate_coupling(
+        system, _field_coupling_fn(system, field), field.carrier, initial, t_grid, cfg, frame
+    )
 
 
 def rwa_propagate_coupling(
@@ -313,35 +366,36 @@ def rwa_propagate_coupling(
     of (Omega_j(t)/2) exp(-i phi_j(t)) over the pulses.
     """
     t = _check_grid(t_grid)
-    detuning = complex(
-        system.omega_e - system.omega_g - carrier - 0.5 * system.gamma_im,
-        -0.5 * system.gamma_re,
-    )
-    rhs = _rwa_rhs(system, coupling, detuning)
-    field_like = _CarrierOnly(carrier)
-    return _propagate_rotating(system, field_like, rhs, initial, t, cfg, frame)
+    integrate = partial(_integrate_pair, cfg=cfg)
+    return _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame)
 
 
-class _CarrierOnly:
-    """Minimal stand-in exposing just the carrier for frame conversion."""
+def _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame) -> TwoLevelTrajectory:
+    """Rotating-wave propagation of ``initial`` under the coupling K(t) with ``integrate``.
 
-    def __init__(self, carrier: float):
-        self.carrier = carrier
-
-
-def _propagate_rotating(system, field, rhs, initial, t, cfg, frame) -> TwoLevelTrajectory:
+    The state is moved into the frame rotating at w_g and w_g + carrier,
+    integrated there, and moved back unless ``frame`` is 'rotating'.
+    """
+    rhs = _rwa_rhs(coupling, _complex_detuning(system, carrier))
     t0 = t[0]
     w_g = system.omega_g
-    w_e_frame = system.omega_g + field.carrier
+    w_e_frame = system.omega_g + carrier
     a0 = (
         initial.c_g * cmath.exp(1j * w_g * t0),
         initial.c_e * cmath.exp(1j * w_e_frame * t0),
     )
-    a_g, a_e = _integrate_pair(rhs, t, a0, cfg)
+    a_g, a_e = integrate(rhs, t, a0)
     if frame == "rotating":
         return TwoLevelTrajectory(t, a_g, a_e, frame="rotating")
     c_g = a_g * np.exp(-1j * w_g * t)
     c_e = a_e * np.exp(-1j * w_e_frame * t)
+    return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
+
+
+def _propagate_full(system, fields, initial, t, integrate) -> TwoLevelTrajectory:
+    """Integrate the bare-frame equations with the summed real field of ``fields``."""
+    rhs = _full_field_rhs(system, fields)
+    c_g, c_e = integrate(rhs, t, (complex(initial.c_g), complex(initial.c_e)))
     return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
 
 
@@ -358,18 +412,7 @@ def full_field_propagate(
         i dc_e/dt = w_e c_e - Omega(t) cos(Phi(t)) c_g - i (gamma/2) c_e
     """
     t = _check_grid(t_grid)
-    env = scalar_envelope_fn(field.envelope)
-    phi = scalar_phase_fn(field.phase)
-    mu, carrier = system.mu, field.carrier
-    m_i_wg = -1j * system.omega_g
-    m_i_we = -1j * system.omega_e - 0.5 * system.gamma
-
-    def rhs(tt: float, c_g: complex, c_e: complex) -> tuple[complex, complex]:
-        w = mu * env(tt) * math.cos(carrier * tt + phi(tt))
-        return m_i_wg * c_g + 1j * w * c_e, m_i_we * c_e + 1j * w * c_g
-
-    c_g, c_e = _integrate_pair(rhs, t, (initial.c_g, initial.c_e), cfg)
-    return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
+    return _propagate_full(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg))
 
 
 def rk4_propagate(
@@ -382,58 +425,19 @@ def rk4_propagate(
 ) -> TwoLevelTrajectory:
     """Fixed-step classic RK4 cross-check integrator (``engine``: 'rwa' or 'full').
 
-    Steps ``substeps`` times between consecutive sample points; entirely
-    independent of the adaptive stepper so the two can audit each other.
+    Steps ``substeps`` times between consecutive sample points; the stepper is
+    entirely independent of the adaptive one so the two can audit each other.
     """
     t = _check_grid(t_grid)
     if substeps < 1:
         raise ValidationError("rk4_propagate: substeps must be >= 1")
+    integrate = partial(_rk4_pair, substeps=substeps)
     if engine == "rwa":
         coupling = _field_coupling_fn(system, field)
-        rhs = _rwa_rhs(system, coupling, complex_detuning(system, field))
-        t0 = t[0]
-        y = (
-            initial.c_g * cmath.exp(1j * system.omega_g * t0),
-            initial.c_e * cmath.exp(1j * (system.omega_g + field.carrier) * t0),
-        )
-    elif engine == "full":
-        env = scalar_envelope_fn(field.envelope)
-        phi = scalar_phase_fn(field.phase)
-        mu, carrier = system.mu, field.carrier
-        m_i_wg = -1j * system.omega_g
-        m_i_we = -1j * system.omega_e - 0.5 * system.gamma
-
-        def rhs(tt, c_g, c_e):
-            w = mu * env(tt) * math.cos(carrier * tt + phi(tt))
-            return m_i_wg * c_g + 1j * w * c_e, m_i_we * c_e + 1j * w * c_g
-
-        y = (complex(initial.c_g), complex(initial.c_e))
-    else:
-        raise ValidationError("rk4_propagate: engine must be 'rwa' or 'full'")
-
-    n = t.size
-    out_g = np.empty(n, dtype=complex)
-    out_e = np.empty(n, dtype=complex)
-    g, e = y
-    out_g[0], out_e[0] = g, e
-    for i in range(n - 1):
-        h = (t[i + 1] - t[i]) / substeps
-        tt = t[i]
-        for _ in range(substeps):
-            k1g, k1e = rhs(tt, g, e)
-            k2g, k2e = rhs(tt + 0.5 * h, g + 0.5 * h * k1g, e + 0.5 * h * k1e)
-            k3g, k3e = rhs(tt + 0.5 * h, g + 0.5 * h * k2g, e + 0.5 * h * k2e)
-            k4g, k4e = rhs(tt + h, g + h * k3g, e + h * k3e)
-            g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-            e = e + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-            tt += h
-        out_g[i + 1], out_e[i + 1] = g, e
-
-    if engine == "rwa":
-        c_g = out_g * np.exp(-1j * system.omega_g * t)
-        c_e = out_e * np.exp(-1j * (system.omega_g + field.carrier) * t)
-        return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
-    return TwoLevelTrajectory(t, out_g, out_e, frame="bare")
+        return _propagate_rotating(system, coupling, field.carrier, initial, t, integrate, "bare")
+    if engine == "full":
+        return _propagate_full(system, (field,), initial, t, integrate)
+    raise ValidationError("rk4_propagate: engine must be 'rwa' or 'full'")
 
 
 def _final_phase_error(ca: np.ndarray, cb: np.ndarray) -> float:

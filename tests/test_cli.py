@@ -194,6 +194,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--config", str(floor_path), "--out", str(tmp_path / "o3"), "--quiet"]) == 2
 
 
+def test_non_finite_literal_exits_1(tmp_path, capsys):
+    text = json.dumps(dressed_config()).replace('"mu": 1.0', '"mu": NaN')
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "validation: system.mu: must be finite" in capsys.readouterr().err
+    for literal in ("Infinity", "-Infinity"):
+        cfg = json.loads(text.replace("NaN", "1.0").replace('"peak": 2.0', f'"peak": {literal}'))
+        with pytest.raises(ConfigError, match="peak must be finite"):
+            load_config_dict(cfg)
+
+
 def test_determinism_byte_identical(tmp_path):
     config = load_config_dict(dressed_config())
     run(config, tmp_path / "a")

@@ -142,6 +142,8 @@ class TestEffectiveExcitedFrequency:
         field = DrivingField(5.0, EnvelopeSpec.flat_top_cos2(1.0, 0.0, 1.0, 2.0))
         with pytest.raises(FieldBelowFloorError, match="field below floor"):
             effective_excited_frequency(RESONANT, field, 10.0)
+        with pytest.raises(FieldBelowFloorError, match="field below floor"):
+            effective_excited_frequency(RESONANT, field, float("nan"))
 
 
 class TestDressedAmplitudes:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dressedphase.cli import TimeGrid
 from dressedphase.errors import DerivativeOrderError, ValidationError
+from dressedphase.interferometry import PulsePairConfig
 from dressedphase.model import (
     DrivingField,
     EnvelopeSpec,
@@ -147,6 +149,21 @@ def test_phase_shifted_replica():
         lambda: PhaseSpec.constant(float("nan")),
         lambda: DrivingField(-1.0, EnvelopeSpec.constant(1.0)),
         lambda: InitialPhases(float("inf"), 0.0),
+        lambda: TwoLevelSystem(float("nan"), 1.0),
+        lambda: TwoLevelSystem(0.0, math.inf),
+        lambda: TwoLevelSystem(0.0, 1.0, mu=float("nan")),
+        lambda: TwoLevelSystem(0.0, 1.0, gamma_re=float("nan")),
+        lambda: TwoLevelSystem(0.0, 1.0, gamma_im=-math.inf),
+        lambda: EnvelopeSpec.gaussian(float("nan"), 0.0, 1.0),
+        lambda: EnvelopeSpec.gaussian(1.0, float("nan"), 1.0),
+        lambda: EnvelopeSpec.gaussian(1.0, 0.0, math.inf),
+        lambda: EnvelopeSpec.flat_top_cos2(1.0, 0.0, 1.0, float("nan")),
+        lambda: DrivingField(float("nan"), EnvelopeSpec.constant(1.0)),
+        lambda: DrivingField(math.inf, EnvelopeSpec.constant(1.0)),
+        lambda: PulsePairConfig(DrivingField(1.0, EnvelopeSpec.constant(1.0)), float("nan"), 0.0),
+        lambda: PulsePairConfig(DrivingField(1.0, EnvelopeSpec.constant(1.0)), 1.0, math.inf),
+        lambda: TimeGrid(float("nan"), 1.0, 3),
+        lambda: TimeGrid(0.0, math.inf, 3),
     ],
 )
 def test_invariant_violations_raise(build):

@@ -201,8 +201,6 @@ def test_integrator_config_validation():
     with pytest.raises(ValidationError):
         IntegratorConfig(max_step=0.0)
     with pytest.raises(ValidationError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValidationError):
         rk4_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0, 1, 5), engine="verlet")
 
 
