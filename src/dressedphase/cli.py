@@ -152,6 +152,15 @@ class _Validator:
             return None
         return float(value)
 
+    def integer(self, value, field_name: str, low=None, high=None):
+        """Record a problem unless ``value`` is an int (not a bool) in [low, high]."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            self.fail(field_name, "must be an integer")
+        elif high is not None and not low <= value <= high:
+            self.fail(field_name, f"must be an integer in [{low}, {high}]")
+        elif low is not None and value < low:
+            self.fail(field_name, f"must be an integer >= {low}")
+
     def raise_if_failed(self):
         if self.problems:
             raise ConfigError(self.problems)
@@ -325,8 +334,12 @@ def _build_params(kind: str, raw, v: _Validator) -> dict | None:
         v.fail("dressed.branch", f"must be one of {dressed_mod.BRANCHES}")
     if kind in ("propagate", "interfere") and vals["engine"] not in ("rwa", "full"):
         v.fail(f"{kind}.engine", "must be 'rwa' or 'full'")
-    if kind == "interfere" and v.numeric(vals["delay"], "interfere.delay") is None:
-        return None
+    if kind in ("dressed", "adiabatic"):
+        v.integer(vals["n_max"], f"{kind}.n_max", 0, dressed_mod.MAX_ADIABATIC_ORDER)
+    if kind == "interfere":
+        v.integer(vals["n_delta"], "interfere.n_delta", 1)
+        if v.numeric(vals["delay"], "interfere.delay") is None:
+            return None
     if kind == "propagate":
         for name in ("c_g", "c_e"):
             amp = vals[name]
@@ -335,8 +348,7 @@ def _build_params(kind: str, raw, v: _Validator) -> dict | None:
     if kind == "hydro":
         for name in ("x_min", "dx", "t_final", "dt", "mass"):
             v.numeric(vals[name], f"hydro.{name}")
-        if isinstance(vals["n_points"], bool) or not isinstance(vals["n_points"], int):
-            v.fail("hydro.n_points", "must be an integer")
+        v.integer(vals["n_points"], "hydro.n_points")
         packet = vals["packet"]
         if not isinstance(packet, dict) or not {"center", "sigma"} <= set(packet):
             v.fail("hydro.packet", "required object with center, sigma (and optional k0)")

@@ -162,22 +162,56 @@ def _as_times(t) -> np.ndarray:
 def _continued_rabi(dw: complex, omega: np.ndarray) -> np.ndarray:
     """sqrt(dw~^2 + Omega^2) along a 1-D grid, branch-fixed and sign-continued.
 
-    The sign at the smallest |Omega| is the one closer to dw~ (the weak-field
-    limit); every other point takes the sign closer to its neighbour towards
-    that anchor, keeping +1 on an exact tie.
+    The anchor is the point of smallest |Omega|; its sign is the one that puts
+    it closer to dw~ (the weak-field limit).  Walking away from the anchor,
+    each point takes the sign that puts it closer to its signed neighbour
+    towards the anchor, so only the relative sign of neighbours matters: with
+    a = |w[i] + w[i-1]| and b = |w[i] - w[i-1]| the sign flips where a < b,
+    carries over where b < a, and resets to +1 where neither holds (an exact
+    tie, or NaN), whatever it was before.  A point's sign is therefore the
+    sign the walk restarted from (+1 at the last reset between it and the
+    anchor, or the anchor's own sign if there is none), negated once for each
+    flip since then.
     """
-    w = np.sqrt((dw * dw + omega**2).astype(complex))
-    signs = np.ones(w.shape)
+    w = np.sqrt((dw * dw + omega**2).astype(complex, copy=False))
     anchor = int(np.argmin(np.abs(omega)))
-    if abs(-w[anchor] - dw) < abs(w[anchor] - dw):
-        signs[anchor] = -1.0
-    for away_from_anchor in (range(anchor + 1, w.size), range(anchor - 1, -1, -1)):
-        prev = signs[anchor] * w[anchor]
-        for i in away_from_anchor:
-            if abs(-w[i] - prev) < abs(w[i] - prev):
-                signs[i] = -1.0
-            prev = signs[i] * w[i]
-    return signs * w
+    # Pair i joins points i and i + 1; it sets point i + 1 on the walk
+    # forward from the anchor and point i on the walk back.
+    flip, reset = _pair_moves(w)
+    negative = np.empty(w.shape, dtype=bool)
+    negative[anchor] = abs(-w[anchor] - dw) < abs(w[anchor] - dw)
+    negative[anchor + 1 :] = _walk_negative(flip[anchor:], reset[anchor:], negative[anchor])
+    negative[:anchor] = _walk_negative(
+        flip[:anchor][::-1], reset[:anchor][::-1], negative[anchor]
+    )[::-1]
+    return np.where(negative, -1.0, 1.0) * w
+
+
+def _pair_moves(w: np.ndarray):
+    """(flip, reset) for each neighbour pair of ``w``, as in :func:`_continued_rabi`.
+
+    The moduli come from np.hypot, the libm hypot behind numpy's scalar abs:
+    numpy's SIMD complex abs can differ from it in the last bit, which would
+    move near-ties.
+    """
+    pair = w[1:] + w[:-1]
+    a = np.hypot(pair.real, pair.imag)
+    pair = w[1:] - w[:-1]
+    b = np.hypot(pair.real, pair.imag)
+    flip = a < b
+    return flip, ~(flip | (b < a))
+
+
+def _walk_negative(flip: np.ndarray, reset: np.ndarray, start: bool) -> np.ndarray:
+    """Whether each step of a sign walk ends at -1: a flip toggles, a reset clears."""
+    parity = np.logical_xor.accumulate(flip)
+    # The parity at the last reset so far (``start`` before the first one),
+    # built from its switches at the resets; the sign is -1 where the parity
+    # differs from it.
+    held = np.concatenate(([start], parity[reset]))
+    switch = np.zeros(flip.shape, dtype=bool)
+    switch[reset] = held[1:] ^ held[:-1]
+    return parity ^ start ^ np.logical_xor.accumulate(switch)
 
 
 def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
@@ -294,9 +328,16 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
     _check_branch(branch)
     omega = _require_on_support(system, field, _as_times(t), "dressed_amplitudes")
     dw = complex_detuning(system, field)
-    gr = _continued_rabi(dw, omega)
-    cos_theta = dw / gr
-    sin_theta = omega / gr
+    real_amp, virt_amp = _mixing_amplitudes(dw, omega, _continued_rabi(dw, omega), branch)
+    if np.ndim(t) == 0:
+        return complex(real_amp[0]), complex(virt_amp[0])
+    return real_amp, virt_amp
+
+
+def _mixing_amplitudes(dw: complex, omega: np.ndarray, gen_rabi: np.ndarray, branch: str):
+    """(real, virtual) amplitudes of ``branch`` from Omega and the continued generalized Rabi."""
+    cos_theta = dw / gen_rabi
+    sin_theta = omega / gen_rabi
     cos_half = np.sqrt(0.5 * (1.0 + cos_theta))
     if np.any(np.abs(cos_half) < 1e-15):
         raise DegenerateRabiError(
@@ -304,12 +345,8 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
         )
     sin_half = sin_theta / (2.0 * cos_half)
     if branch == "ground":
-        real_amp, virt_amp = cos_half, sin_half
-    else:
-        real_amp, virt_amp = cos_half, -sin_half
-    if np.ndim(t) == 0:
-        return complex(real_amp[0]), complex(virt_amp[0])
-    return real_amp, virt_amp
+        return cos_half, sin_half
+    return cos_half, -sin_half
 
 
 def dressed_phases(
@@ -327,6 +364,11 @@ def dressed_phases(
     from their real partners by exactly +/- the full optical phase
     Phi(t) = carrier*t + phi(t).
     """
+    return _phase_series(system, field, phases, branch, t_grid)[0]
+
+
+def _phase_series(system, field, phases, branch, t_grid):
+    """:func:`dressed_phases`, plus the Omega and continued generalized Rabi it used."""
     _check_branch(branch)
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
@@ -355,7 +397,8 @@ def dressed_phases(
         phi_E_v = base - phi_t + acc + int_E - wt
         phi_G_r = base - phi_t + acc + int_G
         phi_G_v = base + acc + int_G + wt
-    return DressedPhaseSeries(t, phi_G_r, phi_G_v, phi_E_r, phi_E_v, branch)
+    series = DressedPhaseSeries(t, phi_G_r, phi_G_v, phi_E_r, phi_E_v, branch)
+    return series, f.omega, f.gen_rabi
 
 
 def assemble_bare_state(
@@ -375,10 +418,12 @@ def assemble_bare_state(
     of the effective excited frequency carries the field log-derivative
     exactly as printed, which encodes the field-proportional growth of
     nonadiabatically populated components rather than the followed state's
-    norm.
+    norm.  The phases and the amplitudes share one Omega and one continued
+    generalized Rabi frequency.
     """
-    series = dressed_phases(system, field, phases, branch, t_grid)
-    real_amp, virt_amp = dressed_amplitudes(system, field, series.times, branch)
+    series, omega, gen_rabi = _phase_series(system, field, phases, branch, t_grid)
+    dw = complex_detuning(system, field)
+    real_amp, virt_amp = _mixing_amplitudes(dw, omega, gen_rabi, branch)
     if branch == "ground":
         c_g = real_amp * np.exp(-1j * series.phi_G_r)
         c_e = virt_amp * np.exp(-1j * series.phi_G_v)

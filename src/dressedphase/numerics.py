@@ -42,23 +42,25 @@ def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros(n, dtype=np.result_type(f.dtype, np.float64))
 
     # Quadratic through (t[i], f[i]), (t[i+1], f[i+1]), (t[i+2], f[i+2]) as
-    # p(u) = a u^2 + b u + c with u = t - t[i+1].  For an odd interval count
-    # the loop leaves the final interval to the trailing block below.
-    i = np.arange(0, n - 2, 2)
-    h0 = t[i + 1] - t[i]
-    h1 = t[i + 2] - t[i + 1]
-    d0 = f[i] - f[i + 1]
-    d2 = f[i + 2] - f[i + 1]
+    # p(u) = a u^2 + b u + c with u = t - t[i+1], for every even i < n - 2.
+    # For an odd interval count the final interval is left to the trailing
+    # block below.
+    t0, t1, t2 = t[0 : n - 2 : 2], t[1 : n - 1 : 2], t[2:n:2]
+    f0, f1, f2 = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
+    h0 = t1 - t0
+    h1 = t2 - t1
+    d0 = f0 - f1
+    d2 = f2 - f1
     denom = h0 * h1 * (h0 + h1)
     a = (d0 * h1 + d2 * h0) / denom
     b = (d2 * h0 * h0 - d0 * h1 * h1) / denom
-    c = f[i + 1]
+    c = f1
     left = a * h0**3 / 3.0 - b * h0**2 / 2.0 + c * h0
     right = a * h1**3 / 3.0 + b * h1**2 / 2.0 + c * h1
 
-    increments = np.zeros(n - 1, dtype=out.dtype)
-    increments[i] = left
-    increments[i + 1] = right
+    increments = np.empty(n - 1, dtype=out.dtype)
+    increments[0 : n - 2 : 2] = left
+    increments[1 : n - 1 : 2] = right
 
     if (n - 1) % 2 == 1:
         # Trailing interval (t[n-2], t[n-1]) from the quadratic through the

@@ -61,3 +61,65 @@ def rwa_eigensystem(omega_rabi, complex_detuning):
 def central_difference(fn, t, h):
     """Second-order central first derivative of a callable."""
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+def continued_rabi_loop(dw: complex, omega: np.ndarray) -> np.ndarray:
+    """sqrt(dw~^2 + Omega^2) along a 1-D grid, branch-fixed and sign-continued.
+
+    The sign at the smallest |Omega| is the one closer to dw~ (the weak-field
+    limit); every other point takes the sign closer to its neighbour towards
+    that anchor, keeping +1 on an exact tie.
+    """
+    w = np.sqrt((dw * dw + omega**2).astype(complex))
+    signs = np.ones(w.shape)
+    anchor = int(np.argmin(np.abs(omega)))
+    if abs(-w[anchor] - dw) < abs(w[anchor] - dw):
+        signs[anchor] = -1.0
+    for away_from_anchor in (range(anchor + 1, w.size), range(anchor - 1, -1, -1)):
+        prev = signs[anchor] * w[anchor]
+        for i in away_from_anchor:
+            if abs(-w[i] - prev) < abs(w[i] - prev):
+                signs[i] = -1.0
+            prev = signs[i] * w[i]
+    return signs * w
+
+
+def cumulative_simpson_loop(f, t):
+    """Cumulative Simpson integral, one point triple at a time.
+
+    Each triple (t[i], t[i+1], t[i+2]), i even, is fitted by
+    p(u) = a u^2 + b u + c with u = t - t[i+1] and integrated over its two
+    intervals; an odd trailing interval is integrated with the quadratic of
+    the last three points.
+
+    numpy's scalar ``**`` may call a different ``pow`` than its (SIMD) array
+    kernel and differ in the last bit, so for a bit-for-bit comparison each
+    value is evaluated the way the library evaluates it: the paired triples
+    as one-element arrays, the trailing interval as numpy scalars.
+    """
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(f)
+    n = t.size
+
+    def quadratic(t0, t1, t2, f0, f1, f2):
+        h0 = t1 - t0
+        h1 = t2 - t1
+        d0 = f0 - f1
+        d2 = f2 - f1
+        denom = h0 * h1 * (h0 + h1)
+        a = (d0 * h1 + d2 * h0) / denom
+        b = (d2 * h0 * h0 - d0 * h1 * h1) / denom
+        return a, b, f1, h0, h1
+
+    increments = []
+    for i in range(0, n - 2, 2):
+        triple = [x[j : j + 1] for x in (t, f) for j in (i, i + 1, i + 2)]
+        a, b, c, h0, h1 = quadratic(*triple)
+        increments.append(a * h0**3 / 3.0 - b * h0**2 / 2.0 + c * h0)
+        increments.append(a * h1**3 / 3.0 + b * h1**2 / 2.0 + c * h1)
+    if (n - 1) % 2 == 1:
+        a, b, c, _, h1 = quadratic(t[n - 3], t[n - 2], t[n - 1], f[n - 3], f[n - 2], f[n - 1])
+        increments.append(np.atleast_1d(a * h1**3 / 3.0 + b * h1**2 / 2.0 + c * h1))
+    out = np.zeros(n, dtype=np.result_type(f.dtype, np.float64))
+    np.cumsum(np.concatenate(increments), out=out[1:])
+    return out

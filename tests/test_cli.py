@@ -206,6 +206,47 @@ def test_non_finite_literal_exits_1(tmp_path, capsys):
             load_config_dict(cfg)
 
 
+def _interfere_config(n_delta):
+    return {
+        "kind": "interfere",
+        "system": {"omega_g": 0.0, "omega_e": 5.0},
+        "field": {
+            "carrier": 5.0,
+            "envelope": {"shape": "gaussian", "peak": 0.02, "center": 0.0, "width": 2.0},
+        },
+        "interfere": {"delay": 30.0, "n_delta": n_delta},
+    }
+
+
+def _adiabatic_config(n_max):
+    cfg = dressed_config(kind="adiabatic", adiabatic={"n_max": n_max})
+    del cfg["dressed"]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg,field_name",
+    [
+        (_interfere_config("many"), "interfere.n_delta"),
+        (_interfere_config(0), "interfere.n_delta"),
+        (_interfere_config(2.5), "interfere.n_delta"),
+        (_interfere_config(True), "interfere.n_delta"),
+        (dressed_config(dressed={"n_max": 5}), "dressed.n_max"),
+        (_adiabatic_config(5), "adiabatic.n_max"),
+    ],
+    ids=["n_delta_string", "n_delta_zero", "n_delta_float", "n_delta_bool", "dressed_n_max_5",
+         "adiabatic_n_max_5"],
+)
+def test_integer_parameter_exits_1(tmp_path, capsys, cfg, field_name):
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert any(p.startswith(f"validation: {field_name}: must be an integer") for p in err.value.problems)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert f"validation: {field_name}: must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     config = load_config_dict(dressed_config())
     run(config, tmp_path / "a")

@@ -348,3 +348,36 @@ class TestAssembleBareState:
         drift = np.unwrap(np.angle(oracle.c_e)) - np.unwrap(-series.phi_E_r.real)
         drift -= drift[0]
         assert np.max(np.abs(drift)) <= margin
+
+    @pytest.mark.parametrize("branch", ["ground", "excited"])
+    @pytest.mark.parametrize(
+        "system,field",
+        [
+            (
+                TwoLevelSystem(0.0, 12.0, gamma_re=0.01, gamma_im=0.003),
+                DrivingField(
+                    2.0, EnvelopeSpec.gaussian(1.0, 150.0, 150.0), PhaseSpec.linear_chirp(5e-4)
+                ),
+            ),
+            (
+                TwoLevelSystem(0.2, 5.0, mu=1.3, gamma_re=0.4),
+                DrivingField(4.8, EnvelopeSpec.sech(0.9, 150.0, 40.0)),
+            ),
+        ],
+        ids=["chirped_damped_gaussian", "near_resonant_sech"],
+    )
+    def test_equals_public_phases_and_amplitudes(self, system, field, branch):
+        """The shared-Rabi assembly equals composing the public functions, bit for bit."""
+        t = np.linspace(0.0, 300.0, 1202)
+        phases = InitialPhases(0.3, -0.7)
+        series = dressed_phases(system, field, phases, branch, t)
+        real_amp, virt_amp = dressed_amplitudes(system, field, series.times, branch)
+        if branch == "ground":
+            c_g = real_amp * np.exp(-1j * series.phi_G_r)
+            c_e = virt_amp * np.exp(-1j * series.phi_G_v)
+        else:
+            c_e = real_amp * np.exp(-1j * series.phi_E_r)
+            c_g = virt_amp * np.exp(-1j * series.phi_E_v)
+        traj = assemble_bare_state(system, field, phases, branch, t)
+        for got, want in ((traj.times, series.times), (traj.c_g, c_g), (traj.c_e, c_e)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

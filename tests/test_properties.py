@@ -4,14 +4,17 @@ The ODE right-hand sides use fast scalar closures (``scalar_envelope_fn``,
 ``scalar_phase_fn``, the fused pulse-pair coupling); the closed-form layer
 uses the array registries.  These tests check that the two forms agree, and
 that ``generalized_rabi`` of a scalar time equals the array result there.
+The vectorised kernels of the closed-form layer (the branch continuation and
+the cumulative Simpson rule) are checked bit for bit against the
+point-by-point loops in ``oracles``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase.dressed import generalized_rabi
+from dressedphase.dressed import _continued_rabi, generalized_rabi
 from dressedphase.interferometry import PulsePairConfig, _pair_coupling
 from dressedphase.model import (
     ENVELOPE_SHAPES,
@@ -20,10 +23,14 @@ from dressedphase.model import (
     EnvelopeSpec,
     PhaseSpec,
     TwoLevelSystem,
+    complex_detuning,
+    rabi_frequency,
     scalar_envelope_fn,
     scalar_phase_fn,
 )
+from dressedphase.numerics import cumulative_simpson
 from dressedphase.propagator import _field_coupling_fn
+from oracles import continued_rabi_loop, cumulative_simpson_loop
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -141,3 +148,94 @@ def test_generalized_rabi_scalar_equals_array(system, field, t):
     scalar = np.array([generalized_rabi(system, field, float(x)) for x in t])
     assert isinstance(generalized_rabi(system, field, float(t[0])), complex)
     np.testing.assert_array_equal(scalar.view(np.uint64), array.view(np.uint64))
+
+
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Without the xfail mark: the loop and the scan follow the same branch there.
+@pytest.mark.parametrize(
+    "system,field,t",
+    [getattr(case, "values", case) for case in RABI_CASES.values()],
+    ids=list(RABI_CASES),
+)
+def test_continued_rabi_equals_loop_on_pulses(system, field, t):
+    dw = complex_detuning(system, field)
+    omega = rabi_frequency(system, field, t, 0)
+    assert_bits_equal(_continued_rabi(dw, omega), continued_rabi_loop(dw, omega))
+
+
+# Purely imaginary detunings are the resonant, damped case: w = sqrt(Omega^2 - g^2)
+# is imaginary below Omega = g, zero at it and real above, so neighbours on either
+# side of g are exactly orthogonal and |w[i] + w[i-1]| == |w[i] - w[i-1]| (a tie).
+# Drawing Omega from a few values that straddle g makes such ties, and repeated
+# values, common.  A real part of a few ulps (a carrier that misses resonance by
+# rounding) makes near-ties, which the last bit of |.| decides.
+detunings = st.one_of(
+    st.just(0j),
+    st.floats(-5.0, 5.0).map(complex),
+    st.sampled_from([0.1j, 0.2j, 0.25j, 0.5j, -0.2j]),
+    st.floats(0.0, 2.0).map(lambda g: complex(0.0, g)),
+    st.builds(complex, st.floats(-1e-15, 1e-15), st.floats(-1.0, 1.0)),
+    st.builds(complex, st.floats(-5.0, 5.0), st.floats(-2.0, 2.0)),
+)
+rabi_values = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.4, 0.5, 1.0]), st.floats(0.0, 10.0)
+)
+
+
+@PROPERTY
+@given(
+    dw=detunings,
+    omega=st.lists(rabi_values, min_size=1, max_size=40),
+    order=st.sampled_from(["drawn", "rising", "falling"]),
+)
+@example(dw=0.2j, omega=[0.4, 0.1, 0.4, 0.1, 0.4, 0.2, 0.4], order="drawn")
+@example(dw=0j, omega=[0.0, 1.0, 0.0, 1.0], order="drawn")
+@example(dw=0.2j, omega=[0.3], order="drawn")
+@example(
+    dw=complex(-9.407405756468081e-18, 0.38140899829397884),
+    omega=[0.0, 0.28220528812407675, 0.4529197243377446],
+    order="drawn",
+)
+def test_continued_rabi_equals_loop(dw, omega, order):
+    omega = np.array(omega)
+    if order != "drawn":
+        # The anchor (smallest |Omega|) is then at the first or the last point.
+        omega = np.sort(omega)[:: 1 if order == "rising" else -1]
+    assert_bits_equal(_continued_rabi(dw, omega), continued_rabi_loop(dw, omega))
+
+
+# Along a real Omega grid every principal root sqrt(dw~^2 + Omega^2) lies in
+# one closed quadrant, so a < b (a flip) never happens there.  A complex
+# Omega moves the radicand across the branch cut, which exercises the flip
+# parity; NaN, like a tie, resets the sign.
+complex_rabi_values = st.one_of(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.sampled_from([0j, 1j, -1j, 1.0 + 0j, complex("nan")]),
+)
+
+
+@PROPERTY
+@given(dw=detunings, omega=st.lists(complex_rabi_values, min_size=1, max_size=40))
+@example(dw=0.1j, omega=[0j, complex(1.5, -2.220446049250313e-16)])
+def test_continued_rabi_equals_loop_across_the_cut(dw, omega):
+    omega = np.array(omega)
+    assert_bits_equal(_continued_rabi(dw, omega), continued_rabi_loop(dw, omega))
+
+
+@PROPERTY
+@given(
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=40),
+    t0=st.floats(-50.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+    is_complex=st.booleans(),
+)
+def test_cumulative_simpson_equals_loop(steps, t0, seed, is_complex):
+    t = t0 + np.cumsum([0.0, *steps])
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=t.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if is_complex:
+        f = f + 1j * rng.normal(size=t.size)
+    assert_bits_equal(cumulative_simpson(f, t), cumulative_simpson_loop(f, t))
