@@ -49,21 +49,6 @@ from .propagator import (
 KINDS = ("dressed", "adiabatic", "propagate", "interfere", "hydro")
 
 
-# A configuration field with no default, marked the way dataclasses mark one.
-_REQUIRED = MISSING
-
-
-def _defaults(cls) -> dict:
-    """Field name -> default of a dataclass, in declaration order."""
-    return {f.name: f.default for f in fields(cls)}
-
-
-_SYSTEM_FIELDS = _defaults(TwoLevelSystem)
-_ENVELOPE_FIELDS = _defaults(EnvelopeSpec)
-_PHASE_FIELDS = _defaults(PhaseSpec)
-_INTEGRATOR_FIELDS = _defaults(IntegratorConfig)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     t0: float
@@ -117,253 +102,257 @@ class RunSummary:
     duration_s: float = 0.0
 
 
-class _Validator:
-    """Collects precise field-level problems before raising once."""
+# Config schema.  A section spec maps each key to (check, default).  A check
+# takes (problems, path, value) and returns the value as the run uses it, or
+# records a problem and returns _BAD.  A default of _REQUIRED (the dataclass
+# marker) makes the key required; _OPTIONAL lets it be left out of the
+# section and of the config echo, and its consumer supplies the default.
+_REQUIRED = MISSING
+_OPTIONAL = object()
+_BAD = object()
 
-    def __init__(self):
-        self.problems: list[str] = []
 
-    def fail(self, field_name: str, constraint: str):
-        self.problems.append(f"validation: {field_name}: {constraint}")
+class _Problems(list):
+    """Field-level problems, collected so that one ConfigError names them all."""
 
-    def section(self, raw: dict, prefix: str, spec: dict) -> dict | None:
+    def fail(self, path: str, constraint: str):
+        self.append(f"validation: {path}: {constraint}")
+        return _BAD
+
+
+def _number(problems: _Problems, path: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return problems.fail(path, "must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    return value if math.isfinite(value) else problems.fail(path, "must be finite")
+
+
+def _integer(low=None, high=None):
+    def check(problems: _Problems, path: str, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return problems.fail(path, "must be an integer")
+        if high is not None and not low <= value <= high:
+            return problems.fail(path, f"must be an integer in [{low}, {high}]")
+        if low is not None and value < low:
+            return problems.fail(path, f"must be an integer >= {low}")
+        return value
+
+    return check
+
+
+def _boolean(problems: _Problems, path: str, value):
+    return value if isinstance(value, bool) else problems.fail(path, "must be true or false")
+
+
+def _string(problems: _Problems, path: str, value):
+    return value if isinstance(value, str) else problems.fail(path, "must be a string")
+
+
+def _one_of(*choices):
+    def check(problems: _Problems, path: str, value):
+        if isinstance(value, str) and value in choices:
+            return value
+        return problems.fail(path, f"must be one of {choices}")
+
+    return check
+
+
+def _pair(problems: _Problems, path: str, value):
+    """A complex amplitude as a [re, im] pair of finite numbers."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        parts = [_number(_Problems(), path, x) for x in value]
+        if _BAD not in parts:
+            return parts
+    return problems.fail(path, "must be a [re, im] pair of finite numbers")
+
+
+def _section(spec: dict, build=dict):
+    """Check an object against ``spec``, then construct ``build(**values)``.
+
+    A ValidationError from ``build`` is reported at the first field its
+    message names, or at the section when it names none.
+    """
+
+    def check(problems: _Problems, path: str, raw):
         if not isinstance(raw, dict):
-            self.fail(prefix, "must be an object")
-            return None
-        out = {}
-        for key, default in spec.items():
-            if key in raw:
-                out[key] = raw[key]
-            elif default is _REQUIRED:
-                self.fail(f"{prefix}.{key}", "required")
-            else:
-                out[key] = default
+            return problems.fail(path, "must be an object")
+        found = len(problems)
+        at = f"{path}." if path else ""
         for key in raw:
             if key not in spec:
-                self.fail(f"{prefix}.{key}", "unknown field")
-        return out if len(out) == len(spec) else None
+                problems.fail(at + key, "unknown field")
+        values = {}
+        for key, (check_value, default) in spec.items():
+            if key in raw:
+                values[key] = check_value(problems, at + key, raw[key])
+            elif default is _REQUIRED:
+                problems.fail(at + key, "required")
+            elif default is not _OPTIONAL:
+                values[key] = default
+        if len(problems) > found:
+            return _BAD
+        try:
+            return build(**values)
+        except ValidationError as exc:
+            message = str(exc).split(": ", 2)[-1]
+            name = next((w for w in re.findall(r"\w+", message) if w in spec), None)
+            if name is None:
+                return problems.fail(path, message)
+            return problems.fail(at + name, message.removeprefix(f"{name} "))
 
-    def numeric(self, value, field_name: str):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(field_name, "must be a number")
-            return None
-        if not math.isfinite(value):
-            self.fail(field_name, "must be finite")
-            return None
-        return float(value)
+    return check
 
-    def integer(self, value, field_name: str, low=None, high=None):
-        """Record a problem unless ``value`` is an int (not a bool) in [low, high]."""
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(field_name, "must be an integer")
-        elif high is not None and not low <= value <= high:
-            self.fail(field_name, f"must be an integer in [{low}, {high}]")
-        elif low is not None and value < low:
-            self.fail(field_name, f"must be an integer >= {low}")
 
-    def raise_if_failed(self):
-        if self.problems:
-            raise ConfigError(self.problems)
+# Checks for the annotations of the configurable dataclasses.
+_CHECKS = {"float": _number, "int": _integer(), "str": _string}
+
+
+def _dataclass_section(cls, **defaults):
+    """Section of a dataclass: its fields, annotations and defaults, ``defaults`` overriding."""
+    spec = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        spec[f.name] = (_CHECKS[f.type], defaults.get(f.name, default))
+    return _section(spec, cls)
+
+
+_CHECKS["EnvelopeSpec"] = _dataclass_section(EnvelopeSpec)
+_CHECKS["PhaseSpec"] = _dataclass_section(PhaseSpec)
+_DRIVE = {
+    "system": (_dataclass_section(TwoLevelSystem), _REQUIRED),
+    "field": (_dataclass_section(DrivingField, carrier=0.0), _REQUIRED),
+}
+_GRID = {"grid": (_dataclass_section(TimeGrid, t0=0.0), _REQUIRED)}
+_INTEGRATOR = {"integrator": (_dataclass_section(IntegratorConfig), IntegratorConfig())}
+
+
+def _potential(**values) -> dict:
+    """The potential block as given, once PotentialSpec accepts it (harmonic needs omega0 > 0)."""
+    hydro_mod.PotentialSpec(**values)
+    return values
+
+
+_ORDER = _integer(0, dressed_mod.MAX_ADIABATIC_ORDER)
+_ENGINE = _one_of("rwa", "full")
+_POTENTIAL = _section(
+    {
+        "shape": (_one_of("free", "harmonic"), _REQUIRED),
+        "omega0": (_number, _OPTIONAL),
+        "center": (_number, _OPTIONAL),
+    },
+    _potential,
+)
+_PACKET = _section(
+    {
+        "center": (_number, _REQUIRED),
+        "sigma": (_number, _REQUIRED),
+        "k0": (_number, _OPTIONAL),
+    }
+)
+
+# Per kind: the shared blocks it needs, and the spec of its own block.
+_KIND_BLOCKS = {
+    "dressed": (
+        {**_DRIVE, **_GRID},
+        {
+            "branch": (_one_of(*dressed_mod.BRANCHES), "ground"),
+            "phi_g": (_number, 0.0),
+            "phi_e": (_number, 0.0),
+            "compare": (_boolean, False),
+            "n_max": (_ORDER, 2),
+        },
+    ),
+    "adiabatic": ({**_DRIVE, **_GRID}, {"n_max": (_ORDER, 2)}),
+    "propagate": (
+        {**_DRIVE, **_GRID},
+        {
+            "engine": (_ENGINE, "rwa"),
+            "c_g": (_pair, [1.0, 0.0]),
+            "c_e": (_pair, [0.0, 0.0]),
+        },
+    ),
+    "interfere": (
+        _DRIVE,
+        {
+            "delay": (_number, _REQUIRED),
+            "n_delta": (_integer(1), 128),
+            "engine": (_ENGINE, "rwa"),
+        },
+    ),
+    "hydro": (
+        {},
+        {
+            "x_min": (_number, _REQUIRED),
+            "dx": (_number, _REQUIRED),
+            "n_points": (_integer(), _REQUIRED),
+            "mass": (_number, 1.0),
+            "potential": (_POTENTIAL, {"shape": "free"}),
+            "packet": (_PACKET, _REQUIRED),
+            "t_final": (_number, _REQUIRED),
+            "dt": (_number, _REQUIRED),
+            "csv_stride": (_integer(0), 0),
+        },
+    ),
+}
 
 
 def load_config(path) -> ExperimentConfig:
     """Load and fully validate a JSON experiment file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error (line {exc.lineno}, col {exc.colno}): {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an over-long integer
+        raise ConfigError(f"config: {exc}") from exc
     return load_config_dict(raw)
 
 
 def load_config_dict(raw: dict) -> ExperimentConfig:
     """Validate an already-parsed configuration mapping."""
-    v = _Validator()
     if not isinstance(raw, dict):
         raise ConfigError("validation: config: must be a JSON object")
-
+    problems = _Problems()
     kind = raw.get("kind")
     if kind not in KINDS:
-        v.fail("kind", f"must be one of {KINDS}")
-        v.raise_if_failed()
-
+        problems.fail("kind", f"must be one of {KINDS}")
+        raise ConfigError(problems)
     present_blocks = [k for k in KINDS if k in raw]
     if present_blocks != [kind]:
-        v.fail(
+        problems.fail(
             "config",
             f"exactly one kind-specific block named {kind!r} must be present, found {present_blocks}",
         )
-
-    known_top = {"kind", "system", "field", "grid", "integrator", kind}
-    for key in raw:
-        if key not in known_top:
-            v.fail(key, "unknown field")
-
-    needs_system = kind != "hydro"
-    system = None
-    fld = None
-    grid = None
-    if needs_system:
-        system = _build_system(raw.get("system"), v)
-        fld = _build_field(raw.get("field"), v)
-        if kind != "interfere":
-            grid = _build_grid(raw.get("grid"), v)
-
-    integrator = _build_integrator(raw.get("integrator", {}), v)
-    params = _build_params(kind, raw.get(kind), v) if kind in raw else None
-    v.raise_if_failed()
+    shared, params = _KIND_BLOCKS[kind]
+    spec = {"kind": (_string, _REQUIRED), **shared, **_INTEGRATOR, kind: (_section(params), _REQUIRED)}
+    values = _section(spec)(problems, "", raw)
+    if problems:
+        raise ConfigError(problems)
     return ExperimentConfig(
-        kind=kind, system=system, field=fld, grid=grid, integrator=integrator, params=params
+        kind=kind,
+        system=values.get("system"),
+        field=values.get("field"),
+        grid=values.get("grid"),
+        integrator=values["integrator"],
+        params=values[kind],
     )
 
 
-def _build_system(raw, v: _Validator) -> TwoLevelSystem | None:
-    if raw is None:
-        v.fail("system", "required")
-        return None
-    vals = v.section(raw, "system", _SYSTEM_FIELDS)
-    if vals is None:
-        return None
-    nums = {k: v.numeric(val, f"system.{k}") for k, val in vals.items()}
-    if any(x is None for x in nums.values()):
-        return None
-    try:
-        return TwoLevelSystem(**nums)
-    except ValidationError as exc:
-        _downgrade(v, "system", exc, nums)
-        return None
+_CSV_BLOCK_ROWS = 256
 
 
-def _downgrade(v: _Validator, prefix: str, exc: ValidationError, vals: dict):
-    """Turn a dataclass invariant failure into a field-level problem."""
-    message = str(exc).split(": ", 2)[-1]
-    field_name = next(
-        (k for k in vals if re.search(rf"\b{re.escape(k)}\b", message)), prefix
-    )
-    v.fail(f"{prefix}.{field_name}", message)
-
-
-def _build_field(raw, v: _Validator) -> DrivingField | None:
-    if raw is None:
-        v.fail("field", "required")
-        return None
-    if not isinstance(raw, dict):
-        v.fail("field", "must be an object")
-        return None
-    carrier = v.numeric(raw.get("carrier", 0.0), "field.carrier")
-    env_vals = v.section(raw.get("envelope", {}), "field.envelope", _ENVELOPE_FIELDS)
-    ph_vals = v.section(raw.get("phase", {}), "field.phase", _PHASE_FIELDS)
-    for key in raw:
-        if key not in ("carrier", "envelope", "phase"):
-            v.fail(f"field.{key}", "unknown field")
-    if carrier is None or env_vals is None or ph_vals is None:
-        return None
-    try:
-        envelope = EnvelopeSpec(**_as_floats(env_vals))
-        phase = PhaseSpec(**_as_floats(ph_vals))
-        return DrivingField(carrier, envelope, phase)
-    except (ValidationError, TypeError, ValueError) as exc:
-        v.fail("field", str(exc))
-        return None
-
-
-def _as_floats(vals: dict) -> dict:
-    """Constructor arguments: ``shape`` as given, every other entry as a float."""
-    return {k: x if k == "shape" else float(x) for k, x in vals.items()}
-
-
-def _build_grid(raw, v: _Validator) -> TimeGrid | None:
-    if raw is None:
-        v.fail("grid", "required")
-        return None
-    vals = v.section(raw, "grid", {"t0": 0.0, "t1": None, "samples": None})
-    if vals is None:
-        return None
-    try:
-        return TimeGrid(float(vals["t0"]), float(vals["t1"]), int(vals["samples"]))
-    except (ValidationError, TypeError, ValueError) as exc:
-        v.fail("grid", str(exc))
-        return None
-
-
-def _build_integrator(raw, v: _Validator) -> IntegratorConfig:
-    vals = v.section(raw if isinstance(raw, dict) else {}, "integrator", _INTEGRATOR_FIELDS)
-    if vals is None:
-        return IntegratorConfig()
-    if vals["max_step"] is None:
-        vals["max_step"] = math.inf  # an explicit null also means unbounded
-    try:
-        return IntegratorConfig(**_as_floats(vals))
-    except (ValidationError, TypeError, ValueError) as exc:
-        v.fail("integrator", str(exc))
-        return IntegratorConfig()
-
-
-def _build_params(kind: str, raw, v: _Validator) -> dict | None:
-    specs = {
-        "dressed": {
-            "branch": "ground",
-            "phi_g": 0.0,
-            "phi_e": 0.0,
-            "compare": False,
-            "n_max": 2,
-        },
-        "adiabatic": {"n_max": 2},
-        "propagate": {"engine": "rwa", "c_g": [1.0, 0.0], "c_e": [0.0, 0.0]},
-        "interfere": {
-            "delay": _REQUIRED,
-            "n_delta": 128,
-            "engine": "rwa",
-        },
-        "hydro": {
-            "x_min": _REQUIRED,
-            "dx": _REQUIRED,
-            "n_points": _REQUIRED,
-            "mass": 1.0,
-            "potential": {"shape": "free"},
-            "packet": _REQUIRED,
-            "t_final": _REQUIRED,
-            "dt": _REQUIRED,
-            "csv_stride": 0,
-        },
-    }
-    vals = v.section(raw if isinstance(raw, dict) else {}, kind, specs[kind])
-    if vals is None:
-        return None
-    if kind == "dressed" and vals["branch"] not in dressed_mod.BRANCHES:
-        v.fail("dressed.branch", f"must be one of {dressed_mod.BRANCHES}")
-    if kind in ("propagate", "interfere") and vals["engine"] not in ("rwa", "full"):
-        v.fail(f"{kind}.engine", "must be 'rwa' or 'full'")
-    if kind in ("dressed", "adiabatic"):
-        v.integer(vals["n_max"], f"{kind}.n_max", 0, dressed_mod.MAX_ADIABATIC_ORDER)
-    if kind == "interfere":
-        v.integer(vals["n_delta"], "interfere.n_delta", 1)
-        if v.numeric(vals["delay"], "interfere.delay") is None:
-            return None
-    if kind == "propagate":
-        for name in ("c_g", "c_e"):
-            amp = vals[name]
-            if not (isinstance(amp, (list, tuple)) and len(amp) == 2):
-                v.fail(f"propagate.{name}", "must be a [re, im] pair")
-    if kind == "hydro":
-        for name in ("x_min", "dx", "t_final", "dt", "mass"):
-            v.numeric(vals[name], f"hydro.{name}")
-        v.integer(vals["n_points"], "hydro.n_points")
-        packet = vals["packet"]
-        if not isinstance(packet, dict) or not {"center", "sigma"} <= set(packet):
-            v.fail("hydro.packet", "required object with center, sigma (and optional k0)")
-    return vals
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], table) -> None:
+    """Header row, then each row of the 2-D float ``table`` at 17 significant digits."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        # A block of rows at a time, so only that block exists as Python floats.
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS].tolist()
+            fh.writelines(row % tuple(values) for values in block)
 
 
 def run(config: ExperimentConfig, out_dir) -> RunSummary:
@@ -403,7 +392,7 @@ def compare(config: ExperimentConfig, out_dir) -> RunSummary:
 def _run_dressed(config: ExperimentConfig, out: Path):
     p = config.params
     t = config.grid.array()
-    phases = InitialPhases(phi_g=float(p["phi_g"]), phi_e=float(p["phi_e"]))
+    phases = InitialPhases(p["phi_g"], p["phi_e"])
     series = dressed_mod.dressed_phases(config.system, config.field, phases, p["branch"], t)
     rows = np.column_stack(
         [
@@ -426,7 +415,7 @@ def _run_dressed(config: ExperimentConfig, out: Path):
         ],
         rows,
     )
-    report = dressed_mod.adiabatic_report(config.system, config.field, t, int(p["n_max"]))
+    report = dressed_mod.adiabatic_report(config.system, config.field, t, p["n_max"])
     metrics = {"adiabatic_margin": report.margin}
     outputs = [csv_path]
     if p["compare"]:
@@ -449,13 +438,12 @@ def _run_dressed(config: ExperimentConfig, out: Path):
 
 def _run_adiabatic(config: ExperimentConfig, out: Path):
     t = config.grid.array()
-    report = dressed_mod.adiabatic_report(
-        config.system, config.field, t, int(config.params["n_max"])
-    )
-    rows = []
-    for n in sorted(report.orders):
-        for k in sorted(report.orders[n].ratios):
-            rows.append((float(n), float(k), report.orders[n].ratios[k]))
+    report = dressed_mod.adiabatic_report(config.system, config.field, t, config.params["n_max"])
+    rows = [
+        (n, k, report.orders[n].ratios[k])
+        for n in sorted(report.orders)
+        for k in sorted(report.orders[n].ratios)
+    ]
     csv_path = out / "adiabatic.csv"
     _write_csv(csv_path, ["n", "k", "max_ratio"], rows)
     metrics = {
@@ -468,9 +456,7 @@ def _run_adiabatic(config: ExperimentConfig, out: Path):
 def _run_propagate(config: ExperimentConfig, out: Path):
     p = config.params
     t = config.grid.array()
-    initial = TwoLevelState(
-        complex(p["c_g"][0], p["c_g"][1]), complex(p["c_e"][0], p["c_e"][1])
-    )
+    initial = TwoLevelState(complex(*p["c_g"]), complex(*p["c_e"]))
     prop = rwa_propagate if p["engine"] == "rwa" else full_field_propagate
     traj = prop(config.system, config.field, initial, t, config.integrator)
     rows = np.column_stack(
@@ -498,8 +484,8 @@ def _run_propagate(config: ExperimentConfig, out: Path):
 
 def _run_interfere(config: ExperimentConfig, out: Path):
     p = config.params
-    pair = PulsePairConfig(config.field, delay=float(p["delay"]), rel_phase=0.0)
-    deltas = np.linspace(0.0, 2.0 * np.pi, int(p["n_delta"]), endpoint=False)
+    pair = PulsePairConfig(config.field, delay=p["delay"], rel_phase=0.0)
+    deltas = np.linspace(0.0, 2.0 * np.pi, p["n_delta"], endpoint=False)
     record = phase_scan(config.system, pair, deltas, config.integrator, engine=p["engine"])
     csv_path = out / "interfere.csv"
     _write_csv(csv_path, ["delta_rad", "P_e"], np.column_stack([record.deltas, record.populations]))
@@ -516,56 +502,37 @@ def _run_interfere(config: ExperimentConfig, out: Path):
 
 def _run_hydro(config: ExperimentConfig, out: Path):
     p = config.params
-    n = int(p["n_points"])
-    dx = float(p["dx"])
-    x_min = float(p["x_min"])
-    mass = float(p["mass"])
-    x = x_min + dx * np.arange(n)
-    packet = p["packet"]
-    sigma = float(packet["sigma"])
-    center = float(packet["center"])
-    k0 = float(packet.get("k0", 0.0))
+    mass, packet = p["mass"], p["packet"]
+    x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
+    sigma, center, k0 = packet["sigma"], packet["center"], packet.get("k0", 0.0)
     psi = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(
         -((x - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * (x - center)
     )
-    psi0 = hydro_mod.GridWavefunction(x_min, dx, psi, mass=mass, t=0.0)
+    psi0 = hydro_mod.GridWavefunction(p["x_min"], p["dx"], psi, mass=mass, t=0.0)
+    potential = hydro_mod.PotentialSpec(mass=mass, **p["potential"])
 
-    pot_raw = p["potential"]
-    if not isinstance(pot_raw, dict) or "shape" not in pot_raw:
-        raise ConfigError("validation: hydro.potential.shape: required")
-    if pot_raw["shape"] == "harmonic":
-        potential = hydro_mod.PotentialSpec.harmonic(
-            mass, float(pot_raw.get("omega0", 0.0)), float(pot_raw.get("center", 0.0))
-        )
-    elif pot_raw["shape"] == "free":
-        potential = hydro_mod.PotentialSpec.free()
-    else:
-        raise ConfigError(f"validation: hydro.potential.shape: unknown {pot_raw['shape']!r}")
-
-    frames = hydro_mod.split_step_solve(psi0, potential, float(p["t_final"]), float(p["dt"]))
+    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
     hj = hydro_mod.hj_residual(frames, potential)
     cont = hydro_mod.continuity_residual(frames, mass)
 
-    stride = int(p["csv_stride"]) or max(1, len(frames) // 16)
-    rows = []
-    for idx in range(0, len(frames), stride):
-        f = frames[idx]
+    stride = p["csv_stride"] or max(1, len(frames) // 16)
+    blocks = []
+    for f in frames[::stride]:
         polar = hydro_mod.polar_decompose(f)
-        u = hydro_mod.quantum_potential(polar, mass)
-        mom = hydro_mod.momentum_field(polar)
-        for j in range(n):
-            rows.append(
-                (
-                    f.t,
-                    x[j],
-                    polar.R[j],
-                    polar.S[j] if polar.valid[j] else np.nan,
-                    u[j],
-                    mom[j],
-                )
+        blocks.append(
+            np.column_stack(
+                [
+                    np.full(x.size, f.t),
+                    x,
+                    polar.R,
+                    np.where(polar.valid, polar.S, np.nan),
+                    hydro_mod.quantum_potential(polar, mass),
+                    hydro_mod.momentum_field(polar),
+                ]
             )
+        )
     csv_path = out / "hydro.csv"
-    _write_csv(csv_path, ["t", "x", "R", "S", "U", "p"], rows)
+    _write_csv(csv_path, ["t", "x", "R", "S", "U", "p"], np.concatenate(blocks))
     metrics = {
         "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),
         "hj_residual_l2": [float(v) for v in hj.l2],
@@ -593,8 +560,11 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         summary = run(config, args.out)
     except ConfigError as exc:
-        for problem in getattr(exc, "problems", [str(exc)]):
+        for problem in exc.problems:
             print(f"error: cli: {problem}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"error: cli: out: {exc}", file=sys.stderr)
         return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

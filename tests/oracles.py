@@ -123,3 +123,15 @@ def cumulative_simpson_loop(f, t):
     out = np.zeros(n, dtype=np.result_type(f.dtype, np.float64))
     np.cumsum(np.concatenate(increments), out=out[1:])
     return out
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def write_csv_loop(path, header, rows) -> None:
+    """The CSV writer of the command line, one value at a time."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")

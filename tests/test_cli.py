@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from dressedphase.cli import (
     ExperimentConfig,
+    _write_csv,
     compare,
     load_config,
     load_config_dict,
@@ -13,6 +15,7 @@ from dressedphase.cli import (
     run,
 )
 from dressedphase.errors import ConfigError
+from oracles import write_csv_loop
 
 
 def dressed_config(**overrides):
@@ -202,7 +205,7 @@ def test_non_finite_literal_exits_1(tmp_path, capsys):
     assert "validation: system.mu: must be finite" in capsys.readouterr().err
     for literal in ("Infinity", "-Infinity"):
         cfg = json.loads(text.replace("NaN", "1.0").replace('"peak": 2.0', f'"peak": {literal}'))
-        with pytest.raises(ConfigError, match="peak must be finite"):
+        with pytest.raises(ConfigError, match=r"field\.envelope\.peak: must be finite"):
             load_config_dict(cfg)
 
 
@@ -245,6 +248,121 @@ def test_integer_parameter_exits_1(tmp_path, capsys, cfg, field_name):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert f"validation: {field_name}: must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def hydro_config():
+    return {
+        "kind": "hydro",
+        "hydro": {
+            "x_min": -20.0,
+            "dx": 40.0 / 512,
+            "n_points": 512,
+            "potential": {"shape": "harmonic", "omega0": 0.5},
+            "packet": {"center": -3.0, "sigma": 1.5, "k0": 1.0},
+            "t_final": 1.0,
+            "dt": 0.02,
+        },
+    }
+
+
+def propagate_config():
+    cfg = dressed_config(kind="propagate", propagate={"engine": "rwa"})
+    del cfg["dressed"]
+    return cfg
+
+
+def _replace(cfg, path, value):
+    """A copy of ``cfg`` with the value at the dotted ``path`` set."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+# Malformed values, each reported at load time at the field named.  Without
+# that check each one ran a different experiment, failed only inside run, or
+# ended in a traceback.
+MALFORMED = {
+    "samples_fraction": (dressed_config(), "grid.samples", 2401.9, "grid.samples"),
+    "t1_string": (dressed_config(), "grid.t1", "1200", "grid.t1"),
+    "peak_string": (dressed_config(), "field.envelope.peak", "1.0", "field.envelope.peak"),
+    "peak_bool": (dressed_config(), "field.envelope.peak", True, "field.envelope.peak"),
+    "rel_tol_string": (dressed_config(), "integrator", {"rel_tol": "1e-9"}, "integrator.rel_tol"),
+    "phi_g_string": (dressed_config(), "dressed.phi_g", "0.3", "dressed.phi_g"),
+    "compare_string": (dressed_config(), "dressed.compare", "no", "dressed.compare"),
+    "stride_negative": (hydro_config(), "hydro.csv_stride", -3, "hydro.csv_stride"),
+    "stride_fraction": (hydro_config(), "hydro.csv_stride", 2.5, "hydro.csv_stride"),
+    "stride_string": (hydro_config(), "hydro.csv_stride", "x", "hydro.csv_stride"),
+    "packet_unknown_key": (hydro_config(), "hydro.packet.width", 2.0, "hydro.packet.width"),
+    "potential_box": (hydro_config(), "hydro.potential.shape", "box", "hydro.potential.shape"),
+    "c_g_string": (propagate_config(), "propagate.c_g", ["a", 0], "propagate.c_g"),
+    "sigma_string": (hydro_config(), "hydro.packet.sigma", "wide", "hydro.packet.sigma"),
+    "omega0_string": (hydro_config(), "hydro.potential.omega0", "fast", "hydro.potential.omega0"),
+    "width_negative": (dressed_config(), "field.envelope.width", -1, "field.envelope.width"),
+    "harmonic_without_omega0": (hydro_config(), "hydro.potential", {"shape": "harmonic"},
+                                "hydro.potential.omega0"),
+    "integrator_not_object": (dressed_config(), "integrator", 5, "integrator"),
+    "mu_beyond_float": (dressed_config(), "system.mu", 10**400, "system.mu"),
+}
+
+
+@pytest.mark.parametrize("base,path,value,field_name", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_config_exits_1_at_load(tmp_path, capsys, base, path, value, field_name):
+    config_path = write_config(tmp_path, _replace(base, path, value))
+    with pytest.raises(ConfigError) as err:
+        load_config(config_path)
+    assert any(p.startswith(f"validation: {field_name}: ") for p in err.value.problems)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert f"error: cli: validation: {field_name}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _missing(tmp_path):
+    return tmp_path / "absent.json", tmp_path / "o"
+
+
+def _directory(tmp_path):
+    return tmp_path, tmp_path / "o"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dressed_config()).encode("ascii").replace(b"ground", b"gr\xf6und"))
+    return path, tmp_path / "o"
+
+
+def _out_is_a_file(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    return write_config(tmp_path, dressed_config()), out
+
+
+@pytest.mark.parametrize("paths", [_missing, _directory, _not_utf8, _out_is_a_file])
+def test_unreadable_input_exits_1(tmp_path, capsys, paths):
+    config_path, out = paths(tmp_path)
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cli: ")
+
+
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    1.0, -2.0, 1e16, 2.0**53, 123456789.0, 0.1, 1.0 / 3.0, -2.5e-8, 6.02214076e23,
+]
+
+
+@pytest.mark.parametrize("columns", [1, 9])
+@pytest.mark.parametrize("rows", [0, 1, len(SPECIAL_VALUES), 600])
+def test_csv_writer_matches_per_value_writer(tmp_path, columns, rows):
+    values = np.resize(np.array(SPECIAL_VALUES), rows * columns)
+    table = values.reshape(rows, columns)
+    header = [f"c{j}" for j in range(columns)]
+    _write_csv(tmp_path / "rows.csv", header, table)
+    write_csv_loop(tmp_path / "values.csv", header, table)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -6,8 +6,12 @@ uses the array registries.  These tests check that the two forms agree, and
 that ``generalized_rabi`` of a scalar time equals the array result there.
 The vectorised kernels of the closed-form layer (the branch continuation and
 the cumulative Simpson rule) are checked bit for bit against the
-point-by-point loops in ``oracles``.
+point-by-point loops in ``oracles``.  Without damping the propagators
+conserve the norm, and the adaptive DP5 engines agree with fixed-step RK4,
+on random drives.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +33,15 @@ from dressedphase.model import (
     scalar_phase_fn,
 )
 from dressedphase.numerics import cumulative_simpson
-from dressedphase.propagator import _field_coupling_fn
+from dressedphase.propagator import (
+    IntegratorConfig,
+    TwoLevelState,
+    _field_coupling_fn,
+    compare_trajectories,
+    full_field_propagate,
+    rk4_propagate,
+    rwa_propagate,
+)
 from oracles import continued_rabi_loop, cumulative_simpson_loop
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -239,3 +251,67 @@ def test_cumulative_simpson_equals_loop(steps, t0, seed, is_complex):
     if is_complex:
         f = f + 1j * rng.normal(size=t.size)
     assert_bits_equal(cumulative_simpson(f, t), cumulative_simpson_loop(f, t))
+
+
+# Propagation at gamma = 0, on random drives near resonance (omega_e = 5,
+# peak Rabi frequency <= 2).  Bounds fixed from the integrator settings before
+# any run: the adaptive DP5 engines keep the global error over this 8-unit
+# window within 1e3 * rel_tol; classic RK4 with step h on a generator of
+# norm <= lam errs by about T * lam**5 * h**4 / 120 (T/h steps, each off by
+# the leading neglected Taylor term).  lam bounds the fastest rate the
+# amplitudes see: 4 in the rotating frame (Rabi frequency, detuning and chirp
+# rate), 8 in the bare frame (level and carrier frequencies plus coupling).
+DP5 = IntegratorConfig()
+DP5_GLOBAL = 1e3 * DP5.rel_tol
+WINDOW = np.linspace(-4.0, 4.0, 41)
+RK4_RUNS = {"rwa": (rwa_propagate, 20, 4.0), "full": (full_field_propagate, 80, 8.0)}
+PROPAGATION = settings(PROPERTY, max_examples=20)
+
+drives = st.builds(
+    DrivingField,
+    carrier=st.floats(4.5, 5.5),
+    envelope=st.builds(
+        EnvelopeSpec,
+        shape=st.sampled_from(ENVELOPE_SHAPES),
+        peak=st.floats(0.1, 2.0),
+        center=st.floats(-1.0, 1.0),
+        width=st.floats(0.5, 2.0),
+        plateau=st.floats(0.0, 2.0),
+    ),
+    phase=st.builds(
+        PhaseSpec,
+        shape=st.sampled_from(PHASE_SHAPES),
+        phi0=st.floats(-math.pi, math.pi),
+        rate=st.floats(-1.0, 1.0),
+        curvature=st.floats(-0.1, 0.1),
+        depth=st.floats(-1.0, 1.0),
+        mod_freq=st.floats(0.0, 1.0),
+        t_ref=st.floats(-1.0, 1.0),
+    ),
+)
+states = st.builds(
+    lambda theta, chi: TwoLevelState(math.cos(theta), math.sin(theta) * complex(math.cos(chi), math.sin(chi))),
+    st.floats(0.0, math.pi),
+    st.floats(-math.pi, math.pi),
+)
+UNDAMPED = TwoLevelSystem(0.0, 5.0)
+
+
+@pytest.mark.parametrize("engine", list(RK4_RUNS))
+@PROPAGATION
+@given(field=drives, initial=states)
+def test_norm_conserved_without_damping(engine, field, initial):
+    traj = RK4_RUNS[engine][0](UNDAMPED, field, initial, WINDOW, DP5)
+    assert np.max(np.abs(traj.norm - 1.0)) <= DP5_GLOBAL
+
+
+@pytest.mark.parametrize("engine", list(RK4_RUNS))
+@PROPAGATION
+@given(field=drives, initial=states)
+def test_dp5_agrees_with_rk4(engine, field, initial):
+    propagate, substeps, lam = RK4_RUNS[engine]
+    h = (WINDOW[1] - WINDOW[0]) / substeps
+    bound = DP5_GLOBAL + (WINDOW[-1] - WINDOW[0]) * lam**5 * h**4 / 120.0
+    dp5 = propagate(UNDAMPED, field, initial, WINDOW, DP5)
+    rk4 = rk4_propagate(UNDAMPED, field, initial, WINDOW, engine=engine, substeps=substeps)
+    assert compare_trajectories(dp5, rk4).max_amplitude_error <= bound
