@@ -75,7 +75,7 @@ class ExperimentConfig:
     system: TwoLevelSystem | None
     field: DrivingField | None
     grid: TimeGrid | None
-    integrator: IntegratorConfig
+    integrator: IntegratorConfig | None
     params: dict
 
     def to_dict(self) -> dict:
@@ -85,9 +85,10 @@ class ExperimentConfig:
             if block is not None:
                 out[name] = asdict(block)
         # An unbounded max_step is left out rather than written as Infinity.
-        out["integrator"] = {
-            k: v for k, v in asdict(self.integrator).items() if math.isfinite(v)
-        }
+        if self.integrator is not None:
+            out["integrator"] = {
+                k: v for k, v in asdict(self.integrator).items() if math.isfinite(v)
+            }
         out[self.kind] = dict(self.params)
         return out
 
@@ -229,9 +230,27 @@ _GRID = {"grid": (_dataclass_section(TimeGrid, t0=0.0), _REQUIRED)}
 _INTEGRATOR = {"integrator": (_dataclass_section(IntegratorConfig), IntegratorConfig())}
 
 
+def _positive(problems: _Problems, path: str, value):
+    value = _number(problems, path, value)
+    return value if value is _BAD or value > 0.0 else problems.fail(path, "must be > 0")
+
+
 def _potential(**values) -> dict:
     """The potential block as given, once PotentialSpec accepts it (harmonic needs omega0 > 0)."""
     hydro_mod.PotentialSpec(**values)
+    return values
+
+
+def _interfere(**values) -> dict:
+    """The interfere block as given, once PulsePairConfig accepts its delay."""
+    PulsePairConfig.check_delay(values["delay"])
+    return values
+
+
+def _hydro(**values) -> dict:
+    """The hydro block as given, once the grid and the time step pass the solver's own checks."""
+    hydro_mod.GridWavefunction.check_grid(values["n_points"], values["dx"], values["mass"])
+    hydro_mod.split_step_count(values["t_final"], values["dt"])
     return values
 
 
@@ -248,53 +267,65 @@ _POTENTIAL = _section(
 _PACKET = _section(
     {
         "center": (_number, _REQUIRED),
-        "sigma": (_number, _REQUIRED),
+        "sigma": (_positive, _REQUIRED),
         "k0": (_number, _OPTIONAL),
     }
 )
 
-# Per kind: the shared blocks it needs, and the spec of its own block.
+# Per kind: the shared blocks it needs, and the check of its own block.
 _KIND_BLOCKS = {
     "dressed": (
-        {**_DRIVE, **_GRID},
-        {
-            "branch": (_one_of(*dressed_mod.BRANCHES), "ground"),
-            "phi_g": (_number, 0.0),
-            "phi_e": (_number, 0.0),
-            "compare": (_boolean, False),
-            "n_max": (_ORDER, 2),
-        },
+        {**_DRIVE, **_GRID, **_INTEGRATOR},
+        _section(
+            {
+                "branch": (_one_of(*dressed_mod.BRANCHES), "ground"),
+                "phi_g": (_number, 0.0),
+                "phi_e": (_number, 0.0),
+                "compare": (_boolean, False),
+                "n_max": (_ORDER, 2),
+            }
+        ),
     ),
-    "adiabatic": ({**_DRIVE, **_GRID}, {"n_max": (_ORDER, 2)}),
+    "adiabatic": ({**_DRIVE, **_GRID, **_INTEGRATOR}, _section({"n_max": (_ORDER, 2)})),
     "propagate": (
-        {**_DRIVE, **_GRID},
-        {
-            "engine": (_ENGINE, "rwa"),
-            "c_g": (_pair, [1.0, 0.0]),
-            "c_e": (_pair, [0.0, 0.0]),
-        },
+        {**_DRIVE, **_GRID, **_INTEGRATOR},
+        _section(
+            {
+                "engine": (_ENGINE, "rwa"),
+                "c_g": (_pair, [1.0, 0.0]),
+                "c_e": (_pair, [0.0, 0.0]),
+            }
+        ),
     ),
     "interfere": (
-        _DRIVE,
-        {
-            "delay": (_number, _REQUIRED),
-            "n_delta": (_integer(1), 128),
-            "engine": (_ENGINE, "rwa"),
-        },
+        {**_DRIVE, **_INTEGRATOR},
+        _section(
+            {
+                "delay": (_number, _REQUIRED),
+                "n_delta": (_integer(1), 128),
+                "engine": (_ENGINE, "rwa"),
+            },
+            _interfere,
+        ),
     ),
+    # The split-step solver takes no integrator settings, so the block is
+    # not accepted here and not echoed (``ExperimentConfig.integrator`` is None).
     "hydro": (
         {},
-        {
-            "x_min": (_number, _REQUIRED),
-            "dx": (_number, _REQUIRED),
-            "n_points": (_integer(), _REQUIRED),
-            "mass": (_number, 1.0),
-            "potential": (_POTENTIAL, {"shape": "free"}),
-            "packet": (_PACKET, _REQUIRED),
-            "t_final": (_number, _REQUIRED),
-            "dt": (_number, _REQUIRED),
-            "csv_stride": (_integer(0), 0),
-        },
+        _section(
+            {
+                "x_min": (_number, _REQUIRED),
+                "dx": (_number, _REQUIRED),
+                "n_points": (_integer(), _REQUIRED),
+                "mass": (_number, 1.0),
+                "potential": (_POTENTIAL, {"shape": "free"}),
+                "packet": (_PACKET, _REQUIRED),
+                "t_final": (_number, _REQUIRED),
+                "dt": (_number, _REQUIRED),
+                "csv_stride": (_integer(0), 0),
+            },
+            _hydro,
+        ),
     ),
 }
 
@@ -325,8 +356,8 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
             "config",
             f"exactly one kind-specific block named {kind!r} must be present, found {present_blocks}",
         )
-    shared, params = _KIND_BLOCKS[kind]
-    spec = {"kind": (_string, _REQUIRED), **shared, **_INTEGRATOR, kind: (_section(params), _REQUIRED)}
+    shared, block = _KIND_BLOCKS[kind]
+    spec = {"kind": (_string, _REQUIRED), **shared, kind: (block, _REQUIRED)}
     values = _section(spec)(problems, "", raw)
     if problems:
         raise ConfigError(problems)
@@ -335,7 +366,7 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
         system=values.get("system"),
         field=values.get("field"),
         grid=values.get("grid"),
-        integrator=values["integrator"],
+        integrator=values.get("integrator", IntegratorConfig()) if "integrator" in shared else None,
         params=values[kind],
     )
 

@@ -45,18 +45,22 @@ class GridWavefunction:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        n = values.size
-        if values.ndim != 1 or n < 16 or n & (n - 1):
-            raise ValidationError(
-                "GridWavefunction: n_points must be a power of two >= 16"
-            )
-        if not self.dx > 0.0:
-            raise ValidationError("GridWavefunction: dx must be > 0")
-        if not self.mass > 0.0:
-            raise ValidationError("GridWavefunction: mass must be > 0")
+        if values.ndim != 1:
+            raise ValidationError("GridWavefunction: values must be 1-D")
+        self.check_grid(values.size, self.dx, self.mass)
         if not np.all(np.isfinite(values.view(float))):
             raise ValidationError("GridWavefunction: values must be finite")
         values.flags.writeable = False
+
+    @staticmethod
+    def check_grid(n_points: int, dx: float, mass: float) -> None:
+        """Raise ValidationError unless the grid suits the spectral kinetic step."""
+        if n_points < 16 or n_points & (n_points - 1):
+            raise ValidationError("GridWavefunction: n_points must be a power of two >= 16")
+        if not dx > 0.0:
+            raise ValidationError("GridWavefunction: dx must be > 0")
+        if not mass > 0.0:
+            raise ValidationError("GridWavefunction: mass must be > 0")
 
     @property
     def n_points(self) -> int:
@@ -145,6 +149,18 @@ def _edge_safe(values: np.ndarray) -> bool:
     return max(float(dens[0]), float(dens[-1])) < EDGE_FRACTION * peak
 
 
+def split_step_count(t_final: float, dt: float) -> int:
+    """Steps of ``dt`` in ``t_final``; GridError unless both are > 0 and dt divides t_final."""
+    if not dt > 0.0:
+        raise GridError("split_step_solve: dt must be > 0")
+    if not t_final > 0.0:
+        raise GridError("split_step_solve: t_final must be > 0")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(dt, abs(t_final)):
+        raise GridError("split_step_solve: dt must divide t_final")
+    return n_steps
+
+
 def split_step_solve(
     psi0: GridWavefunction,
     potential: PotentialSpec,
@@ -158,11 +174,7 @@ def split_step_solve(
     when probability reaches the grid edge (the grid is periodic, so leakage
     would wrap around).
     """
-    if dt <= 0.0 or t_final <= 0.0:
-        raise GridError("split_step_solve: t_final and dt must be > 0")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(dt, abs(t_final)):
-        raise GridError("split_step_solve: dt must divide t_final")
+    n_steps = split_step_count(t_final, dt)
     if not _edge_safe(psi0.values):
         raise EdgeLeakageError(
             "edge leakage: initial wavefunction is not negligible at the grid edge"

@@ -5,7 +5,13 @@ eigendecompositions, brute-force evaluations) so the library code they check
 cannot share a bug with the check itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from dressedphase.errors import ValidationError
+from dressedphase.interferometry import FringeRecord, _visibility_value, pulse_pair_population
+from dressedphase.propagator import IntegratorConfig
 
 
 def free_gaussian(x, t, mass=1.0, x0=0.0, sigma0=1.0, k0=0.0):
@@ -135,3 +141,26 @@ def write_csv_loop(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+
+
+def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):
+    """The fringe scan one delta at a time.
+
+    Each delta is an independent propagation of the summed drive.
+    """
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValidationError("phase_scan: delta_grid must be a non-empty 1-D array")
+    populations = np.empty_like(deltas)
+    for i, delta in enumerate(deltas):
+        populations[i] = pulse_pair_population(
+            system, replace(pair, rel_phase=float(delta)), cfg, engine=engine
+        )
+    vis = _visibility_value(populations)
+    delta_star = float(deltas[int(np.argmax(populations))])
+    record = FringeRecord(
+        deltas=deltas, populations=populations, visibility=vis, delta_star=delta_star
+    )
+    record.deltas.flags.writeable = False
+    record.populations.flags.writeable = False
+    return record

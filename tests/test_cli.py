@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from dressedphase.cli import (
 )
 from dressedphase.errors import ConfigError
 from oracles import write_csv_loop
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def dressed_config(**overrides):
@@ -306,6 +309,14 @@ MALFORMED = {
                                 "hydro.potential.omega0"),
     "integrator_not_object": (dressed_config(), "integrator", 5, "integrator"),
     "mu_beyond_float": (dressed_config(), "system.mu", 10**400, "system.mu"),
+    "delay_negative": (_interfere_config(16), "interfere.delay", -1.0, "interfere.delay"),
+    "n_points_1000": (hydro_config(), "hydro.n_points", 1000, "hydro.n_points"),
+    "dx_zero": (hydro_config(), "hydro.dx", 0.0, "hydro.dx"),
+    "dt_zero": (hydro_config(), "hydro.dt", 0.0, "hydro.dt"),
+    "t_final_negative": (hydro_config(), "hydro.t_final", -1.0, "hydro.t_final"),
+    "dt_not_dividing": (hydro_config(), "hydro.dt", 0.03, "hydro.dt"),
+    "sigma_negative": (hydro_config(), "hydro.packet.sigma", -1.5, "hydro.packet.sigma"),
+    "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
 }
 
 
@@ -379,6 +390,13 @@ def test_summary_config_round_trip(tmp_path):
     run(config, tmp_path / "out")
     echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
     assert load_config_dict(echo) == config
+    # Every shipped config: a hydro echo carries no integrator block, which
+    # load_config would reject.
+    for path in sorted(DEMO_CONFIGS.glob("*.json")):
+        config = load_config(path)
+        run(config, tmp_path / path.stem)
+        echo = json.loads((tmp_path / path.stem / "summary.json").read_text())["config"]
+        assert load_config_dict(echo) == config, path.name
 
 
 def test_unknown_fields_rejected():

@@ -157,6 +157,8 @@ def test_area_and_strong_pulse_warning():
     strong = DrivingField(5.0, EnvelopeSpec.gaussian(100.0 * PEAK, 0.0, WIDTH))
     with pytest.warns(UserWarning, match="excitation estimate"):
         pulse_pair_population(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), CFG)
+    with pytest.warns(UserWarning, match="excitation estimate"):
+        phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), [0.0], CFG)
 
 
 def test_pair_validation():
@@ -165,3 +167,8 @@ def test_pair_validation():
     assert PulsePairConfig(BASE, 30.0, 7.0).rel_phase == pytest.approx(7.0 - 2 * math.pi)
     with pytest.raises(ValidationError):
         phase_scan(SYSTEM, make_pair(), np.array([]), CFG)
+    # Composed (delay 30), per-delta (delay 0) and full-field scans alike.
+    for bad in (math.nan, math.inf, -math.inf):
+        for delay, engine in ((30.0, "rwa"), (0.0, "rwa"), (30.0, "full")):
+            with pytest.raises(ValidationError, match="delta_grid must be finite"):
+                phase_scan(SYSTEM, make_pair(delay), np.array([0.0, bad]), CFG, engine=engine)

@@ -8,18 +8,21 @@ The vectorised kernels of the closed-form layer (the branch continuation and
 the cumulative Simpson rule) are checked bit for bit against the
 point-by-point loops in ``oracles``.  Without damping the propagators
 conserve the norm, and the adaptive DP5 engines agree with fixed-step RK4,
-on random drives.
+on random drives.  The composed fringe scan of separated pulses agrees with
+the per-delta loop and is one cosine in delta; every other scan is the loop.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dressedphase import interferometry
 from dressedphase.dressed import _continued_rabi, generalized_rabi
-from dressedphase.interferometry import PulsePairConfig, _pair_coupling
+from dressedphase.interferometry import PulsePairConfig, _pair_coupling, fit_fringe, phase_scan
 from dressedphase.model import (
     ENVELOPE_SHAPES,
     PHASE_SHAPES,
@@ -42,7 +45,7 @@ from dressedphase.propagator import (
     rk4_propagate,
     rwa_propagate,
 )
-from oracles import continued_rabi_loop, cumulative_simpson_loop
+from oracles import continued_rabi_loop, cumulative_simpson_loop, phase_scan_loop
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -267,6 +270,16 @@ WINDOW = np.linspace(-4.0, 4.0, 41)
 RK4_RUNS = {"rwa": (rwa_propagate, 20, 4.0), "full": (full_field_propagate, 80, 8.0)}
 PROPAGATION = settings(PROPERTY, max_examples=20)
 
+chirps = st.builds(
+    PhaseSpec,
+    shape=st.sampled_from(PHASE_SHAPES),
+    phi0=st.floats(-math.pi, math.pi),
+    rate=st.floats(-1.0, 1.0),
+    curvature=st.floats(-0.1, 0.1),
+    depth=st.floats(-1.0, 1.0),
+    mod_freq=st.floats(0.0, 1.0),
+    t_ref=st.floats(-1.0, 1.0),
+)
 drives = st.builds(
     DrivingField,
     carrier=st.floats(4.5, 5.5),
@@ -278,16 +291,7 @@ drives = st.builds(
         width=st.floats(0.5, 2.0),
         plateau=st.floats(0.0, 2.0),
     ),
-    phase=st.builds(
-        PhaseSpec,
-        shape=st.sampled_from(PHASE_SHAPES),
-        phi0=st.floats(-math.pi, math.pi),
-        rate=st.floats(-1.0, 1.0),
-        curvature=st.floats(-0.1, 0.1),
-        depth=st.floats(-1.0, 1.0),
-        mod_freq=st.floats(0.0, 1.0),
-        t_ref=st.floats(-1.0, 1.0),
-    ),
+    phase=chirps,
 )
 states = st.builds(
     lambda theta, chi: TwoLevelState(math.cos(theta), math.sin(theta) * complex(math.cos(chi), math.sin(chi))),
@@ -315,3 +319,93 @@ def test_dp5_agrees_with_rk4(engine, field, initial):
     dp5 = propagate(UNDAMPED, field, initial, WINDOW, DP5)
     rk4 = rk4_propagate(UNDAMPED, field, initial, WINDOW, engine=engine, substeps=substeps)
     assert compare_trajectories(dp5, rk4).max_amplitude_error <= bound
+
+
+# Fringe scans on random pulse pairs near resonance, damped up to
+# gamma' = 0.05.  Bound fixed from the integrator settings before any run:
+# each DP5 propagation errs by at most E = 1e3 * rel_tol in amplitude (as
+# above; here fewer than 1e3 steps per propagation).  The composed amplitude
+# U_eg v_g + e^{i delta} U_ee v_e takes four such errors, each through a
+# factor of modulus <= 1 (damping only shrinks), the loop's one, and two
+# amplitudes of modulus <= 1 differing by d have populations differing by
+# at most 2 d: |P_composed - P_loop| <= 2 * 5 E.  The neglected pulse tails
+# (< ~1e-11 of the peak) lie far below that.
+SCAN = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
+SCAN_BOUND = 2.0 * 5.0 * 1e3 * SCAN.rel_tol
+SCAN_DELTAS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+pulses = st.builds(
+    DrivingField,
+    carrier=st.floats(4.5, 5.5),
+    envelope=st.builds(
+        EnvelopeSpec,
+        shape=st.sampled_from([s for s in ENVELOPE_SHAPES if s != "constant"]),
+        peak=st.floats(0.05, 1.0),
+        center=st.floats(-1.0, 1.0),
+        width=st.floats(0.5, 2.0),
+        plateau=st.floats(0.0, 2.0),
+    ),
+    phase=chirps,
+)
+# From exactly the composition threshold, delay = 2 * support half-width, up.
+# The scan replaces the pair's own relative phase, so that is drawn too.
+separated_pairs = st.builds(
+    lambda base, extra, rel_phase: PulsePairConfig(
+        base, 2.0 * base.envelope.support_halfwidth() + extra, rel_phase
+    ),
+    pulses,
+    st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    st.floats(0.0, 2.0 * math.pi),
+)
+damped = st.builds(lambda gamma: TwoLevelSystem(0.0, 5.0, gamma_re=gamma), st.floats(0.0, 0.05))
+STRONG = "ignore:pulse_pair_population. single-pulse excitation"
+
+
+def composed_scan(system, pair, deltas):
+    """phase_scan, checked to take the composed path: three propagations for any number of deltas."""
+    with mock.patch.object(
+        interferometry, "rwa_propagate_coupling", wraps=interferometry.rwa_propagate_coupling
+    ) as propagations:
+        record = phase_scan(system, pair, deltas, SCAN)
+    assert propagations.call_count == 3
+    return record
+
+
+@pytest.mark.filterwarnings(STRONG)
+@PROPAGATION
+@given(system=damped, pair=separated_pairs)
+def test_composed_scan_agrees_with_loop(system, pair):
+    composed = composed_scan(system, pair, SCAN_DELTAS)
+    loop = phase_scan_loop(system, pair, SCAN_DELTAS, SCAN)
+    assert np.max(np.abs(composed.populations - loop.populations)) <= SCAN_BOUND
+
+
+@pytest.mark.filterwarnings(STRONG)
+@PROPAGATION
+@given(system=damped, pair=separated_pairs)
+def test_composed_fringe_is_one_cosine(system, pair):
+    """The phase enters only through D(delta), so P_e(delta) = A + B cos(delta + delta0)
+    up to rounding: the fit residual is a few ulps of the largest population."""
+    record = composed_scan(system, pair, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    a, b, _, residual = fit_fringe(record)
+    assert residual <= 100.0 * np.finfo(float).eps * (a + b)
+
+
+BASE_PULSE = DrivingField(
+    5.2, EnvelopeSpec.gaussian(0.3, 0.0, 0.5), PhaseSpec.linear_chirp(0.4, 0.2)
+)
+THRESHOLD = 2.0 * BASE_PULSE.envelope.support_halfwidth()
+
+
+@pytest.mark.parametrize(
+    "delay,engine",
+    [(np.nextafter(THRESHOLD, 0.0), "rwa"), (0.0, "rwa"), (THRESHOLD, "full")],
+    ids=["just_overlapping", "merged", "full_field"],
+)
+def test_other_scans_are_the_loop(delay, engine):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=0.02)
+    pair = PulsePairConfig(BASE_PULSE, delay, 0.0)
+    deltas = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+    scan = phase_scan(system, pair, deltas, SCAN, engine=engine)
+    loop = phase_scan_loop(system, pair, deltas, SCAN, engine=engine)
+    assert np.array_equal(scan.populations, loop.populations)
+    assert (scan.visibility, scan.delta_star) == (loop.visibility, loop.delta_star)
