@@ -286,7 +286,10 @@ _KIND_BLOCKS = {
             }
         ),
     ),
-    "adiabatic": ({**_DRIVE, **_GRID, **_INTEGRATOR}, _section({"n_max": (_ORDER, 2)})),
+    # The adiabatic report and the split-step solver take no integrator
+    # settings, so neither kind accepts the block or echoes it
+    # (``ExperimentConfig.integrator`` is None).
+    "adiabatic": ({**_DRIVE, **_GRID}, _section({"n_max": (_ORDER, 2)})),
     "propagate": (
         {**_DRIVE, **_GRID, **_INTEGRATOR},
         _section(
@@ -308,8 +311,6 @@ _KIND_BLOCKS = {
             _interfere,
         ),
     ),
-    # The split-step solver takes no integrator settings, so the block is
-    # not accepted here and not echoed (``ExperimentConfig.integrator`` is None).
     "hydro": (
         {},
         _section(

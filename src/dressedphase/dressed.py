@@ -160,69 +160,28 @@ def _as_times(t) -> np.ndarray:
 
 
 def _continued_rabi(dw: complex, omega: np.ndarray) -> np.ndarray:
-    """sqrt(dw~^2 + Omega^2) along a 1-D grid, branch-fixed and sign-continued.
+    """sqrt(dw~^2 + Omega^2), pointwise on the weak-field branch.
 
-    The anchor is the point of smallest |Omega|; its sign is the one that puts
-    it closer to dw~ (the weak-field limit).  Walking away from the anchor,
-    each point takes the sign that puts it closer to its signed neighbour
-    towards the anchor, so only the relative sign of neighbours matters: with
-    a = |w[i] + w[i-1]| and b = |w[i] - w[i-1]| the sign flips where a < b,
-    carries over where b < a, and resets to +1 where neither holds (an exact
-    tie, or NaN), whatever it was before.  A point's sign is therefore the
-    sign the walk restarted from (+1 at the last reset between it and the
-    anchor, or the anchor's own sign if there is none), negated once for each
-    flip since then.
+    Each point takes the root +-w nearer to dw~ (w principal), as
+    Re(w conj(dw~)) < 0 is exactly |w + dw~| < |w - dw~|, and +w on a tie:
+    above the exceptional point Omega = |Im dw~| of a resonant, damped drive,
+    and to rounding there when the real part of dw~ is a few ulps.
     """
     w = np.sqrt((dw * dw + omega**2).astype(complex, copy=False))
-    anchor = int(np.argmin(np.abs(omega)))
-    # Pair i joins points i and i + 1; it sets point i + 1 on the walk
-    # forward from the anchor and point i on the walk back.
-    flip, reset = _pair_moves(w)
-    negative = np.empty(w.shape, dtype=bool)
-    negative[anchor] = abs(-w[anchor] - dw) < abs(w[anchor] - dw)
-    negative[anchor + 1 :] = _walk_negative(flip[anchor:], reset[anchor:], negative[anchor])
-    negative[:anchor] = _walk_negative(
-        flip[:anchor][::-1], reset[:anchor][::-1], negative[anchor]
-    )[::-1]
-    return np.where(negative, -1.0, 1.0) * w
-
-
-def _pair_moves(w: np.ndarray):
-    """(flip, reset) for each neighbour pair of ``w``, as in :func:`_continued_rabi`.
-
-    The moduli come from np.hypot, the libm hypot behind numpy's scalar abs:
-    numpy's SIMD complex abs can differ from it in the last bit, which would
-    move near-ties.
-    """
-    pair = w[1:] + w[:-1]
-    a = np.hypot(pair.real, pair.imag)
-    pair = w[1:] - w[:-1]
-    b = np.hypot(pair.real, pair.imag)
-    flip = a < b
-    return flip, ~(flip | (b < a))
-
-
-def _walk_negative(flip: np.ndarray, reset: np.ndarray, start: bool) -> np.ndarray:
-    """Whether each step of a sign walk ends at -1: a flip toggles, a reset clears."""
-    parity = np.logical_xor.accumulate(flip)
-    # The parity at the last reset so far (``start`` before the first one),
-    # built from its switches at the resets; the sign is -1 where the parity
-    # differs from it.
-    held = np.concatenate(([start], parity[reset]))
-    switch = np.zeros(flip.shape, dtype=bool)
-    switch[reset] = held[1:] ^ held[:-1]
-    return parity ^ start ^ np.logical_xor.accumulate(switch)
+    # Multiplying by the sign, rather than choosing -w or w, turns a -0
+    # imaginary part into +0.
+    return np.where(w.real * dw.real + w.imag * dw.imag < 0.0, -1.0, 1.0) * w
 
 
 def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
-    """Instantaneous off-resonance (generalized) Rabi frequency, branch-fixed.
+    """Instantaneous off-resonance (generalized) Rabi frequency, on the weak-field branch.
 
     Evaluates sqrt(dw~^2 + Omega(t)^2); the detuning entering the radicand is
     the constant complex detuning, so its time derivative contributes nothing.
-    The square-root branch is fixed by the weak-field limit (-> dw~ as
-    Omega -> 0) and, for array input, continued along the grid by
-    sign-continuity rather than the principal cut.  A scalar ``t`` is a
-    one-point grid.
+    Each point takes the root nearer to dw~ (the one -> dw~ as Omega -> 0), so
+    a scalar ``t`` gives the array's value.  Above the exceptional point of a
+    resonant, damped drive (Omega > |Im dw~|) the roots are equally near, to
+    rounding if dw~ has a real part of a few ulps; the principal root is taken.
     """
     omega = rabi_frequency(system, field, _as_times(t), 0)
     w = _continued_rabi(complex_detuning(system, field), omega)
@@ -335,7 +294,7 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
 
 
 def _mixing_amplitudes(dw: complex, omega: np.ndarray, gen_rabi: np.ndarray, branch: str):
-    """(real, virtual) amplitudes of ``branch`` from Omega and the continued generalized Rabi."""
+    """(real, virtual) amplitudes of ``branch`` from Omega and the generalized Rabi frequency."""
     cos_theta = dw / gen_rabi
     sin_theta = omega / gen_rabi
     cos_half = np.sqrt(0.5 * (1.0 + cos_theta))
@@ -368,7 +327,7 @@ def dressed_phases(
 
 
 def _phase_series(system, field, phases, branch, t_grid):
-    """:func:`dressed_phases`, plus the Omega and continued generalized Rabi it used."""
+    """:func:`dressed_phases`, plus the Omega and generalized Rabi frequency it used."""
     _check_branch(branch)
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
@@ -418,8 +377,8 @@ def assemble_bare_state(
     of the effective excited frequency carries the field log-derivative
     exactly as printed, which encodes the field-proportional growth of
     nonadiabatically populated components rather than the followed state's
-    norm.  The phases and the amplitudes share one Omega and one continued
-    generalized Rabi frequency.
+    norm.  The phases and the amplitudes share one Omega and one generalized
+    Rabi frequency.
     """
     series, omega, gen_rabi = _phase_series(system, field, phases, branch, t_grid)
     dw = complex_detuning(system, field)

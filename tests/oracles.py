@@ -74,7 +74,9 @@ def continued_rabi_loop(dw: complex, omega: np.ndarray) -> np.ndarray:
 
     The sign at the smallest |Omega| is the one closer to dw~ (the weak-field
     limit); every other point takes the sign closer to its neighbour towards
-    that anchor, keeping +1 on an exact tie.
+    that anchor, keeping +1 on an exact tie.  Off resonance this is the
+    library's pointwise weak-field root; through an exceptional point of a
+    resonant, damped drive the walk keeps its sign and leaves that branch.
     """
     w = np.sqrt((dw * dw + omega**2).astype(complex))
     signs = np.ones(w.shape)

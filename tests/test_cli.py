@@ -317,6 +317,7 @@ MALFORMED = {
     "dt_not_dividing": (hydro_config(), "hydro.dt", 0.03, "hydro.dt"),
     "sigma_negative": (hydro_config(), "hydro.packet.sigma", -1.5, "hydro.packet.sigma"),
     "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
+    "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
 }
 
 

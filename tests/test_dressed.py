@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dressedphase.dressed import (
     assemble_bare_state,
@@ -21,6 +26,7 @@ from dressedphase.model import (
 )
 from dressedphase.propagator import IntegratorConfig, compare_trajectories, rwa_propagate
 from oracles import rwa_eigensystem
+from test_properties import PROPERTY, phases
 
 RESONANT = TwoLevelSystem(0.0, 5.0)
 RES_FIELD = DrivingField(5.0, EnvelopeSpec.constant(2.0))
@@ -46,7 +52,7 @@ class TestGeneralizedRabi:
         )
 
     def test_radicand_matches_direct_formula(self):
-        """Independent evaluation of the square of the branch-tracked root.
+        """Independent evaluation of the square of the weak-field root.
 
         The complex detuning is constant per configuration, so its time
         derivative contributes nothing to the radicand.
@@ -193,6 +199,29 @@ def _phase_field(phi0=0.1):
     return DrivingField(5.0, EnvelopeSpec.constant(2.0), PhaseSpec.constant(phi0))
 
 
+# Damped systems driven on or off resonance, by envelopes that stay above the
+# floor on [0, 8]; on resonance with gamma' > 0 the drive may cross the
+# exceptional point Omega = gamma'/2.
+damped_systems = st.builds(
+    lambda gamma_re, gamma_im: TwoLevelSystem(0.0, 5.0, gamma_re=gamma_re, gamma_im=gamma_im),
+    st.floats(0.0, 1.0),
+    st.floats(-0.2, 0.2),
+)
+phase_drives = st.builds(
+    DrivingField,
+    carrier=st.one_of(st.just(5.0), st.floats(3.0, 7.0)),
+    envelope=st.builds(
+        EnvelopeSpec,
+        shape=st.sampled_from(["constant", "gaussian", "sech"]),
+        peak=st.floats(0.05, 3.0),
+        center=st.floats(3.0, 5.0),
+        width=st.floats(1.5, 4.0),
+    ),
+    phase=phases,
+)
+SHIFTS = st.floats(-math.pi, math.pi)
+
+
 class TestDressedPhases:
     def test_initial_constants_ground(self):
         field = _phase_field()
@@ -234,13 +263,12 @@ class TestDressedPhases:
         np.testing.assert_allclose(series.phi_E_v - series.phi_E_r, -full_phase, atol=1e-10)
 
     @pytest.mark.parametrize("branch", ["ground", "excited"])
-    def test_own_phase_covariance(self, branch):
+    @PROPERTY
+    @given(system=damped_systems, field=phase_drives, shift=SHIFTS)
+    def test_own_phase_covariance(self, branch, system, field, shift):
         """Shifting the branch's own initial phase shifts all four outputs by
         exactly that constant; the other initial phase is inert."""
-        system = TwoLevelSystem(0.0, 7.0)
-        field = DrivingField(6.0, EnvelopeSpec.gaussian(1.0, 4.0, 2.5))
         t = np.linspace(0.0, 8.0, 401)
-        shift = 0.37
         base = dressed_phases(system, field, InitialPhases(0.2, -0.1), branch, t)
         if branch == "ground":
             moved = dressed_phases(system, field, InitialPhases(0.2 + shift, -0.1), branch, t)
@@ -255,20 +283,15 @@ class TestDressedPhases:
             np.testing.assert_array_equal(getattr(inert, name), getattr(base, name))
 
     @pytest.mark.parametrize("branch", ["ground", "excited"])
-    def test_optical_phase_additivity(self, branch):
-        system = TwoLevelSystem(0.0, 7.0)
-        delta = 0.83
-
-        def build(offset):
-            return DrivingField(
-                6.0,
-                EnvelopeSpec.gaussian(1.0, 4.0, 2.5),
-                PhaseSpec.linear_chirp(0.01, phi0=0.2 + offset),
-            )
-
+    @PROPERTY
+    @given(system=damped_systems, field=phase_drives, delta=SHIFTS)
+    def test_optical_phase_additivity(self, branch, system, field, delta):
         t = np.linspace(0.0, 8.0, 401)
-        base = dressed_phases(system, build(0.0), PHASES, branch, t)
-        moved = dressed_phases(system, build(delta), PHASES, branch, t)
+        moved_field = dataclasses.replace(
+            field, phase=dataclasses.replace(field.phase, phi0=field.phase.phi0 + delta)
+        )
+        base = dressed_phases(system, field, PHASES, branch, t)
+        moved = dressed_phases(system, moved_field, PHASES, branch, t)
         plus = ("phi_G_v", "phi_E_r") if branch == "ground" else ()
         minus = ("phi_E_v", "phi_G_r") if branch == "excited" else ()
         for name in ("phi_G_r", "phi_G_v", "phi_E_r", "phi_E_v"):
