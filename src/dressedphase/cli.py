@@ -362,13 +362,20 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
     values = _section(spec)(problems, "", raw)
     if problems:
         raise ConfigError(problems)
+    params = values[kind]
+    # A dressed run propagates only to compare, so only then does it take
+    # integrator settings (and echo them).
+    takes_integrator = "integrator" in shared and (kind != "dressed" or params["compare"])
+    if "integrator" in raw and not takes_integrator:
+        problems.fail("integrator", "applies only when dressed.compare is true")
+        raise ConfigError(problems)
     return ExperimentConfig(
         kind=kind,
         system=values.get("system"),
         field=values.get("field"),
         grid=values.get("grid"),
-        integrator=values.get("integrator", IntegratorConfig()) if "integrator" in shared else None,
-        params=values[kind],
+        integrator=values["integrator"] if takes_integrator else None,
+        params=params,
     )
 
 

@@ -11,9 +11,13 @@ pulses (delay = 0) are handled exactly by linearity of the field.
 
 A relative phase delta on pulse 2 is exactly the conjugation
 D(delta) U2 D(delta)^dagger of the pulse's propagator, D = diag(1, e^{-i delta}),
-with or without damping.  So a rotating-wave scan of separated pulses needs
-two segment propagators, one per pulse, and no propagation per delta: the
-phase enters the fringe only through D(delta).
+with or without damping, and pulse 2 is pulse 1 delayed.  So a rotating-wave
+scan of separated pulses needs one segment propagator, over pulse 1, and no
+propagation per delta: the phase enters the fringe only through D(delta).
+Overlapping pulses differ between deltas only in the weight e^{-i delta} of
+pulse 2's coupling, so one batched run covers every delta.  Both use the
+Magnus segments of ``propagator``; single pairs (``pulse_pair_population``)
+and full-field scans use DP5.
 """
 
 from __future__ import annotations
@@ -30,20 +34,21 @@ from .errors import ValidationError
 from .model import (
     DrivingField,
     TwoLevelSystem,
+    _complex_detuning,
     scalar_envelope_fn,
     scalar_phase_fn,
 )
 from .propagator import (
     IntegratorConfig,
     TwoLevelState,
-    _field_coupling_fn,
+    _array_coupling_fn,
     _integrate_pair,
+    _magnus_propagator,
     _propagate_full,
     rwa_propagate_coupling,
 )
 
 _GROUND = TwoLevelState(1.0 + 0.0j, 0.0j)
-_EXCITED = TwoLevelState(0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -187,24 +192,33 @@ def phase_scan(
 ) -> FringeRecord:
     """Fringe record P_e(delta) over a grid of relative phases.
 
-    With the rotating-wave engine and separated pulses (delay at least twice
-    the envelope's support half-width, so each pulse is below ~1e-11 of its
-    peak across the other's half of the window) the scan is composed: pulse 1
-    is propagated once, pulse 2 once from each basis state, and every delta
-    follows from the D(delta) conjugation (see ``_composed_populations``).
-    Otherwise (overlapping or merged pulses, constant envelopes, or the
-    full-field engine, whose real field has no such symmetry) each delta is
-    an independent propagation of the summed drive.  ``delta_grid`` must be
-    a non-empty 1-D array of finite values on either path.
+    A rotating-wave scan runs fourth-order Magnus segments (see
+    ``propagator._magnus_propagator``) and no DP5 propagation.  Separated
+    pulses (delay at least twice the envelope's support half-width) are
+    composed from one segment over pulse 1's support, and every delta follows
+    from the D(delta) conjugation (see ``_composed_populations``).
+    Overlapping or merged pulses take one segment over the whole window for
+    all deltas at once, of the summed coupling K1 + e^{-i delta} K2.  The
+    segments start from the DP5 step cap (``max_step``, at most half the
+    envelope width) and double their interval count until the propagator
+    changes by at most ``abs_tol + rel_tol * max|U|`` between counts.
+    Constant envelopes have no pulse window and are rejected.  The full-field
+    engine, whose real field has no such symmetry, propagates each delta
+    with DP5.  ``delta_grid`` must be a non-empty 1-D array of finite values
+    on every path.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValidationError("phase_scan: delta_grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(deltas)):
         raise ValidationError("phase_scan: delta_grid must be finite")
-    if engine == "rwa" and pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
+    if engine == "rwa":
         _warn_if_strong(pair)
-        populations = _composed_populations(system, pair, deltas, _step_capped(cfg, pair))
+        capped = _step_capped(cfg, pair)
+        if pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
+            populations = _composed_populations(system, pair, deltas, capped)
+        else:
+            populations = _summed_populations(system, pair, deltas, capped)
     else:
         populations = np.empty_like(deltas)
         for i, delta in enumerate(deltas):
@@ -224,35 +238,48 @@ def phase_scan(
 def _composed_populations(
     system: TwoLevelSystem, pair: PulsePairConfig, deltas: np.ndarray, cfg: IntegratorConfig
 ) -> np.ndarray:
-    """P_e(delta) of a separated pair from two segment propagators.
+    """P_e(delta) of a separated pair from one segment propagator.
 
-    The window is split at the midpoint between the pulses, where each pulse
-    is negligible.  Pulse 1 takes |g> to v over the first half; pulse 2 at
-    relative phase 0 has the propagator U over the second.  At relative phase
-    delta pulse 2's propagator is D U D^dagger with D = diag(1, e^{-i delta}),
-    and D commutes with the diagonal bare/rotating frame change, so in the
-    bare frame c_e(end) = e^{-i delta} (a + e^{i delta} b) with a = U_eg v_g
-    and b = U_ee v_e.
+    The rotating-frame equations have a constant generator outside the
+    coupling, so they are invariant under time shifts, and pulse 2 at
+    relative phase 0 is pulse 1 delayed (envelope and chirp alike).  So one
+    propagator U over pulse 1's support [c - h, c + h] serves both pulses;
+    between the supports (and outside them the pulses are negligible) the
+    evolution is diag(1, e^{-i dw~ s}).  From |g> pulse 1 and the gap lead to
+    v = (U_gg, e^{-i dw~ (delay - 2h)} U_eg).  At relative phase delta pulse
+    2's propagator is D U D^dagger with D = diag(1, e^{-i delta}), so
+    c_e(end) = e^{-i delta} (a + e^{i delta} b) up to a phase of modulus 1,
+    with a = U_eg v_g and b = U_ee v_e.
     """
-    start, end = pair.window()
-    mid = pair.base.envelope.center + 0.5 * pair.delay
-    carrier = pair.base.carrier
-
-    def final(field: DrivingField, initial: TwoLevelState, t0: float, t1: float) -> TwoLevelState:
-        coupling = _field_coupling_fn(system, field)
-        return rwa_propagate_coupling(system, coupling, carrier, initial, np.array([t0, t1]), cfg)[-1]
-
-    second = replace(pair, rel_phase=0.0).second
-    v = final(pair.base, _GROUND, start, mid)
-    u_eg = final(second, _GROUND, mid, end).c_e
-    u_ee = final(second, _EXCITED, mid, end).c_e
-    a = complex(u_eg * v.c_g)
-    b = complex(u_ee * v.c_e)
-    # |a + e^{i delta} b|^2 in real arithmetic: only the cos/sin kernels that
-    # fit_fringe also uses, where numpy's complex exp and abs kernels added
-    # about 0.1 MB to a fresh process's peak RSS.
+    env = pair.base.envelope
+    half = env.support_halfwidth()
+    detuning = _complex_detuning(system, pair.base.carrier)
+    coupling = _array_coupling_fn(system, pair.base)
+    u = _magnus_propagator(
+        (coupling,), np.ones((1, 1)), detuning, env.center - half, env.center + half, cfg
+    )
+    u_gg, _, u_eg, u_ee = u[:, 0].tolist()
+    a = u_eg * u_gg
+    b = u_ee * cmath.exp(-1j * detuning * (pair.delay - 2.0 * half)) * u_eg
+    # |a + e^{i delta} b|^2 in real arithmetic.
     cos, sin = np.cos(deltas), np.sin(deltas)
     return (a.real + b.real * cos - b.imag * sin) ** 2 + (a.imag + b.real * sin + b.imag * cos) ** 2
+
+
+def _summed_populations(
+    system: TwoLevelSystem, pair: PulsePairConfig, deltas: np.ndarray, cfg: IntegratorConfig
+) -> np.ndarray:
+    """P_e(delta) of an overlapping or merged pair, every delta in one Magnus run.
+
+    Pulse 2 at relative phase delta is its coupling at the pair's own phase
+    times e^{-i (delta - rel_phase)}, so the drives differ only in that weight.
+    """
+    start, end = pair.window()
+    couplings = (_array_coupling_fn(system, pair.base), _array_coupling_fn(system, pair.second))
+    weights = np.stack((np.ones(deltas.size), np.exp(-1j * (deltas - pair.rel_phase))))
+    detuning = _complex_detuning(system, pair.base.carrier)
+    u_eg = _magnus_propagator(couplings, weights, detuning, start, end, cfg)[2]
+    return u_eg.real**2 + u_eg.imag**2
 
 
 def _visibility_value(populations: np.ndarray) -> float:

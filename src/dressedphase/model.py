@@ -191,7 +191,8 @@ class EnvelopeSpec(_TimeFunction):
 
         if self.shape == "sech":
             u = (t - self.center) / self.width
-            s = 1.0 / np.cosh(u)
+            with np.errstate(over="ignore"):  # 1/inf = 0 beyond |u| ~ 710
+                s = 1.0 / np.cosh(u)
             th = np.tanh(u)
             acc = np.zeros_like(t)
             for (a, b), coeff in _SECH_TERMS[order].items():
@@ -363,7 +364,12 @@ def scalar_envelope_fn(env: EnvelopeSpec):
             return peak * math.exp(-u * u)
         return gauss
     if env.shape == "sech":
-        return lambda t: peak / math.cosh((t - center) / width)
+        def sech(t: float) -> float:
+            try:
+                return peak / math.cosh((t - center) / width)
+            except OverflowError:  # where the array form divides by inf
+                return 0.0
+        return sech
     half = env.plateau / 2.0
     a0, a1 = center - half - width, center - half
     b1, b0 = center + half, center + half + width

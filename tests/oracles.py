@@ -64,6 +64,27 @@ def rwa_eigensystem(omega_rabi, complex_detuning):
     return evals[order], evecs[:, order]
 
 
+def expm_taylor(m):
+    """exp(M) of a square matrix: Taylor series with scaling and squaring.
+
+    M is halved j times until its largest row sum is at most 1/2, the series
+    of exp(M / 2^j) is summed to 30 terms (the remainder is below
+    0.5^30 / 30!), and the result is squared j times.
+    """
+    m = np.asarray(m, dtype=complex)
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    j = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.0 else 0
+    scaled = m / 2.0**j
+    term = np.eye(m.shape[0], dtype=complex)
+    out = term.copy()
+    for k in range(1, 31):
+        term = term @ scaled / k
+        out = out + term
+    for _ in range(j):
+        out = out @ out
+    return out
+
+
 def central_difference(fn, t, h):
     """Second-order central first derivative of a callable."""
     return (fn(t + h) - fn(t - h)) / (2.0 * h)

@@ -47,8 +47,12 @@ def test_minimal_config_fills_defaults(tmp_path):
     path = write_config(tmp_path, dressed_config())
     config = load_config(path)
     assert isinstance(config, ExperimentConfig)
-    assert config.integrator.rel_tol == 1e-9
     assert config.params["n_max"] == 2
+    # Integrator settings apply, and default, only where the run propagates.
+    assert config.integrator is None
+    compared = dressed_config()
+    compared["dressed"]["compare"] = True
+    assert load_config_dict(compared).integrator.rel_tol == 1e-9
 
 
 def test_validation_names_gamma_re(tmp_path):
@@ -318,6 +322,7 @@ MALFORMED = {
     "sigma_negative": (hydro_config(), "hydro.packet.sigma", -1.5, "hydro.packet.sigma"),
     "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
+    "dressed_integrator_without_compare": (dressed_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
 }
 
 

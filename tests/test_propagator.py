@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from dressedphase import propagator
 
 from dressedphase.errors import (
     GridError,
@@ -9,11 +12,20 @@ from dressedphase.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
-from dressedphase.model import DrivingField, EnvelopeSpec, PhaseSpec, TwoLevelSystem
+from dressedphase.model import (
+    DrivingField,
+    EnvelopeSpec,
+    PhaseSpec,
+    TwoLevelSystem,
+    complex_detuning,
+)
 from dressedphase.propagator import (
     IntegratorConfig,
     TwoLevelState,
     TwoLevelTrajectory,
+    _array_coupling_fn,
+    _magnus_grid,
+    _magnus_propagator,
     compare_trajectories,
     full_field_propagate,
     rk4_propagate,
@@ -224,3 +236,50 @@ def test_rotating_frame_output():
     np.testing.assert_allclose(
         bare.c_e, rot.c_e * np.exp(-1j * (RESONANT.omega_g + 5.0) * t), atol=1e-12
     )
+
+
+MAGNUS_PULSE = DrivingField(5.2, EnvelopeSpec.gaussian(0.5, 0.0, 1.0), PhaseSpec.linear_chirp(0.3))
+MAGNUS_SYSTEM = TwoLevelSystem(0.0, 5.0, gamma_re=0.05)
+
+
+def _magnus(weights, cfg):
+    coupling = _array_coupling_fn(MAGNUS_SYSTEM, MAGNUS_PULSE)
+    detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
+    return _magnus_propagator((coupling, coupling), weights, detuning, -5.5, 5.5, cfg)
+
+
+def test_magnus_chunks_are_the_whole_batch():
+    """Splitting the drives into chunks changes no bit of any propagator."""
+    deltas = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    weights = np.stack((np.ones(deltas.size), np.exp(-1j * deltas)))
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, max_step=0.5)
+    whole = _magnus(weights, cfg)
+    with mock.patch.object(propagator, "_MAGNUS_CHUNK", 64):
+        chunked = _magnus(weights, cfg)
+    assert whole.shape == (4, deltas.size)
+    np.testing.assert_array_equal(chunked, whole)
+
+
+def test_magnus_interval_limit():
+    """Tolerances that rounding cannot meet double the grid up to 2**16
+    intervals and then raise; so does a step cap asking for more at once."""
+    weights = np.ones((2, 1))
+    with pytest.raises(StepSizeUnderflowError, match="Magnus"):
+        _magnus(weights, IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300, max_step=0.5))
+    with pytest.raises(StepSizeUnderflowError, match="Magnus"):
+        _magnus(weights, IntegratorConfig(max_step=1e-4))
+
+
+def test_magnus_step_is_fourth_order():
+    """Doubling the interval count shrinks the change of the propagator
+    sixteen-fold: the commutator term makes the step fourth order, where
+    without it (or with its sign flipped) the step would be second order."""
+    coupling = _array_coupling_fn(MAGNUS_SYSTEM, MAGNUS_PULSE)
+    detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
+    # 22 -> 11 -> ... takes the pairwise product through odd counts too.
+    grids = [
+        _magnus_grid((coupling,), np.ones((1, 1)), detuning, -5.5, 5.5, n) for n in (22, 44, 88, 176)
+    ]
+    changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(grids, grids[1:])]
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 12.0 < coarse / fine < 20.0

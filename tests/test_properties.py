@@ -10,11 +10,15 @@ are told apart; off resonance it also equals the sign-walk loop in
 ``oracles``.  The vectorised cumulative Simpson rule is checked bit for bit
 against the point-by-point loop there.  Without damping the propagators
 conserve the norm, and the adaptive DP5 engines agree with fixed-step RK4,
-on random drives.  The composed fringe scan of separated pulses agrees with
-the per-delta loop and is one cosine in delta; every other scan is the loop.
+on random drives; so does the Magnus segment propagator, whose closed-form
+2x2 exponential agrees with Taylor series.  The rotating-wave fringe scans
+run no DP5 propagation and agree with the per-delta DP5 loop; the composed
+scan of separated pulses is one cosine in delta, and the full-field scan is
+the loop.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,11 +26,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase import interferometry
+from dressedphase import interferometry, propagator
 from dressedphase.dressed import _continued_rabi, generalized_rabi
 from dressedphase.interferometry import PulsePairConfig, _pair_coupling, fit_fringe, phase_scan
 from dressedphase.model import (
     ENVELOPE_SHAPES,
+    MAX_DERIVATIVE_ORDER,
     PHASE_SHAPES,
     DrivingField,
     EnvelopeSpec,
@@ -41,13 +46,16 @@ from dressedphase.numerics import cumulative_simpson
 from dressedphase.propagator import (
     IntegratorConfig,
     TwoLevelState,
+    _array_coupling_fn,
+    _expm2,
     _field_coupling_fn,
+    _magnus_propagator,
     compare_trajectories,
     full_field_propagate,
     rk4_propagate,
     rwa_propagate,
 )
-from oracles import continued_rabi_loop, cumulative_simpson_loop, phase_scan_loop
+from oracles import continued_rabi_loop, cumulative_simpson_loop, expm_taylor, phase_scan_loop
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -80,19 +88,55 @@ phases = st.builds(
 
 @PROPERTY
 @given(env=envelopes, t=times)
+@example(env=EnvelopeSpec.sech(1.0, 0.0, 0.05), t=40.0)
 def test_scalar_envelope_matches_array(env, t):
     scalar = scalar_envelope_fn(env)(t)
-    array = env.value(np.array([t]))[0]
-    assert abs(scalar - array) <= REL * env.peak + TINY
+    for value in (env.value(np.array([t]))[0], env.value(t)):
+        assert abs(scalar - value) <= REL * env.peak + TINY
 
 
 @PROPERTY
 @given(ph=phases, t=times)
 def test_scalar_phase_matches_array(ph, t):
     scalar = scalar_phase_fn(ph)(t)
-    array = ph.value(np.array([t]))[0]
     dt = t - ph.t_ref
     scale = 1.0 + abs(ph.phi0) + abs(ph.rate * dt) + abs(ph.curvature * dt * dt) + abs(ph.depth)
+    for value in (ph.value(np.array([t]))[0], ph.value(t)):
+        assert abs(scalar - value) <= REL * scale + TINY
+
+
+# A scalar time takes the 0-d path through the same registry, where numpy
+# may call its scalar rather than its SIMD kernels, so the two may differ by
+# roundings of the largest term.  That term is below peak * (4/width)^order
+# for every envelope (order! bounds the sech coefficient sums, pi^order the
+# cos^2 ramps, and the Hermite functions stay below both), and below the
+# sum of the phase parameters' contributions for every phase.
+orders = st.integers(0, MAX_DERIVATIVE_ORDER)
+
+
+@PROPERTY
+@given(env=envelopes, t=times, order=orders)
+def test_envelope_derivative_scalar_matches_array(env, t, order):
+    scalar = env.derivative(t, order)
+    assert isinstance(scalar, float)
+    array = env.derivative(np.array([t]), order)[0]
+    assert abs(scalar - array) <= REL * env.peak * (4.0 / env.width) ** order + TINY
+
+
+@PROPERTY
+@given(ph=phases, t=times, order=orders)
+def test_phase_derivative_scalar_matches_array(ph, t, order):
+    scalar = ph.derivative(t, order)
+    assert isinstance(scalar, float)
+    array = ph.derivative(np.array([t]), order)[0]
+    dt = abs(t - ph.t_ref)
+    scale = (
+        1.0
+        + abs(ph.phi0)
+        + abs(ph.rate) * (1.0 + dt)
+        + 2.0 * abs(ph.curvature) * (1.0 + dt) ** 2
+        + abs(ph.depth) * max(1.0, abs(ph.mod_freq)) ** order
+    )
     assert abs(scalar - array) <= REL * scale + TINY
 
 
@@ -335,13 +379,16 @@ def test_dp5_agrees_with_rk4(engine, field, initial):
 
 # Fringe scans on random pulse pairs near resonance, damped up to
 # gamma' = 0.05.  Bound fixed from the integrator settings before any run:
-# each DP5 propagation errs by at most E = 1e3 * rel_tol in amplitude (as
-# above; here fewer than 1e3 steps per propagation).  The composed amplitude
+# each DP5 propagation, and each Magnus segment, errs by at most
+# E = 1e3 * rel_tol in amplitude (as above; the Magnus grid is doubled until
+# the propagator moves by less than rel_tol, and a fourth-order step leaves
+# about a fifteenth of that move).  The composed amplitude
 # U_eg v_g + e^{i delta} U_ee v_e takes four such errors, each through a
 # factor of modulus <= 1 (damping only shrinks), the loop's one, and two
 # amplitudes of modulus <= 1 differing by d have populations differing by
-# at most 2 d: |P_composed - P_loop| <= 2 * 5 E.  The neglected pulse tails
-# (< ~1e-11 of the peak) lie far below that.
+# at most 2 d: |P_composed - P_loop| <= 2 * 5 E.  The summed scan of
+# overlapping pulses takes one error, and the loop one.  The neglected pulse
+# tails (< ~1e-11 of the peak) lie far below that.
 SCAN = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
 SCAN_BOUND = 2.0 * 5.0 * 1e3 * SCAN.rel_tol
 SCAN_DELTAS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
@@ -368,17 +415,31 @@ separated_pairs = st.builds(
     st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
     st.floats(0.0, 2.0 * math.pi),
 )
+# Below the threshold, from merged (delay 0) to just overlapping.
+overlapping_pairs = st.builds(
+    lambda base, fraction, rel_phase: PulsePairConfig(
+        base,
+        min(fraction, 1.0 - 2.0**-20) * 2.0 * base.envelope.support_halfwidth(),
+        rel_phase,
+    ),
+    pulses,
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 2.0 * math.pi),
+)
 damped = st.builds(lambda gamma: TwoLevelSystem(0.0, 5.0, gamma_re=gamma), st.floats(0.0, 0.05))
 STRONG = "ignore:pulse_pair_population. single-pulse excitation"
+OVERLAP = "ignore:PulsePairConfig. pulses overlap"
 
 
-def composed_scan(system, pair, deltas):
-    """phase_scan, checked to take the composed path: three propagations for any number of deltas."""
+def magnus_scan(system, pair, deltas, engine="rwa"):
+    """phase_scan, checked to run no DP5 propagation for any number of deltas."""
     with mock.patch.object(
-        interferometry, "rwa_propagate_coupling", wraps=interferometry.rwa_propagate_coupling
-    ) as propagations:
-        record = phase_scan(system, pair, deltas, SCAN)
-    assert propagations.call_count == 3
+        propagator, "_integrate_pair", wraps=propagator._integrate_pair
+    ) as rotating, mock.patch.object(
+        interferometry, "_integrate_pair", wraps=interferometry._integrate_pair
+    ) as full:
+        record = phase_scan(system, pair, deltas, SCAN, engine=engine)
+    assert rotating.call_count == full.call_count == 0
     return record
 
 
@@ -386,9 +447,18 @@ def composed_scan(system, pair, deltas):
 @PROPAGATION
 @given(system=damped, pair=separated_pairs)
 def test_composed_scan_agrees_with_loop(system, pair):
-    composed = composed_scan(system, pair, SCAN_DELTAS)
+    composed = magnus_scan(system, pair, SCAN_DELTAS)
     loop = phase_scan_loop(system, pair, SCAN_DELTAS, SCAN)
     assert np.max(np.abs(composed.populations - loop.populations)) <= SCAN_BOUND
+
+
+@pytest.mark.filterwarnings(STRONG, OVERLAP)
+@PROPAGATION
+@given(system=damped, pair=overlapping_pairs)
+def test_summed_scan_agrees_with_loop(system, pair):
+    summed = magnus_scan(system, pair, SCAN_DELTAS)
+    loop = phase_scan_loop(system, pair, SCAN_DELTAS, SCAN)
+    assert np.max(np.abs(summed.populations - loop.populations)) <= SCAN_BOUND
 
 
 @pytest.mark.filterwarnings(STRONG)
@@ -397,7 +467,7 @@ def test_composed_scan_agrees_with_loop(system, pair):
 def test_composed_fringe_is_one_cosine(system, pair):
     """The phase enters only through D(delta), so P_e(delta) = A + B cos(delta + delta0)
     up to rounding: the fit residual is a few ulps of the largest population."""
-    record = composed_scan(system, pair, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    record = magnus_scan(system, pair, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     a, b, _, residual = fit_fringe(record)
     assert residual <= 100.0 * np.finfo(float).eps * (a + b)
 
@@ -414,10 +484,86 @@ THRESHOLD = 2.0 * BASE_PULSE.envelope.support_halfwidth()
     ids=["just_overlapping", "merged", "full_field"],
 )
 def test_other_scans_are_the_loop(delay, engine):
+    """Overlapping and merged rotating-wave scans agree with the loop within
+    SCAN_BOUND; the full-field scan is the loop, bit for bit."""
     system = TwoLevelSystem(0.0, 5.0, gamma_re=0.02)
     pair = PulsePairConfig(BASE_PULSE, delay, 0.0)
     deltas = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
-    scan = phase_scan(system, pair, deltas, SCAN, engine=engine)
     loop = phase_scan_loop(system, pair, deltas, SCAN, engine=engine)
-    assert np.array_equal(scan.populations, loop.populations)
-    assert (scan.visibility, scan.delta_star) == (loop.visibility, loop.delta_star)
+    if engine == "full":
+        scan = phase_scan(system, pair, deltas, SCAN, engine=engine)
+        assert np.array_equal(scan.populations, loop.populations)
+        assert (scan.visibility, scan.delta_star) == (loop.visibility, loop.delta_star)
+    else:
+        scan = magnus_scan(system, pair, deltas)
+        assert np.max(np.abs(scan.populations - loop.populations)) <= SCAN_BOUND
+
+
+# The Magnus leg of the three-way check.  The closed-form 2x2 exponential
+# against Taylor with scaling and squaring: both round each entry to within
+# a few ulps of e^{||M||} (||M|| the largest row sum, which bounds every
+# entry of exp(M)).  Matrices near a multiple of the identity have small
+# |s|, on both sides of the switch to the series.  The exceptional point of
+# the resonant, damped generator h [[0, i Omega/2], [i Omega/2, -gamma'/2]]
+# at Omega = gamma'/2 has s^2 = (h gamma'/4)^2 - (h Omega/2)^2 = 0 with a
+# nonzero, nilpotent traceless part.
+def _matrix(entries):
+    return np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+
+
+entries = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=4, max_size=4)
+near_identity = st.builds(
+    lambda scalar, entries, eps: complex(*scalar) * np.eye(2) + eps * _matrix(entries),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    entries,
+    st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.02, 0.0499, 0.05, 0.1]),
+)
+GAMMA_EP, H_EP = 0.4, 0.7
+EXCEPTIONAL = H_EP * np.array(
+    [[0.0, 0.5j * 0.5 * GAMMA_EP], [0.5j * 0.5 * GAMMA_EP, -0.5 * GAMMA_EP]]
+)
+
+
+@PROPERTY
+@given(m=st.one_of(entries.map(_matrix), near_identity))
+@example(m=np.zeros((2, 2), dtype=complex))
+@example(m=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+@example(m=np.array([[1.5 - 2.0j, -0.3j], [0.0, 1.5 - 2.0j]]))
+@example(m=EXCEPTIONAL)
+def test_closed_form_exponential_matches_taylor(m):
+    got = np.array(_expm2(m.reshape(4, 1))).reshape(2, 2)
+    norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    assert np.max(np.abs(got - expm_taylor(m))) <= 64.0 * np.finfo(float).eps * math.exp(norm)
+
+
+# The Magnus segment propagator applied to random states, on the random
+# drives above damped up to gamma' = 0.2, against DP5 and RK4.  Bounds fixed
+# from rel_tol before any run: the segment errs by at most DP5_GLOBAL in
+# amplitude, like DP5 (see the scan bound below), and RK4 by its truncation
+# bound above (lam = 4 still bounds the rotating-frame rates with the decay
+# rate gamma'/2 <= 0.1 added).  The segment grid starts from the scans' step
+# cap of half the envelope width.
+@pytest.mark.parametrize("reference", ["dp5", "rk4"])
+@PROPAGATION
+@given(field=drives, initial=states, gamma=st.floats(0.0, 0.2))
+def test_magnus_segment_agrees_with_dp5_and_rk4(reference, field, initial, gamma):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    t0, t1 = WINDOW[0], WINDOW[-1]
+    cfg = replace(DP5, max_step=0.5 * field.envelope.width)
+    coupling = _array_coupling_fn(system, field)
+    u00, u01, u10, u11 = _magnus_propagator(
+        (coupling,), np.ones((1, 1)), complex_detuning(system, field), t0, t1, cfg
+    )[:, 0]
+    # omega_g = 0: the rotating frame turns only c_e, at the carrier.
+    a_g, a_e = initial.c_g, initial.c_e * np.exp(1j * field.carrier * t0)
+    c_g = u00 * a_g + u01 * a_e
+    c_e = (u10 * a_g + u11 * a_e) * np.exp(-1j * field.carrier * t1)
+    if reference == "dp5":
+        final = rwa_propagate(system, field, initial, WINDOW, DP5)[-1]
+        bound = 2.0 * DP5_GLOBAL
+    else:
+        _, substeps, lam = RK4_RUNS["rwa"]
+        h = (t1 - t0) / (WINDOW.size - 1) / substeps
+        final = rk4_propagate(system, field, initial, WINDOW, engine="rwa", substeps=substeps)[-1]
+        bound = DP5_GLOBAL + (t1 - t0) * lam**5 * h**4 / 120.0
+    assert max(abs(c_g - final.c_g), abs(c_e - final.c_e)) <= bound
