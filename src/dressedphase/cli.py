@@ -222,9 +222,10 @@ def _dataclass_section(cls, **defaults):
 
 _CHECKS["EnvelopeSpec"] = _dataclass_section(EnvelopeSpec)
 _CHECKS["PhaseSpec"] = _dataclass_section(PhaseSpec)
+_FIELD = _dataclass_section(DrivingField, carrier=0.0)
 _DRIVE = {
     "system": (_dataclass_section(TwoLevelSystem), _REQUIRED),
-    "field": (_dataclass_section(DrivingField, carrier=0.0), _REQUIRED),
+    "field": (_FIELD, _REQUIRED),
 }
 _GRID = {"grid": (_dataclass_section(TimeGrid, t0=0.0), _REQUIRED)}
 _INTEGRATOR = {"integrator": (_dataclass_section(IntegratorConfig), IntegratorConfig())}
@@ -239,6 +240,15 @@ def _potential(**values) -> dict:
     """The potential block as given, once PotentialSpec accepts it (harmonic needs omega0 > 0)."""
     hydro_mod.PotentialSpec(**values)
     return values
+
+
+def _pulse_field(problems: _Problems, path: str, raw):
+    """A driving field whose envelope has a pulse window, as a pulse pair needs."""
+    field = _FIELD(problems, path, raw)
+    if field is _BAD or math.isfinite(field.envelope.support_halfwidth()):
+        return field
+    shape = field.envelope.shape
+    return problems.fail(f"{path}.envelope.shape", f"must be a pulse; {shape!r} has no pulse window")
 
 
 def _interfere(**values) -> dict:
@@ -301,7 +311,7 @@ _KIND_BLOCKS = {
         ),
     ),
     "interfere": (
-        {**_DRIVE, **_INTEGRATOR},
+        {**_DRIVE, "field": (_pulse_field, _REQUIRED), **_INTEGRATOR},
         _section(
             {
                 "delay": (_number, _REQUIRED),
@@ -395,10 +405,12 @@ def _write_csv(path: Path, header: list[str], table) -> None:
 
 
 def run(config: ExperimentConfig, out_dir) -> RunSummary:
-    """Execute one experiment, writing <kind>.csv (and friends) plus summary.json."""
+    """Execute one experiment, then write <kind>.csv (and friends) plus summary.json.
+
+    Everything is computed before ``out_dir`` is made, so a run that fails
+    computing leaves no output directory behind.
+    """
     started = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     runner = {
         "dressed": _run_dressed,
         "adiabatic": _run_adiabatic,
@@ -406,11 +418,18 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
         "interfere": _run_interfere,
         "hydro": _run_hydro,
     }[config.kind]
-    metrics, outputs = runner(config, out)
+    metrics, tables = runner(config)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for stem, columns in tables.items():
+        path = out / f"{stem}.csv"
+        _write_csv(path, list(columns), np.column_stack(list(columns.values())))
+        outputs.append(str(path))
     summary = RunSummary(
         config=config.to_dict(),
         metrics=metrics,
-        outputs=[str(p) for p in outputs],
+        outputs=outputs,
         duration_s=time.perf_counter() - started,
     )
     summary_path = out / "summary.json"
@@ -428,35 +447,29 @@ def compare(config: ExperimentConfig, out_dir) -> RunSummary:
     return run(config, out_dir)
 
 
-def _run_dressed(config: ExperimentConfig, out: Path):
+# Each runner computes one experiment and returns (metrics, tables): a table
+# maps a CSV stem to {column name: 1-D array}, written in insertion order.
+
+
+def _re_im(source, *names) -> dict:
+    """The ``<name>_re`` and ``<name>_im`` columns of each complex series ``source.<name>``."""
+    columns = {}
+    for name in names:
+        values = getattr(source, name)
+        columns[f"{name}_re"] = values.real
+        columns[f"{name}_im"] = values.imag
+    return columns
+
+
+def _run_dressed(config: ExperimentConfig):
     p = config.params
     t = config.grid.array()
     phases = InitialPhases(p["phi_g"], p["phi_e"])
     series = dressed_mod.dressed_phases(config.system, config.field, phases, p["branch"], t)
-    rows = np.column_stack(
-        [
-            t,
-            series.phi_G_r.real, series.phi_G_r.imag,
-            series.phi_G_v.real, series.phi_G_v.imag,
-            series.phi_E_r.real, series.phi_E_r.imag,
-            series.phi_E_v.real, series.phi_E_v.imag,
-        ]
-    )
-    csv_path = out / "dressed.csv"
-    _write_csv(
-        csv_path,
-        [
-            "t",
-            "phi_G_r_re", "phi_G_r_im",
-            "phi_G_v_re", "phi_G_v_im",
-            "phi_E_r_re", "phi_E_r_im",
-            "phi_E_v_re", "phi_E_v_im",
-        ],
-        rows,
-    )
+    phase_names = ("phi_G_r", "phi_G_v", "phi_E_r", "phi_E_v")
+    tables = {"dressed": {"t": t, **_re_im(series, *phase_names)}}
     report = dressed_mod.adiabatic_report(config.system, config.field, t, p["n_max"])
     metrics = {"adiabatic_margin": report.margin}
-    outputs = [csv_path]
     if p["compare"]:
         assembled = dressed_mod.assemble_bare_state(
             config.system, config.field, phases, p["branch"], t
@@ -464,18 +477,18 @@ def _run_dressed(config: ExperimentConfig, out: Path):
         oracle = rwa_propagate(
             config.system, config.field, assembled[0], t, config.integrator
         )
-        err_g = np.abs(assembled.c_g - oracle.c_g)
-        err_e = np.abs(assembled.c_e - oracle.c_e)
-        cmp_path = out / "compare.csv"
-        _write_csv(cmp_path, ["t", "err_c_g", "err_c_e"], np.column_stack([t, err_g, err_e]))
+        tables["compare"] = {
+            "t": t,
+            "err_c_g": np.abs(assembled.c_g - oracle.c_g),
+            "err_c_e": np.abs(assembled.c_e - oracle.c_e),
+        }
         comparison = compare_trajectories(assembled, oracle)
         metrics["max_amplitude_error"] = comparison.max_amplitude_error
         metrics["max_population_error"] = comparison.max_population_error
-        outputs.append(cmp_path)
-    return metrics, outputs
+    return metrics, tables
 
 
-def _run_adiabatic(config: ExperimentConfig, out: Path):
+def _run_adiabatic(config: ExperimentConfig):
     t = config.grid.array()
     report = dressed_mod.adiabatic_report(config.system, config.field, t, config.params["n_max"])
     rows = [
@@ -483,52 +496,41 @@ def _run_adiabatic(config: ExperimentConfig, out: Path):
         for n in sorted(report.orders)
         for k in sorted(report.orders[n].ratios)
     ]
-    csv_path = out / "adiabatic.csv"
-    _write_csv(csv_path, ["n", "k", "max_ratio"], rows)
+    table = dict(zip(("n", "k", "max_ratio"), np.array(rows, dtype=float).reshape(-1, 3).T))
     metrics = {
         "margin": report.margin,
         **{f"margin_n{n}": report.orders[n].margin for n in sorted(report.orders)},
     }
-    return metrics, [csv_path]
+    return metrics, {"adiabatic": table}
 
 
-def _run_propagate(config: ExperimentConfig, out: Path):
+def _run_propagate(config: ExperimentConfig):
     p = config.params
     t = config.grid.array()
     initial = TwoLevelState(complex(*p["c_g"]), complex(*p["c_e"]))
     prop = rwa_propagate if p["engine"] == "rwa" else full_field_propagate
     traj = prop(config.system, config.field, initial, t, config.integrator)
-    rows = np.column_stack(
-        [
-            t,
-            traj.c_g.real, traj.c_g.imag,
-            traj.c_e.real, traj.c_e.imag,
-            traj.population_g, traj.population_e,
-        ]
-    )
-    csv_path = out / "propagate.csv"
-    _write_csv(
-        csv_path,
-        ["t", "c_g_re", "c_g_im", "c_e_re", "c_e_im", "P_g", "P_e"],
-        rows,
-    )
+    table = {
+        "t": t,
+        **_re_im(traj, "c_g", "c_e"),
+        "P_g": traj.population_g,
+        "P_e": traj.population_e,
+    }
     norm = traj.norm
     metrics = {
         "final_P_e": float(traj.population_e[-1]),
         "final_P_g": float(traj.population_g[-1]),
         "max_norm_drift": float(np.max(np.abs(norm - norm[0]))),
     }
-    return metrics, [csv_path]
+    return metrics, {"propagate": table}
 
 
-def _run_interfere(config: ExperimentConfig, out: Path):
+def _run_interfere(config: ExperimentConfig):
     p = config.params
     pair = PulsePairConfig(config.field, delay=p["delay"], rel_phase=0.0)
     deltas = np.linspace(0.0, 2.0 * np.pi, p["n_delta"], endpoint=False)
     record = phase_scan(config.system, pair, deltas, config.integrator, engine=p["engine"])
-    csv_path = out / "interfere.csv"
-    _write_csv(csv_path, ["delta_rad", "P_e"], np.column_stack([record.deltas, record.populations]))
-    _, fringe_amp, delta0, fit_res = fit_fringe(record)
+    _, _, delta0, fit_res = fit_fringe(record)
     metrics = {
         "visibility": record.visibility,
         "delta_star": record.delta_star,
@@ -536,10 +538,10 @@ def _run_interfere(config: ExperimentConfig, out: Path):
         "fringe_fit_residual": fit_res,
         "pulse_area": pair.pulse_area(),
     }
-    return metrics, [csv_path]
+    return metrics, {"interfere": {"delta_rad": record.deltas, "P_e": record.populations}}
 
 
-def _run_hydro(config: ExperimentConfig, out: Path):
+def _run_hydro(config: ExperimentConfig):
     p = config.params
     mass, packet = p["mass"], p["packet"]
     x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
@@ -555,23 +557,16 @@ def _run_hydro(config: ExperimentConfig, out: Path):
     cont = hydro_mod.continuity_residual(frames, mass)
 
     stride = p["csv_stride"] or max(1, len(frames) // 16)
-    blocks = []
-    for f in frames[::stride]:
-        polar = hydro_mod.polar_decompose(f)
-        blocks.append(
-            np.column_stack(
-                [
-                    np.full(x.size, f.t),
-                    x,
-                    polar.R,
-                    np.where(polar.valid, polar.S, np.nan),
-                    hydro_mod.quantum_potential(polar, mass),
-                    hydro_mod.momentum_field(polar),
-                ]
-            )
-        )
-    csv_path = out / "hydro.csv"
-    _write_csv(csv_path, ["t", "x", "R", "S", "U", "p"], np.concatenate(blocks))
+    written = frames[::stride]
+    polars = [hydro_mod.polar_decompose(f) for f in written]
+    table = {
+        "t": np.repeat([f.t for f in written], x.size),
+        "x": np.tile(x, len(written)),
+        "R": np.concatenate([polar.R for polar in polars]),
+        "S": np.concatenate([np.where(polar.valid, polar.S, np.nan) for polar in polars]),
+        "U": np.concatenate([hydro_mod.quantum_potential(polar, mass) for polar in polars]),
+        "p": np.concatenate([hydro_mod.momentum_field(polar) for polar in polars]),
+    }
     metrics = {
         "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),
         "hj_residual_l2": [float(v) for v in hj.l2],
@@ -580,7 +575,7 @@ def _run_hydro(config: ExperimentConfig, out: Path):
         "continuity_residual_l2_max": float(np.max(cont.l2)),
         "frames": len(frames),
     }
-    return metrics, [csv_path]
+    return metrics, {"hydro": table}
 
 
 def main(argv=None) -> int:

@@ -230,6 +230,20 @@ def _valid_runs(valid: np.ndarray):
     ]
 
 
+def _central_difference(f: np.ndarray, dx: float) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / 2dx at interior points; NaN at both ends."""
+    out = np.full(f.shape, np.nan)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    return out
+
+
+def _stencil_valid(valid: np.ndarray) -> np.ndarray:
+    """Interior points whose whole three-point stencil is valid."""
+    out = np.zeros(valid.shape, dtype=bool)
+    out[1:-1] = valid[1:-1] & valid[:-2] & valid[2:]
+    return out
+
+
 def quantum_potential(fields: PolarFields, mass: float) -> np.ndarray:
     """U = -(1/2m) (d^2 R / dx^2) / R by second central differences.
 
@@ -240,13 +254,11 @@ def quantum_potential(fields: PolarFields, mass: float) -> np.ndarray:
     if not fields.valid.any():
         raise ValidationError("quantum_potential: validity mask is empty")
     r = fields.R
-    out = np.full(r.shape, np.nan)
-    core = fields.valid[1:-1] & fields.valid[:-2] & fields.valid[2:]
-    d2 = r[2:] - 2.0 * r[1:-1] + r[:-2]
+    d2 = np.full(r.shape, np.nan)
+    d2[1:-1] = r[2:] - 2.0 * r[1:-1] + r[:-2]
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = -d2 / (2.0 * mass * fields.dx**2 * r[1:-1])
-    out[1:-1][core] = vals[core]
-    return out
+        u = -d2 / (2.0 * mass * fields.dx**2 * r)
+    return np.where(_stencil_valid(fields.valid), u, np.nan)
 
 
 def momentum_field(fields: PolarFields) -> np.ndarray:
@@ -256,12 +268,7 @@ def momentum_field(fields: PolarFields) -> np.ndarray:
     """
     if not fields.valid.any():
         raise ValidationError("momentum_field: validity mask is empty")
-    s = fields.S
-    out = np.full(s.shape, np.nan)
-    core = fields.valid[1:-1] & fields.valid[:-2] & fields.valid[2:]
-    grad = (s[2:] - s[:-2]) / (2.0 * fields.dx)
-    out[1:-1][core] = grad[core]
-    return out
+    return np.where(_stencil_valid(fields.valid), _central_difference(fields.S, fields.dx), np.nan)
 
 
 @dataclass(frozen=True)
@@ -282,6 +289,27 @@ def _frame_spacing(frames) -> float:
     if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-9 * dt:
         raise GridError("frames must be uniformly spaced in time")
     return dt
+
+
+def _residual_series(frames, r_floor: float | None, residual) -> ResidualSeries:
+    """``residual(polars, i, dt)`` at every interior frame i, masked where not finite.
+
+    Every frame is decomposed with ``r_floor``; the summary is the L2 norm
+    sqrt(sum residual^2 dx) per frame.
+    """
+    dt = _frame_spacing(frames)
+    polars = [polar_decompose(f, r_floor) for f in frames]
+    times = []
+    rows = []
+    l2 = []
+    for i in range(1, len(frames) - 1):
+        res = residual(polars, i, dt)
+        ok = np.isfinite(res)
+        res = np.where(ok, res, np.nan)
+        times.append(frames[i].t)
+        rows.append(res)
+        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * polars[i].dx)))
+    return ResidualSeries(np.array(times), np.array(rows), np.array(l2))
 
 
 def _anchored_phase_triple(polars, i):
@@ -317,34 +345,16 @@ def hj_residual(
     edge the quantum potential magnifies stencil error, so a caller checking
     tight tolerances can raise the floor.
     """
-    dt = _frame_spacing(frames)
     mass = frames[0].mass
-    x = frames[0].x
-    vx = potential.evaluate(x)
-    polars = [polar_decompose(f, r_floor) for f in frames]
+    vx = potential.evaluate(frames[0].x)
 
-    times = []
-    rows = []
-    l2 = []
-    for i in range(1, len(frames) - 1):
+    def residual(polars, i, dt):
         s_prev, s_mid, s_next = _anchored_phase_triple(polars, i)
-        p = polars[i]
         ds_dt = (s_next - s_prev) / (2.0 * dt)
-        grad = np.full(x.shape, np.nan)
-        grad[1:-1] = (s_mid[2:] - s_mid[:-2]) / (2.0 * p.dx)
-        u = quantum_potential(p, mass)
-        res = ds_dt + grad**2 / (2.0 * mass) + vx + u
-        ok = (
-            p.valid
-            & polars[i - 1].valid
-            & polars[i + 1].valid
-            & np.isfinite(res)
-        )
-        res[~ok] = np.nan
-        times.append(frames[i].t)
-        rows.append(res)
-        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * p.dx)))
-    return ResidualSeries(np.array(times), np.array(rows), np.array(l2))
+        grad = _central_difference(s_mid, polars[i].dx)
+        return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(polars[i], mass)
+
+    return _residual_series(frames, r_floor, residual)
 
 
 def continuity_residual(frames, mass: float, r_floor: float | None = None) -> ResidualSeries:
@@ -353,29 +363,11 @@ def continuity_residual(frames, mass: float, r_floor: float | None = None) -> Re
     Centered differences in t and x; the probability current needs the phase
     gradient, so points near the mask boundary drop out of the stencil.
     """
-    dt = _frame_spacing(frames)
-    x = frames[0].x
-    polars = [polar_decompose(f, r_floor) for f in frames]
 
-    times = []
-    rows = []
-    l2 = []
-    for i in range(1, len(frames) - 1):
+    def residual(polars, i, dt):
         p = polars[i]
-        rho_prev = polars[i - 1].R ** 2
-        rho_next = polars[i + 1].R ** 2
-        drho_dt = (rho_next - rho_prev) / (2.0 * dt)
+        drho_dt = (polars[i + 1].R ** 2 - polars[i - 1].R ** 2) / (2.0 * dt)
+        current = p.R**2 * _central_difference(p.S, p.dx) / mass
+        return drho_dt + _central_difference(current, p.dx)
 
-        grad_s = np.full(x.shape, np.nan)
-        grad_s[1:-1] = (p.S[2:] - p.S[:-2]) / (2.0 * p.dx)
-        current = p.R**2 * grad_s / mass
-        div = np.full(x.shape, np.nan)
-        div[1:-1] = (current[2:] - current[:-2]) / (2.0 * p.dx)
-
-        res = drho_dt + div
-        ok = np.isfinite(res)
-        res = np.where(ok, res, np.nan)
-        times.append(frames[i].t)
-        rows.append(res)
-        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * p.dx)))
-    return ResidualSeries(np.array(times), np.array(rows), np.array(l2))
+    return _residual_series(frames, r_floor, residual)

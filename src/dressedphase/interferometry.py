@@ -78,7 +78,7 @@ class PulsePairConfig:
                 warnings.warn(
                     "PulsePairConfig: pulses overlap (envelope above 1e-3 peak at the "
                     "midpoint); the summed drive is still propagated exactly",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @staticmethod
@@ -157,7 +157,6 @@ def pulse_pair_population(
     pair: PulsePairConfig,
     cfg: IntegratorConfig = IntegratorConfig(),
     engine: str = "rwa",
-    samples: int = 2,
 ) -> float:
     """Final excited population after both pulses of the pair.
 
@@ -166,8 +165,7 @@ def pulse_pair_population(
     estimate sin^2(area/2) leaves the weak-field regime (> 0.1).
     """
     _warn_if_strong(pair)
-    start, end = pair.window()
-    t_grid = np.linspace(start, end, max(2, samples))
+    t_grid = np.array(pair.window())
     cfg_eff = _step_capped(cfg, pair)
     if engine == "rwa":
         coupling = _pair_coupling(system, pair)

@@ -10,7 +10,7 @@ hbar = 1 throughout: the Rabi frequency is Omega(t) = mu * E0(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -316,15 +316,7 @@ class PhaseSpec(_TimeFunction):
 
     def shifted(self, delay: float, extra_phi0: float = 0.0) -> "PhaseSpec":
         """Replica delayed by ``delay`` with ``extra_phi0`` added to the constant."""
-        return PhaseSpec(
-            self.shape,
-            phi0=self.phi0 + extra_phi0,
-            rate=self.rate,
-            curvature=self.curvature,
-            depth=self.depth,
-            mod_freq=self.mod_freq,
-            t_ref=self.t_ref + delay,
-        )
+        return replace(self, phi0=self.phi0 + extra_phi0, t_ref=self.t_ref + delay)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    GridError,
     GridMismatchError,
     StepSizeUnderflowError,
     ValidationError,
@@ -50,6 +49,7 @@ from .model import (
     scalar_envelope_fn,
     scalar_phase_fn,
 )
+from .numerics import check_monotone_grid
 
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -173,13 +173,6 @@ class TrajectoryComparison:
     max_population_error: float
     final_phase_error_g: float
     final_phase_error_e: float
-
-
-def _check_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0.0):
-        raise GridError("invalid grid: t_grid must be 1-D and strictly increasing")
-    return t
 
 
 def _integrate_pair(
@@ -532,7 +525,7 @@ def rwa_propagate_coupling(
     Used for multi-pulse drives sharing one carrier: K(t) is the coherent sum
     of (Omega_j(t)/2) exp(-i phi_j(t)) over the pulses.
     """
-    t = _check_grid(t_grid)
+    t = check_monotone_grid(t_grid)
     integrate = partial(_integrate_pair, cfg=cfg)
     return _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame)
 
@@ -578,7 +571,7 @@ def full_field_propagate(
         i dc_g/dt = w_g c_g - Omega(t) cos(Phi(t)) c_e
         i dc_e/dt = w_e c_e - Omega(t) cos(Phi(t)) c_g - i (gamma/2) c_e
     """
-    t = _check_grid(t_grid)
+    t = check_monotone_grid(t_grid)
     return _propagate_full(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg))
 
 
@@ -595,7 +588,7 @@ def rk4_propagate(
     Steps ``substeps`` times between consecutive sample points; the stepper is
     entirely independent of the adaptive one so the two can audit each other.
     """
-    t = _check_grid(t_grid)
+    t = check_monotone_grid(t_grid)
     if substeps < 1:
         raise ValidationError("rk4_propagate: substeps must be >= 1")
     integrate = partial(_rk4_pair, substeps=substeps)

@@ -314,6 +314,8 @@ MALFORMED = {
     "integrator_not_object": (dressed_config(), "integrator", 5, "integrator"),
     "mu_beyond_float": (dressed_config(), "system.mu", 10**400, "system.mu"),
     "delay_negative": (_interfere_config(16), "interfere.delay", -1.0, "interfere.delay"),
+    "pulse_pair_constant_envelope": (_interfere_config(16), "field.envelope.shape", "constant",
+                                     "field.envelope.shape"),
     "n_points_1000": (hydro_config(), "hydro.n_points", 1000, "hydro.n_points"),
     "dx_zero": (hydro_config(), "hydro.dx", 0.0, "hydro.dx"),
     "dt_zero": (hydro_config(), "hydro.dt", 0.0, "hydro.dt"),
@@ -414,3 +416,14 @@ def test_unknown_fields_rejected():
     cfg2["system"]["charge"] = 3
     with pytest.raises(ConfigError, match="system.charge"):
         load_config_dict(cfg2)
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # The packet runs into the grid edge after a few steps: the solver fails
+    # midway, after the config was accepted, and nothing may be written.
+    cfg = json.loads((DEMO_CONFIGS / "hydro.json").read_text())
+    cfg["hydro"]["packet"]["k0"] = 40.0
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "edge leakage" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -172,3 +172,9 @@ def test_pair_validation():
         for delay, engine in ((30.0, "rwa"), (0.0, "rwa"), (30.0, "full")):
             with pytest.raises(ValidationError, match="delta_grid must be finite"):
                 phase_scan(SYSTEM, make_pair(delay), np.array([0.0, bad]), CFG, engine=engine)
+
+
+def test_overlap_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="overlap") as record:
+        PulsePairConfig(BASE, delay=1.0, rel_phase=0.0)
+    assert [w.filename for w in record] == [__file__]
