@@ -408,9 +408,12 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
     """Execute one experiment, then write <kind>.csv (and friends) plus summary.json.
 
     Everything is computed before ``out_dir`` is made, so a run that fails
-    computing leaves no output directory behind.
+    computing leaves nothing behind; an existing non-directory fails first.
     """
     started = time.perf_counter()
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"{out} exists and is not a directory")
     runner = {
         "dressed": _run_dressed,
         "adiabatic": _run_adiabatic,
@@ -419,7 +422,6 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
         "hydro": _run_hydro,
     }[config.kind]
     metrics, tables = runner(config)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for stem, columns in tables.items():

@@ -31,7 +31,7 @@ from .model import (
     complex_detuning,
     rabi_frequency,
 )
-from .numerics import check_monotone_grid, cumulative_simpson
+from .numerics import _read_only, check_monotone_grid, cumulative_simpson
 from .propagator import TwoLevelTrajectory
 
 #: Rabi-frequency floor as a fraction of the peak Rabi frequency.
@@ -82,14 +82,12 @@ class DressedPhaseSeries:
     """Sequence of :class:`DressedPhaseSet` over a time grid, stored as arrays."""
 
     def __init__(self, times, phi_G_r, phi_G_v, phi_E_r, phi_E_v, branch: str):
-        self.times = np.asarray(times, dtype=float)
-        self.phi_G_r = np.asarray(phi_G_r, dtype=complex)
-        self.phi_G_v = np.asarray(phi_G_v, dtype=complex)
-        self.phi_E_r = np.asarray(phi_E_r, dtype=complex)
-        self.phi_E_v = np.asarray(phi_E_v, dtype=complex)
+        self.times = _read_only(times, float)
+        self.phi_G_r = _read_only(phi_G_r, complex)
+        self.phi_G_v = _read_only(phi_G_v, complex)
+        self.phi_E_r = _read_only(phi_E_r, complex)
+        self.phi_E_v = _read_only(phi_E_v, complex)
         self.branch = branch
-        for arr in (self.times, self.phi_G_r, self.phi_G_v, self.phi_E_r, self.phi_E_v):
-            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return self.times.size
@@ -251,6 +249,8 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
     are reported alongside; the oracle comparison selects the plain shifts for
     the state assembly (see the module tests).
     """
+    if np.ndim(t) != 0:
+        raise ValidationError("level_shifts: t must be a scalar time")
     f = _frequencies(system, field, t)
     lam_p = complex(0.5 * (complex_detuning(system, field) + f.gen_rabi[0]))
     lam_m = complex(f.lambda_minus[0])

@@ -21,6 +21,7 @@ from .errors import (
     InsufficientFramesError,
     ValidationError,
 )
+from .numerics import _read_only
 
 #: Default mask floor as a fraction of max R.
 R_FLOOR_FRACTION = 1e-8
@@ -43,14 +44,13 @@ class GridWavefunction:
     t: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = _read_only(self.values, complex)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ValidationError("GridWavefunction: values must be 1-D")
         self.check_grid(values.size, self.dx, self.mass)
         if not np.all(np.isfinite(values.view(float))):
             raise ValidationError("GridWavefunction: values must be finite")
-        values.flags.writeable = False
 
     @staticmethod
     def check_grid(n_points: int, dx: float, mass: float) -> None:
@@ -134,6 +134,10 @@ class PolarFields:
     dx: float
     x_min: float
     r_floor: float
+
+    def __post_init__(self):
+        for name in ("R", "S", "valid"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def reconstruct(self) -> np.ndarray:
         """R exp(i S) on valid points (NaN elsewhere); inverse of the decomposition."""
@@ -278,6 +282,10 @@ class ResidualSeries:
     times: np.ndarray
     fields: np.ndarray
     l2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("times", "fields", "l2"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def _frame_spacing(frames) -> float:

@@ -7,7 +7,8 @@ constant phase shift of the driving is physically observable.
 
 The pair is propagated as one coherent drive, K(t) = K1(t) + K2(t) with
 K_j(t) = (Omega_j(t)/2) exp(-i phi_j(t)), so overlapping or even fully merged
-pulses (delay = 0) are handled exactly by linearity of the field.
+pulses (delay = 0) are handled exactly by linearity of the field; its DP5
+path is that of a single pulse, ``propagator._propagate`` of two pulses.
 
 A relative phase delta on pulse 2 is exactly the conjugation
 D(delta) U2 D(delta)^dagger of the pulse's propagator, D = diag(1, e^{-i delta}),
@@ -17,7 +18,8 @@ propagation per delta: the phase enters the fringe only through D(delta).
 Overlapping pulses differ between deltas only in the weight e^{-i delta} of
 pulse 2's coupling, so one batched run covers every delta.  Both use the
 Magnus segments of ``propagator``; single pairs (``pulse_pair_population``)
-and full-field scans use DP5.
+and full-field scans (one pair per delta) use DP5.  A scan of any engine
+warns once, at its caller.
 """
 
 from __future__ import annotations
@@ -31,21 +33,15 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    DrivingField,
-    TwoLevelSystem,
-    _complex_detuning,
-    scalar_envelope_fn,
-    scalar_phase_fn,
-)
+from .model import DrivingField, TwoLevelSystem, _complex_detuning
+from .numerics import _read_only
 from .propagator import (
     IntegratorConfig,
     TwoLevelState,
     _array_coupling_fn,
     _integrate_pair,
     _magnus_propagator,
-    _propagate_full,
-    rwa_propagate_coupling,
+    _propagate,
 )
 
 _GROUND = TwoLevelState(1.0 + 0.0j, 0.0j)
@@ -90,12 +86,13 @@ class PulsePairConfig:
     @property
     def second(self) -> DrivingField:
         """The delayed replica: envelope shifted, chirp shifted, constant offset."""
+        return self._replica(self.rel_phase)
+
+    def _replica(self, rel_phase: float) -> DrivingField:
+        """The delayed replica at relative phase ``rel_phase``, normalized as in a pair."""
         env = replace(self.base.envelope, center=self.base.envelope.center + self.delay)
-        return DrivingField(
-            self.base.carrier,
-            env,
-            self.base.phase.shifted(self.delay, extra_phi0=self.rel_phase),
-        )
+        phase = self.base.phase.shifted(self.delay, extra_phi0=rel_phase % (2.0 * math.pi))
+        return DrivingField(self.base.carrier, env, phase)
 
     def pulse_area(self) -> float:
         """Diagnostic area of one pulse, integral of Omega dt (mu = 1 units)."""
@@ -119,19 +116,9 @@ class FringeRecord:
     visibility: float
     delta_star: float
 
-
-def _pair_coupling(system: TwoLevelSystem, pair: PulsePairConfig):
-    base, second = pair.base, pair.second
-    env1, env2 = scalar_envelope_fn(base.envelope), scalar_envelope_fn(second.envelope)
-    ph1, ph2 = scalar_phase_fn(base.phase), scalar_phase_fn(second.phase)
-    half_mu = 0.5 * system.mu
-
-    def coupling(t: float) -> complex:
-        return half_mu * (
-            env1(t) * cmath.exp(-1j * ph1(t)) + env2(t) * cmath.exp(-1j * ph2(t))
-        )
-
-    return coupling
+    def __post_init__(self):
+        for name in ("deltas", "populations"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def _warn_if_strong(pair: PulsePairConfig) -> None:
@@ -152,6 +139,13 @@ def _step_capped(cfg: IntegratorConfig, pair: PulsePairConfig) -> IntegratorConf
     return replace(cfg, max_step=min(cfg.max_step, 0.5 * pair.base.envelope.width))
 
 
+def _pair_population(system, pair, second, capped, engine) -> float:
+    """P_e from |g> after ``pair.base`` and ``second``: one DP5 run, steps capped by ``capped``."""
+    integrate = partial(_integrate_pair, cfg=capped)
+    traj = _propagate(system, (pair.base, second), _GROUND, np.array(pair.window()), integrate, engine)
+    return float(abs(traj.c_e[-1]) ** 2)
+
+
 def pulse_pair_population(
     system: TwoLevelSystem,
     pair: PulsePairConfig,
@@ -165,20 +159,7 @@ def pulse_pair_population(
     estimate sin^2(area/2) leaves the weak-field regime (> 0.1).
     """
     _warn_if_strong(pair)
-    t_grid = np.array(pair.window())
-    cfg_eff = _step_capped(cfg, pair)
-    if engine == "rwa":
-        coupling = _pair_coupling(system, pair)
-        traj = rwa_propagate_coupling(
-            system, coupling, pair.base.carrier, _GROUND, t_grid, cfg_eff
-        )
-        return float(traj.population_e[-1])
-    if engine == "full":
-        traj = _propagate_full(
-            system, (pair.base, pair.second), _GROUND, t_grid, partial(_integrate_pair, cfg=cfg_eff)
-        )
-        return float(abs(traj.c_e[-1]) ** 2)
-    raise ValidationError("pulse_pair_population: engine must be 'rwa' or 'full'")
+    return _pair_population(system, pair, pair.second, _step_capped(cfg, pair), engine)
 
 
 def phase_scan(
@@ -201,36 +182,31 @@ def phase_scan(
     envelope width) and double their interval count until the propagator
     changes by at most ``abs_tol + rel_tol * max|U|`` between counts.
     Constant envelopes have no pulse window and are rejected.  The full-field
-    engine, whose real field has no such symmetry, propagates each delta
-    with DP5.  ``delta_grid`` must be a non-empty 1-D array of finite values
-    on every path.
+    engine, whose real field has no such symmetry, propagates the pair at
+    each delta with DP5, exactly as ``pulse_pair_population`` does.  Every
+    engine warns at most once per scan.  ``delta_grid`` must be a non-empty
+    1-D array of finite values on every path.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValidationError("phase_scan: delta_grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(deltas)):
         raise ValidationError("phase_scan: delta_grid must be finite")
-    if engine == "rwa":
-        _warn_if_strong(pair)
-        capped = _step_capped(cfg, pair)
-        if pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
-            populations = _composed_populations(system, pair, deltas, capped)
-        else:
-            populations = _summed_populations(system, pair, deltas, capped)
+    _warn_if_strong(pair)
+    capped = _step_capped(cfg, pair)
+    if engine != "rwa":
+        replicas = [pair._replica(delta) for delta in deltas.tolist()]
+        populations = np.array([_pair_population(system, pair, r, capped, engine) for r in replicas])
+    elif pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
+        populations = _composed_populations(system, pair, deltas, capped)
     else:
-        populations = np.empty_like(deltas)
-        for i, delta in enumerate(deltas):
-            populations[i] = pulse_pair_population(
-                system, replace(pair, rel_phase=float(delta)), cfg, engine=engine
-            )
-    vis = _visibility_value(populations)
-    delta_star = float(deltas[int(np.argmax(populations))])
-    record = FringeRecord(
-        deltas=deltas, populations=populations, visibility=vis, delta_star=delta_star
+        populations = _summed_populations(system, pair, deltas, capped)
+    return FringeRecord(
+        deltas=deltas,
+        populations=populations,
+        visibility=_visibility_value(populations),
+        delta_star=float(deltas[int(np.argmax(populations))]),
     )
-    record.deltas.flags.writeable = False
-    record.populations.flags.writeable = False
-    return record
 
 
 def _composed_populations(
@@ -307,7 +283,5 @@ def fit_fringe(record: FringeRecord) -> tuple[float, float, float, float]:
     a, c, s = coef
     b = math.hypot(c, s)
     delta0 = math.atan2(-s, c)
-    residual = float(
-        np.sqrt(np.mean((design @ coef - record.populations) ** 2))
-    )
+    residual = float(np.sqrt(np.mean((design @ coef - record.populations) ** 2)))
     return float(a), float(b), float(delta0), residual

@@ -22,6 +22,13 @@ def check_monotone_grid(t_grid: np.ndarray) -> np.ndarray:
     return t
 
 
+def _read_only(values, dtype=None) -> np.ndarray:
+    """``values`` as an array through a read-only view; the caller's own array stays writeable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative integral of samples ``f`` over grid ``t`` with Simpson accuracy.
 

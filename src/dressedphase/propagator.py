@@ -5,15 +5,16 @@ checked against.  Two frames are provided:
 
 * ``full_field_propagate`` integrates the bare-frame equations with the real
   field E0(t) cos(W t + phi(t)), counter-rotating terms included;
-* ``rwa_propagate_coupling`` integrates the rotating-wave equations the
-  dressed-state solution lives in, for any complex coupling K(t) of pulses
-  sharing one carrier; ``rwa_propagate`` is its single-pulse case.
+* ``rwa_propagate`` integrates the rotating-wave equations the dressed-state
+  solution lives in; ``rwa_propagate_coupling`` takes any complex coupling
+  K(t) on one carrier instead of a pulse.
 
-Each frame has one right-hand side, shared by every engine and by the pulse
-pairs of ``interferometry``.  The main engine is an adaptive embedded
-Dormand-Prince 5(4) stepper written for the two-component complex state
-(samples are hit exactly by clipping the step, so no interpolation error
-enters recorded trajectories).  ``rk4_propagate`` runs the same right-hand
+A drive is a tuple of pulses on one carrier, so single pulses and the pairs
+of ``interferometry`` share one path, ``_propagate``: it checks the engine
+and sums the pulses into the frame's one right-hand side.  The main engine
+is an adaptive embedded Dormand-Prince 5(4) stepper written for the
+two-component complex state (samples are hit exactly by clipping the step,
+so no interpolation error enters recorded trajectories).  ``rk4_propagate`` runs the same right-hand
 sides through a fixed-step RK4 stepper as a second, independent cross-check.
 
 The fringe scans of ``interferometry`` need only the 2x2 rotating-frame
@@ -49,7 +50,7 @@ from .model import (
     scalar_envelope_fn,
     scalar_phase_fn,
 )
-from .numerics import check_monotone_grid
+from .numerics import _read_only, check_monotone_grid
 
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -128,18 +129,13 @@ class TwoLevelTrajectory:
     """
 
     def __init__(self, times: np.ndarray, c_g: np.ndarray, c_e: np.ndarray, frame: str = "bare"):
-        times = np.asarray(times, dtype=float)
-        c_g = np.asarray(c_g, dtype=complex)
-        c_e = np.asarray(c_e, dtype=complex)
-        if not (times.shape == c_g.shape == c_e.shape):
+        self.times = _read_only(times, float)
+        self.c_g = _read_only(c_g, complex)
+        self.c_e = _read_only(c_e, complex)
+        if not (self.times.shape == self.c_g.shape == self.c_e.shape):
             raise ValidationError("TwoLevelTrajectory: times and amplitudes must share a shape")
         if frame not in ("bare", "rotating"):
             raise ValidationError("TwoLevelTrajectory: frame must be 'bare' or 'rotating'")
-        for arr in (times, c_g, c_e):
-            arr.flags.writeable = False
-        self.times = times
-        self.c_g = c_g
-        self.c_e = c_e
         self.frame = frame
 
     def __len__(self) -> int:
@@ -444,9 +440,13 @@ def _rwa_rhs(
     return rhs
 
 
-def _field_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[float], complex]:
-    env = scalar_envelope_fn(field.envelope)
-    phi = scalar_phase_fn(field.phase)
+def _coupling_fn(system: TwoLevelSystem, fields: tuple[DrivingField, ...]) -> Callable[[float], complex]:
+    """K(t) = sum_j (mu E0_j(t)/2) exp(-i phi_j(t)) of pulses sharing one carrier."""
+    if len(fields) > 1:
+        first, *rest = [_coupling_fn(system, (field,)) for field in fields]
+        return lambda t: sum((k(t) for k in rest), first(t))
+    env = scalar_envelope_fn(fields[0].envelope)
+    phi = scalar_phase_fn(fields[0].phase)
     half_mu = 0.5 * system.mu
 
     def coupling(t: float) -> complex:
@@ -506,9 +506,8 @@ def rwa_propagate(
         i da_g/dt = -(Omega/2) e^{+i phi} a_e
         i da_e/dt = dw a_e - (Omega/2) e^{-i phi} a_g - i (gamma/2) a_e
     """
-    return rwa_propagate_coupling(
-        system, _field_coupling_fn(system, field), field.carrier, initial, t_grid, cfg, frame
-    )
+    t = check_monotone_grid(t_grid)
+    return _propagate(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg), "rwa", frame)
 
 
 def rwa_propagate_coupling(
@@ -522,8 +521,9 @@ def rwa_propagate_coupling(
 ) -> TwoLevelTrajectory:
     """Rotating-wave propagation with an arbitrary complex coupling K(t).
 
-    Used for multi-pulse drives sharing one carrier: K(t) is the coherent sum
-    of (Omega_j(t)/2) exp(-i phi_j(t)) over the pulses.
+    K(t) is any drive on one carrier, e.g. the coherent sum of
+    (Omega_j(t)/2) exp(-i phi_j(t)) over pulses; ``rwa_propagate`` is the
+    case of one ``DrivingField``.
     """
     t = check_monotone_grid(t_grid)
     integrate = partial(_integrate_pair, cfg=cfg)
@@ -552,8 +552,17 @@ def _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame)
     return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
 
 
-def _propagate_full(system, fields, initial, t, integrate) -> TwoLevelTrajectory:
-    """Integrate the bare-frame equations with the summed real field of ``fields``."""
+def _propagate(system, fields, initial, t, integrate, engine, frame="bare") -> TwoLevelTrajectory:
+    """Propagate ``initial`` over ``t`` under the pulses ``fields`` (one carrier) with ``integrate``.
+
+    ``engine`` 'rwa' integrates the rotating-wave equations of the summed
+    coupling (returned in ``frame``), 'full' those of the summed real field.
+    """
+    if engine == "rwa":
+        coupling = _coupling_fn(system, fields)
+        return _propagate_rotating(system, coupling, fields[0].carrier, initial, t, integrate, frame)
+    if engine != "full":
+        raise ValidationError(f"engine must be 'rwa' or 'full', not {engine!r}")
     rhs = _full_field_rhs(system, fields)
     c_g, c_e = integrate(rhs, t, (complex(initial.c_g), complex(initial.c_e)))
     return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
@@ -572,7 +581,7 @@ def full_field_propagate(
         i dc_e/dt = w_e c_e - Omega(t) cos(Phi(t)) c_g - i (gamma/2) c_e
     """
     t = check_monotone_grid(t_grid)
-    return _propagate_full(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg))
+    return _propagate(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg), "full")
 
 
 def rk4_propagate(
@@ -591,13 +600,7 @@ def rk4_propagate(
     t = check_monotone_grid(t_grid)
     if substeps < 1:
         raise ValidationError("rk4_propagate: substeps must be >= 1")
-    integrate = partial(_rk4_pair, substeps=substeps)
-    if engine == "rwa":
-        coupling = _field_coupling_fn(system, field)
-        return _propagate_rotating(system, coupling, field.carrier, initial, t, integrate, "bare")
-    if engine == "full":
-        return _propagate_full(system, (field,), initial, t, integrate)
-    raise ValidationError("rk4_propagate: engine must be 'rwa' or 'full'")
+    return _propagate(system, (field,), initial, t, partial(_rk4_pair, substeps=substeps), engine)
 
 
 def _final_phase_error(ca: np.ndarray, cb: np.ndarray) -> float:

@@ -328,3 +328,31 @@ def test_a8_hydrodynamic_identities():
     assert cont_drop >= 3.5
     assert momentum_err <= 1e-8
     assert elapsed < 10.0
+
+
+def test_results_are_read_only_views_of_the_callers_arrays():
+    """README: all value types are immutable.  Every result array is read-only,
+    and the arrays the caller passed in stay writeable."""
+    system = TwoLevelSystem(0.0, 5.0)
+    field = DrivingField(5.0, EnvelopeSpec.gaussian(0.05, 5.0, 2.0))
+    t = np.linspace(0.0, 10.0, 101)
+    deltas = np.linspace(0.0, 2.0 * math.pi, 8)
+    x = -20.0 + 40.0 / 256 * np.arange(256)
+    psi = free_gaussian(x, 0.0, sigma0=1.5)
+    wavefunction = GridWavefunction(-20.0, 40.0 / 256, psi)
+    frames = split_step_solve(wavefunction, PotentialSpec.free(), t_final=0.1, dt=0.05)
+    results = [
+        (rwa_propagate(system, field, TwoLevelState(1.0, 0.0), t), ("times", "c_g", "c_e")),
+        (
+            dressed_phases(system, field, InitialPhases(), "ground", t),
+            ("times", "phi_G_r", "phi_G_v", "phi_E_r", "phi_E_v"),
+        ),
+        (phase_scan(system, PulsePairConfig(field, 30.0, 0.0), deltas), ("deltas", "populations")),
+        (wavefunction, ("values",)),
+        (polar_decompose(wavefunction), ("R", "S", "valid")),
+        (hj_residual(frames, PotentialSpec.free()), ("times", "fields", "l2")),
+    ]
+    for result, names in results:
+        for name in names:
+            assert not getattr(result, name).flags.writeable, (type(result).__name__, name)
+    assert t.flags.writeable and deltas.flags.writeable and psi.flags.writeable

@@ -2,10 +2,12 @@ import copy
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dressedphase import cli
 from dressedphase.cli import (
     ExperimentConfig,
     _write_csv,
@@ -362,7 +364,9 @@ def _out_is_a_file(tmp_path):
 @pytest.mark.parametrize("paths", [_missing, _directory, _not_utf8, _out_is_a_file])
 def test_unreadable_input_exits_1(tmp_path, capsys, paths):
     config_path, out = paths(tmp_path)
-    assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 1
+    # Each case fails before any computation: an --out that is a file included.
+    with mock.patch.object(cli, "_run_dressed", side_effect=AssertionError("the runner ran")):
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cli: ")
 

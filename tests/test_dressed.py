@@ -96,6 +96,9 @@ class TestLevelShifts:
         assert eff.lambda_plus == pytest.approx(1.0, abs=1e-14)
         assert eff.lambda_minus == pytest.approx(-1.0, abs=1e-14)
         assert eff.omega_G == pytest.approx(-1.0, abs=1e-14)
+        # A grid of times is not silently read at its first point.
+        with pytest.raises(ValidationError, match="level_shifts: t must be a scalar time"):
+            level_shifts(RESONANT, RES_FIELD, np.array([0.0, 1.0]))
 
     def test_static_tilde_equals_plain(self):
         eff = level_shifts(DETUNED, DET_FIELD, 1.0)

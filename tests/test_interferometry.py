@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,8 @@ def test_full_field_engine_available():
     assert p_full == pytest.approx(p_rwa, rel=0.1)
     with pytest.raises(ValidationError):
         pulse_pair_population(system, pair, CFG, engine="magic")
+    with pytest.raises(ValidationError):
+        phase_scan(system, pair, [0.0], CFG, engine="magic")
 
 
 def test_area_and_strong_pulse_warning():
@@ -159,6 +162,11 @@ def test_area_and_strong_pulse_warning():
         pulse_pair_population(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), CFG)
     with pytest.warns(UserWarning, match="excitation estimate"):
         phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), [0.0], CFG)
+    # A full-field scan propagates the pair once per delta, and still warns once, here.
+    deltas = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    with pytest.warns(UserWarning, match="excitation estimate") as record:
+        phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), deltas, CFG, engine="full")
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_pair_validation():
@@ -176,5 +184,9 @@ def test_pair_validation():
 
 def test_overlap_warning_names_the_caller():
     with pytest.warns(UserWarning, match="overlap") as record:
-        PulsePairConfig(BASE, delay=1.0, rel_phase=0.0)
+        pair = PulsePairConfig(BASE, delay=1.0, rel_phase=0.0)
     assert [w.filename for w in record] == [__file__]
+    # The scan builds no pair per delta, so it does not warn again.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase_scan(SYSTEM, pair, [0.0, 1.0, 2.0], CFG, engine="full")

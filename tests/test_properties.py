@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from dressedphase import interferometry, propagator
 from dressedphase.dressed import _continued_rabi, generalized_rabi
-from dressedphase.interferometry import PulsePairConfig, _pair_coupling, fit_fringe, phase_scan
+from dressedphase.interferometry import PulsePairConfig, fit_fringe, phase_scan
 from dressedphase.model import (
     ENVELOPE_SHAPES,
     MAX_DERIVATIVE_ORDER,
@@ -47,8 +47,8 @@ from dressedphase.propagator import (
     IntegratorConfig,
     TwoLevelState,
     _array_coupling_fn,
+    _coupling_fn,
     _expm2,
-    _field_coupling_fn,
     _magnus_propagator,
     compare_trajectories,
     full_field_propagate,
@@ -154,9 +154,9 @@ def test_phase_derivative_scalar_matches_array(ph, t, order):
 def test_pair_coupling_is_sum_of_single_pulses(env, ph, carrier, mu, delay, rel_phase, t):
     system = TwoLevelSystem(0.0, 5.0, mu=mu)
     pair = PulsePairConfig(DrivingField(carrier, env, ph), delay, rel_phase)
-    first = _field_coupling_fn(system, pair.base)(t)
-    second = _field_coupling_fn(system, pair.second)(t)
-    fused = _pair_coupling(system, pair)(t)
+    first = _coupling_fn(system, (pair.base,))(t)
+    second = _coupling_fn(system, (pair.second,))(t)
+    fused = _coupling_fn(system, (pair.base, pair.second))(t)
     assert abs(fused - (first + second)) <= REL * (abs(first) + abs(second)) + TINY
 
 
