@@ -8,7 +8,7 @@ constant phase shift of the driving is physically observable.
 The pair is propagated as one coherent drive, K(t) = K1(t) + K2(t) with
 K_j(t) = (Omega_j(t)/2) exp(-i phi_j(t)), so overlapping or even fully merged
 pulses (delay = 0) are handled exactly by linearity of the field; its DP5
-path is that of a single pulse, ``propagator._propagate`` of two pulses.
+path is that of a single pulse, ``propagator._propagate`` of both pulses' drive.
 
 A relative phase delta on pulse 2 is exactly the conjugation
 D(delta) U2 D(delta)^dagger of the pulse's propagator, D = diag(1, e^{-i delta}),
@@ -39,6 +39,7 @@ from .propagator import (
     IntegratorConfig,
     TwoLevelState,
     _array_coupling_fn,
+    _drive,
     _integrate_pair,
     _magnus_propagator,
     _propagate,
@@ -142,7 +143,8 @@ def _step_capped(cfg: IntegratorConfig, pair: PulsePairConfig) -> IntegratorConf
 def _pair_population(system, pair, second, capped, engine) -> float:
     """P_e from |g> after ``pair.base`` and ``second``: one DP5 run, steps capped by ``capped``."""
     integrate = partial(_integrate_pair, cfg=capped)
-    traj = _propagate(system, (pair.base, second), _GROUND, np.array(pair.window()), integrate, engine)
+    coupling, carrier = _drive(system, (pair.base, second), engine)
+    traj = _propagate(system, coupling, carrier, _GROUND, pair.window(), integrate)
     return float(abs(traj.c_e[-1]) ** 2)
 
 

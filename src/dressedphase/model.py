@@ -71,10 +71,10 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _require_finite(value, names) -> None:
+def _require_finite(value, names, isfinite=math.isfinite) -> None:
     """Raise ValidationError naming the first of ``names`` that is NaN or infinite."""
     for name in names:
-        if not math.isfinite(getattr(value, name)):
+        if not isfinite(getattr(value, name)):
             raise ValidationError(f"{type(value).__name__}: {name} must be finite")
 
 

@@ -13,12 +13,14 @@ from .errors import GridError
 
 
 def check_monotone_grid(t_grid: np.ndarray) -> np.ndarray:
-    """Return ``t_grid`` as a float array, raising GridError unless strictly increasing."""
+    """``t_grid`` as a float array; GridError unless finite and strictly increasing."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise GridError("invalid grid: t_grid must be 1-D with at least 2 points")
     if not np.all(np.diff(t) > 0.0):
         raise GridError("invalid grid: t_grid is non-monotone; it must be strictly increasing")
+    if not np.all(np.isfinite(t)):
+        raise GridError("invalid grid: t_grid must be finite")
     return t
 
 

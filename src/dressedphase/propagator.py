@@ -1,7 +1,7 @@
 """Brute-force numerical integration of the driven two-level Schrodinger equation.
 
 This is the ground-truth oracle the closed-form dressed-state results are
-checked against.  Two frames are provided:
+checked against.  Two engines are provided:
 
 * ``full_field_propagate`` integrates the bare-frame equations with the real
   field E0(t) cos(W t + phi(t)), counter-rotating terms included;
@@ -9,13 +9,13 @@ checked against.  Two frames are provided:
   solution lives in; ``rwa_propagate_coupling`` takes any complex coupling
   K(t) on one carrier instead of a pulse.
 
-A drive is a tuple of pulses on one carrier, so single pulses and the pairs
-of ``interferometry`` share one path, ``_propagate``: it checks the engine
-and sums the pulses into the frame's one right-hand side.  The main engine
-is an adaptive embedded Dormand-Prince 5(4) stepper written for the
-two-component complex state (samples are hit exactly by clipping the step,
-so no interpolation error enters recorded trajectories).  ``rk4_propagate`` runs the same right-hand
-sides through a fixed-step RK4 stepper as a second, independent cross-check.
+Both integrate one equation, ``_rwa_rhs``, in a frame rotating at w_g: an
+engine is a choice of drive (``_drive``) for a tuple of pulses on one carrier,
+so single pulses and the pairs of ``interferometry`` share one path,
+``_propagate``.  The main stepper is an adaptive embedded Dormand-Prince 5(4)
+one for the two-component complex state (steps are clipped onto the samples,
+so no interpolation error enters trajectories); ``rk4_propagate`` runs the
+same equation through a fixed-step RK4 stepper as an independent cross-check.
 
 The fringe scans of ``interferometry`` need only the 2x2 rotating-frame
 propagator of a pulse, often for many drives that differ in one phase.
@@ -47,6 +47,7 @@ from .model import (
     DrivingField,
     TwoLevelSystem,
     _complex_detuning,
+    _require_finite,
     scalar_envelope_fn,
     scalar_phase_fn,
 )
@@ -92,6 +93,9 @@ class TwoLevelState:
 
     c_g: complex
     c_e: complex
+
+    def __post_init__(self):
+        _require_finite(self, ("c_g", "c_e"), cmath.isfinite)
 
     def norm(self) -> float:
         return abs(self.c_g) ** 2 + abs(self.c_e) ** 2
@@ -427,7 +431,8 @@ def _rwa_rhs(
 ) -> Callable[[float, complex, complex], tuple[complex, complex]]:
     """Rotating-frame right-hand side with a_g, a_e referenced to w_g and w_g + w.
 
-    ``coupling`` is K(t) = (Omega(t)/2) exp(-i phi(t)); the equations are
+    ``coupling`` is K(t) of ``_drive``: (Omega(t)/2) exp(-i phi(t)), or the
+    real mu E(t) at w = 0.  The equations, the only ones integrated, are
     da_g/dt = i conj(K) a_e and da_e/dt = -i dw~ a_e + i K a_g with the full
     complex detuning dw~ = dw - i gamma/2.
     """
@@ -465,30 +470,55 @@ def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[
     return coupling
 
 
-def _full_field_rhs(
-    system: TwoLevelSystem, fields: tuple[DrivingField, ...]
-) -> Callable[[float, complex, complex], tuple[complex, complex]]:
-    """Bare-frame right-hand side for pulses sharing the carrier of ``fields[0]``.
-
-    The real field sum_j E0_j(t) cos(W t + phi_j(t)) is summed first and then
-    multiplied by mu.
-    """
+def _field_fn(system: TwoLevelSystem, fields: tuple[DrivingField, ...]) -> Callable[[float], float]:
+    """Real coupling mu E(t): sum_j E0_j(t) cos(W t + phi_j(t)) first, then times mu."""
     (first_env, first_phi), *rest = [
         (scalar_envelope_fn(f.envelope), scalar_phase_fn(f.phase)) for f in fields
     ]
     mu, carrier = system.mu, fields[0].carrier
-    m_i_wg = -1j * system.omega_g
-    m_i_we = -1j * system.omega_e - 0.5 * system.gamma
 
-    def rhs(t: float, c_g: complex, c_e: complex) -> tuple[complex, complex]:
+    def field(t: float) -> float:
         wt = carrier * t
         e_t = first_env(t) * math.cos(wt + first_phi(t))
         for env, phi in rest:
             e_t += env(t) * math.cos(wt + phi(t))
-        w = mu * e_t
-        return m_i_wg * c_g + 1j * w * c_e, m_i_we * c_e + 1j * w * c_g
+        return mu * e_t
 
-    return rhs
+    return field
+
+
+def _drive(system: TwoLevelSystem, fields: tuple[DrivingField, ...], engine: str) -> tuple:
+    """The coupling and frame carrier of ``_rwa_rhs`` for pulses ``fields`` on one carrier W.
+
+    'rwa': K(t) on W.  'full': the real mu E(t) on carrier 0, since the
+    bare-frame equations with the real field are ``_rwa_rhs`` in the frame
+    rotating at w_g (Allen & Eberly, Optical Resonance and Two-Level Atoms,
+    1975, ch. 2); a common shift of both levels is then an exact global phase.
+    """
+    if engine == "rwa":
+        return _coupling_fn(system, fields), fields[0].carrier
+    if engine == "full":
+        return _field_fn(system, fields), 0.0
+    raise ValidationError(f"engine must be 'rwa' or 'full', not {engine!r}")
+
+
+def _propagate(system, coupling, carrier, initial, t_grid, integrate, frame="bare"):
+    """Propagate ``initial`` over ``t_grid`` under K(t) on ``carrier`` with ``integrate``.
+
+    The state is moved into the frame rotating at w_g and w_g + carrier,
+    integrated there by ``_rwa_rhs``, and moved back unless ``frame`` is
+    'rotating'.  The grid and the frame are checked before any integration.
+    """
+    t = check_monotone_grid(t_grid)
+    if frame not in ("bare", "rotating"):
+        raise ValidationError(f"frame must be 'bare' or 'rotating', not {frame!r}")
+    rhs = _rwa_rhs(coupling, _complex_detuning(system, carrier))
+    w_g, w_e_frame = system.omega_g, system.omega_g + carrier
+    a0 = (initial.c_g * cmath.exp(1j * w_g * t[0]), initial.c_e * cmath.exp(1j * w_e_frame * t[0]))
+    a_g, a_e = integrate(rhs, t, a0)
+    if frame == "bare":
+        a_g, a_e = a_g * np.exp(-1j * w_g * t), a_e * np.exp(-1j * w_e_frame * t)
+    return TwoLevelTrajectory(t, a_g, a_e, frame=frame)
 
 
 def rwa_propagate(
@@ -499,15 +529,15 @@ def rwa_propagate(
     cfg: IntegratorConfig = IntegratorConfig(),
     frame: str = "bare",
 ) -> TwoLevelTrajectory:
-    """Integrate the rotating-wave equations and return the bare-frame trajectory.
+    """Integrate the rotating-wave equations and return the trajectory in ``frame``.
 
     With a_g = c_g e^{i w_g t} and a_e = c_e e^{i (w_g + w) t} the equations are
 
         i da_g/dt = -(Omega/2) e^{+i phi} a_e
         i da_e/dt = dw a_e - (Omega/2) e^{-i phi} a_g - i (gamma/2) a_e
     """
-    t = check_monotone_grid(t_grid)
-    return _propagate(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg), "rwa", frame)
+    integrate = partial(_integrate_pair, cfg=cfg)
+    return _propagate(system, *_drive(system, (field,), "rwa"), initial, t_grid, integrate, frame)
 
 
 def rwa_propagate_coupling(
@@ -525,47 +555,8 @@ def rwa_propagate_coupling(
     (Omega_j(t)/2) exp(-i phi_j(t)) over pulses; ``rwa_propagate`` is the
     case of one ``DrivingField``.
     """
-    t = check_monotone_grid(t_grid)
     integrate = partial(_integrate_pair, cfg=cfg)
-    return _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame)
-
-
-def _propagate_rotating(system, coupling, carrier, initial, t, integrate, frame) -> TwoLevelTrajectory:
-    """Rotating-wave propagation of ``initial`` under the coupling K(t) with ``integrate``.
-
-    The state is moved into the frame rotating at w_g and w_g + carrier,
-    integrated there, and moved back unless ``frame`` is 'rotating'.
-    """
-    rhs = _rwa_rhs(coupling, _complex_detuning(system, carrier))
-    t0 = t[0]
-    w_g = system.omega_g
-    w_e_frame = system.omega_g + carrier
-    a0 = (
-        initial.c_g * cmath.exp(1j * w_g * t0),
-        initial.c_e * cmath.exp(1j * w_e_frame * t0),
-    )
-    a_g, a_e = integrate(rhs, t, a0)
-    if frame == "rotating":
-        return TwoLevelTrajectory(t, a_g, a_e, frame="rotating")
-    c_g = a_g * np.exp(-1j * w_g * t)
-    c_e = a_e * np.exp(-1j * w_e_frame * t)
-    return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
-
-
-def _propagate(system, fields, initial, t, integrate, engine, frame="bare") -> TwoLevelTrajectory:
-    """Propagate ``initial`` over ``t`` under the pulses ``fields`` (one carrier) with ``integrate``.
-
-    ``engine`` 'rwa' integrates the rotating-wave equations of the summed
-    coupling (returned in ``frame``), 'full' those of the summed real field.
-    """
-    if engine == "rwa":
-        coupling = _coupling_fn(system, fields)
-        return _propagate_rotating(system, coupling, fields[0].carrier, initial, t, integrate, frame)
-    if engine != "full":
-        raise ValidationError(f"engine must be 'rwa' or 'full', not {engine!r}")
-    rhs = _full_field_rhs(system, fields)
-    c_g, c_e = integrate(rhs, t, (complex(initial.c_g), complex(initial.c_e)))
-    return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
+    return _propagate(system, coupling, carrier, initial, t_grid, integrate, frame)
 
 
 def full_field_propagate(
@@ -579,9 +570,11 @@ def full_field_propagate(
 
         i dc_g/dt = w_g c_g - Omega(t) cos(Phi(t)) c_e
         i dc_e/dt = w_e c_e - Omega(t) cos(Phi(t)) c_g - i (gamma/2) c_e
+
+    They are integrated in the frame rotating at w_g (see ``_drive``).
     """
-    t = check_monotone_grid(t_grid)
-    return _propagate(system, (field,), initial, t, partial(_integrate_pair, cfg=cfg), "full")
+    integrate = partial(_integrate_pair, cfg=cfg)
+    return _propagate(system, *_drive(system, (field,), "full"), initial, t_grid, integrate)
 
 
 def rk4_propagate(
@@ -597,10 +590,10 @@ def rk4_propagate(
     Steps ``substeps`` times between consecutive sample points; the stepper is
     entirely independent of the adaptive one so the two can audit each other.
     """
-    t = check_monotone_grid(t_grid)
-    if substeps < 1:
-        raise ValidationError("rk4_propagate: substeps must be >= 1")
-    return _propagate(system, (field,), initial, t, partial(_rk4_pair, substeps=substeps), engine)
+    if isinstance(substeps, bool) or not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValidationError("rk4_propagate: substeps must be an integer >= 1")
+    integrate = partial(_rk4_pair, substeps=substeps)
+    return _propagate(system, *_drive(system, (field,), engine), initial, t_grid, integrate)
 
 
 def _final_phase_error(ca: np.ndarray, cb: np.ndarray) -> float:

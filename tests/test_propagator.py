@@ -24,13 +24,16 @@ from dressedphase.propagator import (
     TwoLevelState,
     TwoLevelTrajectory,
     _array_coupling_fn,
+    _coupling_fn,
     _magnus_grid,
     _magnus_propagator,
     compare_trajectories,
     full_field_propagate,
     rk4_propagate,
     rwa_propagate,
+    rwa_propagate_coupling,
 )
+from dressedphase.numerics import check_monotone_grid
 from oracles import rabi_population
 
 RESONANT = TwoLevelSystem(0.0, 5.0)
@@ -195,6 +198,48 @@ def test_invalid_grid():
         rwa_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.array([0.0, 2.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [[0.0, math.inf], [-math.inf, 0.0]])
+def test_infinite_grid_rejected(bad):
+    """An infinite sample time is a grid error, not an endless DP5 loop."""
+    with pytest.raises(GridError, match="must be finite"):
+        check_monotone_grid(bad)
+    with pytest.raises(GridError, match="must be finite"):
+        rwa_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), bad)
+
+
+@pytest.mark.parametrize(
+    "c_g,c_e,name",
+    [
+        (math.nan, 0.0, "c_g"),
+        (complex(0.0, math.inf), 0.0, "c_g"),
+        (1.0, complex(math.nan, 0.0), "c_e"),
+    ],
+)
+def test_state_rejects_non_finite_amplitudes(c_g, c_e, name):
+    with pytest.raises(ValidationError, match=f"TwoLevelState: {name} must be finite"):
+        TwoLevelState(c_g, c_e)
+
+
+FRAME_CALLS = {
+    "rwa_propagate": lambda frame: rwa_propagate(
+        RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0.0, 1.0, 5), TIGHT, frame
+    ),
+    "rwa_propagate_coupling": lambda frame: rwa_propagate_coupling(
+        RESONANT, _coupling_fn(RESONANT, (RES_FIELD,)), 5.0, TwoLevelState(1.0, 0.0),
+        np.linspace(0.0, 1.0, 5), TIGHT, frame,
+    ),
+}
+
+
+@pytest.mark.parametrize("frame", ["Rotating", "nonsense"])
+@pytest.mark.parametrize("call", list(FRAME_CALLS))
+def test_unknown_frame_rejected_before_integrating(call, frame):
+    with mock.patch.object(propagator, "_integrate_pair") as integrate:
+        with pytest.raises(ValidationError, match="frame must be 'bare' or 'rotating'"):
+            FRAME_CALLS[call](frame)
+    integrate.assert_not_called()
+
+
 def test_step_size_underflow():
     system = TwoLevelSystem(0.0, 1e18)
     field = DrivingField(1e18, EnvelopeSpec.constant(1.0))
@@ -214,6 +259,14 @@ def test_integrator_config_validation():
         IntegratorConfig(max_step=0.0)
     with pytest.raises(ValidationError):
         rk4_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0, 1, 5), engine="verlet")
+
+
+@pytest.mark.parametrize("substeps", [0, 2.5, True])
+def test_rk4_substeps_must_be_a_positive_integer(substeps):
+    with pytest.raises(ValidationError, match="substeps must be an integer >= 1"):
+        rk4_propagate(
+            RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0, 1, 5), substeps=substeps
+        )
 
 
 def test_trajectory_sequence_protocol():

@@ -9,7 +9,8 @@ one-point call and is the root nearer to the detuning wherever the two roots
 are told apart; off resonance it also equals the sign-walk loop in
 ``oracles``.  The vectorised cumulative Simpson rule is checked bit for bit
 against the point-by-point loop there.  Without damping the propagators
-conserve the norm, and the adaptive DP5 engines agree with fixed-step RK4,
+conserve the norm, the adaptive DP5 engines agree with fixed-step RK4, and
+a common shift of both levels is a global phase of every engine and stepper,
 on random drives; so does the Magnus segment propagator, whose closed-form
 2x2 exponential agrees with Taylor series.  The rotating-wave fringe scans
 run no DP5 propagation and agree with the per-delta DP5 loop; the composed
@@ -375,6 +376,41 @@ def test_dp5_agrees_with_rk4(engine, field, initial):
     dp5 = propagate(UNDAMPED, field, initial, WINDOW, DP5)
     rk4 = rk4_propagate(UNDAMPED, field, initial, WINDOW, engine=engine, substeps=substeps)
     assert compare_trajectories(dp5, rk4).max_amplitude_error <= bound
+
+
+# Common-level-shift covariance: shifting both levels by D multiplies the
+# state by the unobservable global phase e^{-i D (t - t0)} (t0 = WINDOW[0],
+# where both runs start from the same state), in every engine and stepper.
+# Bound fixed before any run: every engine integrates the frame rotating at
+# w_g, where the shift enters only through the rounding of
+# (w_e + D) - (w_g + D), a few ulp of |D| + 5 <= 25 (~1e-14) acting over 8
+# time units, and through the frame factors e^{-+i D t}, each rounded to a few
+# ulp of |D t| <= 160 (~1e-13).  1e-12 leaves room for the steppers' own
+# roundings, over a few hundred steps, to differ between the two runs.
+COVARIANCE = 1e-12
+
+
+@pytest.mark.parametrize("stepper", ["dp5", "rk4"])
+@pytest.mark.parametrize("engine", list(RK4_RUNS))
+@PROPAGATION
+@given(
+    field=drives,
+    initial=states,
+    gamma=st.floats(0.0, 0.2),
+    shift=st.floats(-20.0, 20.0),
+)
+def test_common_level_shift_is_a_global_phase(engine, stepper, field, initial, gamma, shift):
+    def run(omega_g):
+        system = TwoLevelSystem(omega_g, 5.0 + omega_g, gamma_re=gamma)
+        if stepper == "dp5":
+            return RK4_RUNS[engine][0](system, field, initial, WINDOW, DP5)
+        substeps = RK4_RUNS[engine][1]
+        return rk4_propagate(system, field, initial, WINDOW, engine=engine, substeps=substeps)
+
+    base, shifted = run(0.0), run(shift)
+    phase = np.exp(-1j * shift * (WINDOW - WINDOW[0]))
+    assert np.max(np.abs(shifted.c_g - phase * base.c_g)) <= COVARIANCE
+    assert np.max(np.abs(shifted.c_e - phase * base.c_e)) <= COVARIANCE
 
 
 # Fringe scans on random pulse pairs near resonance, damped up to
