@@ -7,19 +7,19 @@ constant phase shift of the driving is physically observable.
 
 The pair is propagated as one coherent drive, K(t) = K1(t) + K2(t) with
 K_j(t) = (Omega_j(t)/2) exp(-i phi_j(t)), so overlapping or even fully merged
-pulses (delay = 0) are handled exactly by linearity of the field; its DP5
-path is that of a single pulse, ``propagator._propagate`` of both pulses' drive.
+pulses (delay = 0) are handled exactly by linearity of the field.
 
 A relative phase delta on pulse 2 is exactly the conjugation
 D(delta) U2 D(delta)^dagger of the pulse's propagator, D = diag(1, e^{-i delta}),
 with or without damping, and pulse 2 is pulse 1 delayed.  So a rotating-wave
 scan of separated pulses needs one segment propagator, over pulse 1, and no
 propagation per delta: the phase enters the fringe only through D(delta).
-Overlapping pulses differ between deltas only in the weight e^{-i delta} of
-pulse 2's coupling, so one batched run covers every delta.  Both use the
-Magnus segments of ``propagator``; single pairs (``pulse_pair_population``)
-and full-field scans (one pair per delta) use DP5.  A scan of any engine
-warns once, at its caller.
+Otherwise the drives of different deltas differ only in the weights of
+pulse 2's terms, e^{-i delta} on K2 and, for the real field, its conjugate
+on the counter-rotating term, so one batched run covers every delta.  Both
+use the Magnus segments of ``propagator`` and no DP5 propagation;
+``pulse_pair_population`` is the scan at the pair's own delta.  A scan of
+any engine warns once, at its caller.
 """
 
 from __future__ import annotations
@@ -28,24 +28,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import DrivingField, TwoLevelSystem, _complex_detuning
 from .numerics import _read_only
-from .propagator import (
-    IntegratorConfig,
-    TwoLevelState,
-    _array_coupling_fn,
-    _drive,
-    _integrate_pair,
-    _magnus_propagator,
-    _propagate,
-)
-
-_GROUND = TwoLevelState(1.0 + 0.0j, 0.0j)
+from .propagator import IntegratorConfig, _array_coupling_fn, _check_engine, _magnus_propagator
 
 
 @dataclass(frozen=True)
@@ -87,12 +76,8 @@ class PulsePairConfig:
     @property
     def second(self) -> DrivingField:
         """The delayed replica: envelope shifted, chirp shifted, constant offset."""
-        return self._replica(self.rel_phase)
-
-    def _replica(self, rel_phase: float) -> DrivingField:
-        """The delayed replica at relative phase ``rel_phase``, normalized as in a pair."""
         env = replace(self.base.envelope, center=self.base.envelope.center + self.delay)
-        phase = self.base.phase.shifted(self.delay, extra_phi0=rel_phase % (2.0 * math.pi))
+        phase = self.base.phase.shifted(self.delay, extra_phi0=self.rel_phase)
         return DrivingField(self.base.carrier, env, phase)
 
     def pulse_area(self) -> float:
@@ -123,7 +108,8 @@ class FringeRecord:
 
 
 def _warn_if_strong(pair: PulsePairConfig) -> None:
-    """Warn the caller's caller when one pulse leaves the weak-field regime."""
+    """Warn the caller of ``phase_scan`` or ``pulse_pair_population`` when
+    one pulse leaves the weak-field regime."""
     area = pair.pulse_area()
     # sin^2(area/2) = 0.1 marks where a resonant single pulse leaves the
     # weak-excitation regime; beyond that the fringe is no longer first order.
@@ -140,14 +126,6 @@ def _step_capped(cfg: IntegratorConfig, pair: PulsePairConfig) -> IntegratorConf
     return replace(cfg, max_step=min(cfg.max_step, 0.5 * pair.base.envelope.width))
 
 
-def _pair_population(system, pair, second, capped, engine) -> float:
-    """P_e from |g> after ``pair.base`` and ``second``: one DP5 run, steps capped by ``capped``."""
-    integrate = partial(_integrate_pair, cfg=capped)
-    coupling, carrier = _drive(system, (pair.base, second), engine)
-    traj = _propagate(system, coupling, carrier, _GROUND, pair.window(), integrate)
-    return float(abs(traj.c_e[-1]) ** 2)
-
-
 def pulse_pair_population(
     system: TwoLevelSystem,
     pair: PulsePairConfig,
@@ -156,12 +134,14 @@ def pulse_pair_population(
 ) -> float:
     """Final excited population after both pulses of the pair.
 
-    Uses the rotating-wave engine by default (``engine='full'`` propagates the
-    real summed field instead).  Warns when the single-pulse excitation
-    estimate sin^2(area/2) leaves the weak-field regime (> 0.1).
+    ``phase_scan`` at the pair's own relative phase, bit for bit, on the
+    rotating-wave engine by default (``engine='full'``: the real summed
+    field).  Warns when the single-pulse excitation estimate sin^2(area/2)
+    leaves the weak-field regime (> 0.1).
     """
+    _check_engine(engine)
     _warn_if_strong(pair)
-    return _pair_population(system, pair, pair.second, _step_capped(cfg, pair), engine)
+    return float(_populations(system, pair, np.array([pair.rel_phase]), cfg, engine)[0])
 
 
 def phase_scan(
@@ -173,42 +153,44 @@ def phase_scan(
 ) -> FringeRecord:
     """Fringe record P_e(delta) over a grid of relative phases.
 
-    A rotating-wave scan runs fourth-order Magnus segments (see
+    Every scan runs fourth-order Magnus segments (see
     ``propagator._magnus_propagator``) and no DP5 propagation.  Separated
-    pulses (delay at least twice the envelope's support half-width) are
-    composed from one segment over pulse 1's support, and every delta follows
-    from the D(delta) conjugation (see ``_composed_populations``).
-    Overlapping or merged pulses take one segment over the whole window for
-    all deltas at once, of the summed coupling K1 + e^{-i delta} K2.  The
-    segments start from the DP5 step cap (``max_step``, at most half the
-    envelope width) and double their interval count until the propagator
-    changes by at most ``abs_tol + rel_tol * max|U|`` between counts.
-    Constant envelopes have no pulse window and are rejected.  The full-field
-    engine, whose real field has no such symmetry, propagates the pair at
-    each delta with DP5, exactly as ``pulse_pair_population`` does.  Every
-    engine warns at most once per scan.  ``delta_grid`` must be a non-empty
-    1-D array of finite values on every path.
+    pulses (delay at least twice the envelope's support half-width) on the
+    rotating-wave engine are composed from one segment over pulse 1's
+    support, and every delta follows from the D(delta) conjugation (see
+    ``_composed_populations``).  Overlapping or merged pulses, and every
+    full-field pair, take one segment over the whole window for all deltas
+    at once (see ``_summed_populations``).  The segments start from the DP5
+    step cap (``max_step``, at most half the envelope width) and double
+    their interval count until the propagator changes by at most
+    ``abs_tol + rel_tol * max|U|`` between counts, or by no more than the
+    rounding of the product can reach.  Constant envelopes have no pulse
+    window and are rejected.  An unknown engine is rejected before anything
+    else; every engine warns at most once per scan.  ``delta_grid`` must be
+    a non-empty 1-D array of finite values on every path.
     """
+    _check_engine(engine)
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValidationError("phase_scan: delta_grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(deltas)):
         raise ValidationError("phase_scan: delta_grid must be finite")
     _warn_if_strong(pair)
-    capped = _step_capped(cfg, pair)
-    if engine != "rwa":
-        replicas = [pair._replica(delta) for delta in deltas.tolist()]
-        populations = np.array([_pair_population(system, pair, r, capped, engine) for r in replicas])
-    elif pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
-        populations = _composed_populations(system, pair, deltas, capped)
-    else:
-        populations = _summed_populations(system, pair, deltas, capped)
+    populations = _populations(system, pair, deltas, cfg, engine)
     return FringeRecord(
         deltas=deltas,
         populations=populations,
         visibility=_visibility_value(populations),
         delta_star=float(deltas[int(np.argmax(populations))]),
     )
+
+
+def _populations(system, pair, deltas, cfg, engine) -> np.ndarray:
+    """P_e(delta) of the pair at every delta, on the path ``phase_scan`` describes."""
+    capped = _step_capped(cfg, pair)
+    if engine == "rwa" and pair.delay >= 2.0 * pair.base.envelope.support_halfwidth():
+        return _composed_populations(system, pair, deltas, capped)
+    return _summed_populations(system, pair, deltas, capped, engine)
 
 
 def _composed_populations(
@@ -232,7 +214,7 @@ def _composed_populations(
     detuning = _complex_detuning(system, pair.base.carrier)
     coupling = _array_coupling_fn(system, pair.base)
     u = _magnus_propagator(
-        (coupling,), np.ones((1, 1)), detuning, env.center - half, env.center + half, cfg
+        lambda t: (coupling(t),), np.ones((1, 1)), detuning, env.center - half, env.center + half, cfg
     )
     u_gg, _, u_eg, u_ee = u[:, 0].tolist()
     a = u_eg * u_gg
@@ -242,19 +224,30 @@ def _composed_populations(
     return (a.real + b.real * cos - b.imag * sin) ** 2 + (a.imag + b.real * sin + b.imag * cos) ** 2
 
 
-def _summed_populations(
-    system: TwoLevelSystem, pair: PulsePairConfig, deltas: np.ndarray, cfg: IntegratorConfig
-) -> np.ndarray:
-    """P_e(delta) of an overlapping or merged pair, every delta in one Magnus run.
+def _summed_populations(system, pair, deltas, cfg, engine) -> np.ndarray:
+    """P_e(delta) of the summed drive of the pair, every delta in one Magnus run.
 
     Pulse 2 at relative phase delta is its coupling at the pair's own phase
-    times e^{-i (delta - rel_phase)}, so the drives differ only in that weight.
+    times w = e^{-i (delta - rel_phase)}, so the drives differ only in
+    weights.  'rwa': the terms (K1, K2) with weights (1, w) on the carrier W.
+    'full': the real coupling mu E0_j cos(W t + phi_j) = K_j e^{-i W t} + c.c.
+    on carrier 0, so the terms are (K1 e^{-i W t}, c.c., K2 e^{-i W t}, c.c.)
+    with weights (1, 1, w, conj(w)); each K_j e^{-i W t} is evaluated once.
     """
     start, end = pair.window()
-    couplings = (_array_coupling_fn(system, pair.base), _array_coupling_fn(system, pair.second))
-    weights = np.stack((np.ones(deltas.size), np.exp(-1j * (deltas - pair.rel_phase))))
-    detuning = _complex_detuning(system, pair.base.carrier)
-    u_eg = _magnus_propagator(couplings, weights, detuning, start, end, cfg)[2]
+    k1, k2 = _array_coupling_fn(system, pair.base), _array_coupling_fn(system, pair.second)
+    ones, w = np.ones(deltas.size), np.exp(-1j * (deltas - pair.rel_phase))
+    carrier = pair.base.carrier
+    if engine == "rwa":
+        terms, weights, frame = lambda t: (k1(t), k2(t)), np.stack((ones, w)), carrier
+    else:
+        def terms(t):
+            turn = np.exp(-1j * carrier * t)
+            a, b = k1(t) * turn, k2(t) * turn
+            return a, np.conj(a), b, np.conj(b)
+        weights, frame = np.stack((ones, ones, w, np.conj(w))), 0.0
+    detuning = _complex_detuning(system, frame)
+    u_eg = _magnus_propagator(terms, weights, detuning, start, end, cfg)[2]
     return u_eg.real**2 + u_eg.imag**2
 
 

@@ -10,22 +10,23 @@ checked against.  Two engines are provided:
   K(t) on one carrier instead of a pulse.
 
 Both integrate one equation, ``_rwa_rhs``, in a frame rotating at w_g: an
-engine is a choice of drive (``_drive``) for a tuple of pulses on one carrier,
-so single pulses and the pairs of ``interferometry`` share one path,
-``_propagate``.  The main stepper is an adaptive embedded Dormand-Prince 5(4)
-one for the two-component complex state (steps are clipped onto the samples,
-so no interpolation error enters trajectories); ``rk4_propagate`` runs the
-same equation through a fixed-step RK4 stepper as an independent cross-check.
+engine is a choice of drive (``_drive``) for one pulse, and every trajectory
+runs through ``_propagate``.  The main stepper is an adaptive embedded
+Dormand-Prince 5(4) one for the two-component complex state (steps are
+clipped onto the samples, so no interpolation error enters trajectories);
+``rk4_propagate`` runs the same equation through a fixed-step RK4 stepper as
+an independent cross-check.
 
-The fringe scans of ``interferometry`` need only the 2x2 rotating-frame
-propagator of a pulse, often for many drives that differ in one phase.
-``_magnus_propagator`` computes it with fourth-order Magnus steps evaluated
-as numpy arrays (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the
-constant complex detuning enters each step's exponent exactly, the 2x2
-exponentials are closed-form, and the interval count is doubled until the
-propagator changes by at most ``abs_tol + rel_tol * max|U|``.  DP5 stays the
-engine of every trajectory and the oracle the Magnus segments are tested
-against.
+The pulse pairs and fringe scans of ``interferometry``, on either engine,
+need only the 2x2 rotating-frame propagator of a drive, often for many
+drives that differ in one phase.  ``_magnus_propagator`` computes it with
+fourth-order Magnus steps evaluated as numpy arrays (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470 (2009)): the constant complex detuning enters each
+step's exponent exactly, the 2x2 exponentials are closed-form, and the
+interval count is doubled until the propagator changes by at most
+``abs_tol + rel_tol * max|U|``, or by no more than its rounding can reach.
+DP5 stays the engine of every trajectory and the oracle the Magnus segments
+are tested against.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # -+ _GAUSS_OFFSET * h, and the weight of the commutator term.
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
-_MAGNUS_MAX_INTERVALS = 2**16
-_MAGNUS_CHUNK = 2**15
+_MAGNUS_MAX_INTERVALS = 2**20
+_MAGNUS_CHUNK = 2**15  # a power of two
 # Below this |s^2| the closed-form exponential sums cosh(s) and sinh(s)/s as
 # series; the first term left out is below s^10 / 10! < 3e-17.
 _SERIES_S2 = 1e-2
@@ -105,11 +106,13 @@ class TwoLevelState:
 class IntegratorConfig:
     """Integrator tolerances and step cap.
 
-    For the adaptive embedded Runge-Kutta 5(4) engine they bound each step's
-    error estimate, ``abs_tol + rel_tol * |y|`` per component.  For the
-    Magnus segments of the fringe scans they bound the largest change of the
-    segment propagator when its interval count is doubled,
-    ``abs_tol + rel_tol * max|U|``, and ``max_step`` sets the first count.
+    For the adaptive embedded Runge-Kutta 5(4) engine of the trajectories
+    they bound each step's error estimate, ``abs_tol + rel_tol * |y|`` per
+    component.  For the Magnus segments of the pulse pairs and fringe scans
+    they bound the largest change of the segment propagator when its
+    interval count is doubled, ``abs_tol + rel_tol * max|U|`` (raised to the
+    rounding floor n * eps * max|U| of n intervals), and ``max_step`` sets
+    the first count.
     """
 
     rel_tol: float = 1e-9
@@ -338,7 +341,7 @@ def _ordered_product(m: Sequence[np.ndarray]) -> tuple:
     return tuple(x[..., 0] for x in m)
 
 
-def _magnus_steps(terms: list[np.ndarray], weights: np.ndarray, detuning: complex, h: float) -> tuple:
+def _magnus_steps(terms: Sequence[np.ndarray], weights: np.ndarray, detuning: complex, h: float) -> tuple:
     """One-step propagators exp(Omega) of every interval, for every weight column.
 
     ``terms[j]`` holds K_j at the two Gauss nodes of each interval (first the
@@ -365,41 +368,48 @@ def _magnus_steps(terms: list[np.ndarray], weights: np.ndarray, detuning: comple
 
 
 def _magnus_grid(
-    couplings: tuple[Callable[[np.ndarray], np.ndarray], ...],
+    terms: Callable[[np.ndarray], Sequence[np.ndarray]],
     weights: np.ndarray,
     detuning: complex,
     t0: float,
     t1: float,
     n: int,
 ) -> np.ndarray:
-    """The propagators of ``_magnus_propagator`` on one grid of n intervals."""
+    """The propagators of ``_magnus_propagator`` on one grid of n intervals.
+
+    Time is taken in chunks of ``_MAGNUS_CHUNK`` intervals and the drives in
+    chunks within each, so a stack holds at most ``_MAGNUS_CHUNK`` steps.  A
+    power-of-two chunk is an aligned block of ``_ordered_product``'s pairwise
+    tree, so multiplying the chunk products in order changes no bit.
+    """
     h = (t1 - t0) / n
-    mids = t0 + h * (np.arange(n) + 0.5)
-    nodes = np.concatenate((mids - _GAUSS_OFFSET * h, mids + _GAUSS_OFFSET * h))
-    terms = [coupling(nodes) for coupling in couplings]
-    chunk = max(1, _MAGNUS_CHUNK // n)
-    return np.concatenate(
-        [
-            np.stack(_ordered_product(_magnus_steps(terms, weights[:, i : i + chunk], detuning, h)))
-            for i in range(0, weights.shape[1], chunk)
-        ],
-        axis=-1,
-    )
+    span = min(n, _MAGNUS_CHUNK)
+    drives = _MAGNUS_CHUNK // span
+    batches = [weights[:, i : i + drives] for i in range(0, weights.shape[1], drives)]
+    products = []
+    for start in range(0, n, span):
+        mids = t0 + h * (np.arange(start, min(start + span, n)) + 0.5)
+        nodes = np.concatenate((mids - _GAUSS_OFFSET * h, mids + _GAUSS_OFFSET * h))
+        values = terms(nodes)
+        chunk = [np.stack(_ordered_product(_magnus_steps(values, w, detuning, h))) for w in batches]
+        products.append(np.concatenate(chunk, axis=-1))
+    return np.stack(_ordered_product(np.stack(products, axis=-1)))
 
 
 def _magnus_propagator(
-    couplings: tuple[Callable[[np.ndarray], np.ndarray], ...],
+    terms: Callable[[np.ndarray], Sequence[np.ndarray]],
     weights: np.ndarray,
     detuning: complex,
     t0: float,
     t1: float,
     cfg: IntegratorConfig,
 ) -> np.ndarray:
-    """Rotating-frame propagators over [t0, t1] of n drives K = sum_j weights[j] K_j.
+    """Rotating-frame propagators over [t0, t1] of m drives K = sum_j weights[j] K_j.
 
-    ``couplings`` are array evaluators of the terms K_j(t); ``weights`` has
-    shape (len(couplings), n).  Returns the entries (00, 01, 10, 11) of the n
-    propagators as a (4, n) array, in the rotating frame of ``_rwa_rhs``.
+    ``terms`` evaluates every term K_j on an array of times at once and
+    returns their arrays in order; ``weights`` has shape (number of terms,
+    m).  Returns the entries (00, 01, 10, 11) of the m propagators as a
+    (4, m) array, in the rotating frame of ``_rwa_rhs``.
 
     The steps are fourth-order Magnus steps (two Gauss-Legendre nodes, one
     commutator) on a uniform grid, all evaluated at once; the 2x2
@@ -407,16 +417,19 @@ def _magnus_propagator(
     reduction.  The grid starts at the interval count ``cfg.max_step`` asks
     for and is doubled until the largest entry change between the n-interval
     and the 2n-interval propagators, over all drives, is at most
-    ``abs_tol + rel_tol * max|U_2n|``; U_2n is returned.  Past 2**16
-    intervals StepSizeUnderflowError is raised.  Drives are taken in chunks,
-    so a stack of step matrices holds at most max(n, 2**15) of them.
+    ``abs_tol + rel_tol * max|U_2n|``, or at most ``2n * eps * max|U_2n|``,
+    the rounding a product of 2n steps can reach (it binds below the cap only
+    for rel_tol < 2.3e-10); U_2n is returned.  Past 2**20 intervals
+    StepSizeUnderflowError is raised; the cap bounds work only, since
+    ``_magnus_grid`` chunks time and drives.
     """
     weights = np.asarray(weights, dtype=complex)
     n = max(1, math.ceil((t1 - t0) / cfg.max_step))
     coarse = None
     while n <= _MAGNUS_MAX_INTERVALS:
-        fine = _magnus_grid(couplings, weights, detuning, t0, t1, n)
-        tol = cfg.abs_tol + cfg.rel_tol * np.max(np.abs(fine))
+        fine = _magnus_grid(terms, weights, detuning, t0, t1, n)
+        scale = np.max(np.abs(fine))
+        tol = max(cfg.abs_tol + cfg.rel_tol * scale, n * np.finfo(float).eps * scale)
         if coarse is not None and np.max(np.abs(fine - coarse)) <= tol:
             return fine
         coarse = fine
@@ -445,19 +458,11 @@ def _rwa_rhs(
     return rhs
 
 
-def _coupling_fn(system: TwoLevelSystem, fields: tuple[DrivingField, ...]) -> Callable[[float], complex]:
-    """K(t) = sum_j (mu E0_j(t)/2) exp(-i phi_j(t)) of pulses sharing one carrier."""
-    if len(fields) > 1:
-        first, *rest = [_coupling_fn(system, (field,)) for field in fields]
-        return lambda t: sum((k(t) for k in rest), first(t))
-    env = scalar_envelope_fn(fields[0].envelope)
-    phi = scalar_phase_fn(fields[0].phase)
+def _coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[float], complex]:
+    """K(t) = (mu E0(t)/2) exp(-i phi(t)) of one pulse."""
+    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
     half_mu = 0.5 * system.mu
-
-    def coupling(t: float) -> complex:
-        return half_mu * env(t) * cmath.exp(-1j * phi(t))
-
-    return coupling
+    return lambda t: half_mu * env(t) * cmath.exp(-1j * phi(t))
 
 
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:
@@ -470,36 +475,31 @@ def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[
     return coupling
 
 
-def _field_fn(system: TwoLevelSystem, fields: tuple[DrivingField, ...]) -> Callable[[float], float]:
-    """Real coupling mu E(t): sum_j E0_j(t) cos(W t + phi_j(t)) first, then times mu."""
-    (first_env, first_phi), *rest = [
-        (scalar_envelope_fn(f.envelope), scalar_phase_fn(f.phase)) for f in fields
-    ]
-    mu, carrier = system.mu, fields[0].carrier
-
-    def field(t: float) -> float:
-        wt = carrier * t
-        e_t = first_env(t) * math.cos(wt + first_phi(t))
-        for env, phi in rest:
-            e_t += env(t) * math.cos(wt + phi(t))
-        return mu * e_t
-
-    return field
+def _field_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[float], float]:
+    """Real coupling mu E(t) = mu E0(t) cos(W t + phi(t)) of one pulse."""
+    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
+    mu, carrier = system.mu, field.carrier
+    return lambda t: mu * (env(t) * math.cos(carrier * t + phi(t)))
 
 
-def _drive(system: TwoLevelSystem, fields: tuple[DrivingField, ...], engine: str) -> tuple:
-    """The coupling and frame carrier of ``_rwa_rhs`` for pulses ``fields`` on one carrier W.
+def _drive(system: TwoLevelSystem, field: DrivingField, engine: str) -> tuple:
+    """The coupling and frame carrier of ``_rwa_rhs`` for the pulse ``field`` on carrier W.
 
     'rwa': K(t) on W.  'full': the real mu E(t) on carrier 0, since the
     bare-frame equations with the real field are ``_rwa_rhs`` in the frame
     rotating at w_g (Allen & Eberly, Optical Resonance and Two-Level Atoms,
     1975, ch. 2); a common shift of both levels is then an exact global phase.
     """
+    _check_engine(engine)
     if engine == "rwa":
-        return _coupling_fn(system, fields), fields[0].carrier
-    if engine == "full":
-        return _field_fn(system, fields), 0.0
-    raise ValidationError(f"engine must be 'rwa' or 'full', not {engine!r}")
+        return _coupling_fn(system, field), field.carrier
+    return _field_fn(system, field), 0.0
+
+
+def _check_engine(engine: str) -> None:
+    """Raise ValidationError unless ``engine`` is 'rwa' or 'full'."""
+    if engine not in ("rwa", "full"):
+        raise ValidationError(f"engine must be 'rwa' or 'full', not {engine!r}")
 
 
 def _propagate(system, coupling, carrier, initial, t_grid, integrate, frame="bare"):
@@ -537,7 +537,7 @@ def rwa_propagate(
         i da_e/dt = dw a_e - (Omega/2) e^{-i phi} a_g - i (gamma/2) a_e
     """
     integrate = partial(_integrate_pair, cfg=cfg)
-    return _propagate(system, *_drive(system, (field,), "rwa"), initial, t_grid, integrate, frame)
+    return _propagate(system, *_drive(system, field, "rwa"), initial, t_grid, integrate, frame)
 
 
 def rwa_propagate_coupling(
@@ -574,7 +574,7 @@ def full_field_propagate(
     They are integrated in the frame rotating at w_g (see ``_drive``).
     """
     integrate = partial(_integrate_pair, cfg=cfg)
-    return _propagate(system, *_drive(system, (field,), "full"), initial, t_grid, integrate)
+    return _propagate(system, *_drive(system, field, "full"), initial, t_grid, integrate)
 
 
 def rk4_propagate(
@@ -589,11 +589,17 @@ def rk4_propagate(
 
     Steps ``substeps`` times between consecutive sample points; the stepper is
     entirely independent of the adaptive one so the two can audit each other.
+    The equations never grow the norm (gamma' >= 0), so a trajectory whose
+    norm passes twice the initial one has diverged: ValidationError.
     """
     if isinstance(substeps, bool) or not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValidationError("rk4_propagate: substeps must be an integer >= 1")
     integrate = partial(_rk4_pair, substeps=substeps)
-    return _propagate(system, *_drive(system, (field,), engine), initial, t_grid, integrate)
+    traj = _propagate(system, *_drive(system, field, engine), initial, t_grid, integrate)
+    # Amplitude norms cannot overflow, and NaN fails the test too.
+    if not np.max(np.hypot(np.abs(traj.c_g), np.abs(traj.c_e))) <= math.sqrt(2.0 * initial.norm()):
+        raise ValidationError("rk4_propagate: the norm more than doubled; increase substeps")
+    return traj
 
 
 def _final_phase_error(ca: np.ndarray, cb: np.ndarray) -> float:

@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from dressedphase.errors import ValidationError
-from dressedphase.interferometry import FringeRecord, _visibility_value, pulse_pair_population
-from dressedphase.propagator import IntegratorConfig
+from dressedphase.interferometry import FringeRecord, _step_capped, _visibility_value
+from dressedphase.propagator import IntegratorConfig, TwoLevelState, _drive, rwa_propagate_coupling
 
 
 def free_gaussian(x, t, mass=1.0, x0=0.0, sigma0=1.0, k0=0.0):
@@ -167,18 +167,25 @@ def write_csv_loop(path, header, rows) -> None:
 
 
 def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):
-    """The fringe scan one delta at a time.
+    """The fringe scan one delta at a time, on DP5.
 
-    Each delta is an independent propagation of the summed drive.
+    Each delta is an independent ``rwa_propagate_coupling`` run from |g>
+    over the pair's window, with the scan's step cap, of the summed scalar
+    coupling of the two pulses: K1 + K2 on the carrier, or the real
+    mu E1 + mu E2 on carrier 0 for the full field.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValidationError("phase_scan: delta_grid must be a non-empty 1-D array")
+    capped = _step_capped(cfg, pair)
     populations = np.empty_like(deltas)
     for i, delta in enumerate(deltas):
-        populations[i] = pulse_pair_population(
-            system, replace(pair, rel_phase=float(delta)), cfg, engine=engine
+        at_delta = replace(pair, rel_phase=float(delta))
+        (k1, carrier), (k2, _) = (_drive(system, p, engine) for p in (pair.base, at_delta.second))
+        traj = rwa_propagate_coupling(
+            system, lambda t: k1(t) + k2(t), carrier, TwoLevelState(1.0, 0.0), pair.window(), capped
         )
+        populations[i] = abs(traj.c_e[-1]) ** 2
     vis = _visibility_value(populations)
     delta_star = float(deltas[int(np.argmax(populations))])
     record = FringeRecord(

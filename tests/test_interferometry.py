@@ -1,9 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dressedphase import interferometry, propagator
 from dressedphase.errors import ValidationError
 from dressedphase.interferometry import (
     FringeRecord,
@@ -15,6 +17,7 @@ from dressedphase.interferometry import (
 )
 from dressedphase.model import DrivingField, EnvelopeSpec, PhaseSpec, TwoLevelSystem
 from dressedphase.propagator import IntegratorConfig, TwoLevelState, rwa_propagate
+from oracles import phase_scan_loop
 
 SYSTEM = TwoLevelSystem(0.0, 5.0, mu=1.0)
 WIDTH = 2.0
@@ -141,32 +144,71 @@ def test_single_pulse_scan_has_no_fringe():
     assert visibility(record) < 1e-9
 
 
+CARRIER_40 = TwoLevelSystem(0.0, 40.0, mu=1.0)
+PAIR_40 = PulsePairConfig(
+    DrivingField(40.0, EnvelopeSpec.gaussian(PEAK, 0.0, WIDTH)), delay=12.0, rel_phase=0.3
+)
+
+
 def test_full_field_engine_available():
-    system = TwoLevelSystem(0.0, 40.0, mu=1.0)
-    base = DrivingField(40.0, EnvelopeSpec.gaussian(PEAK, 0.0, WIDTH))
-    pair = PulsePairConfig(base, delay=12.0, rel_phase=0.3)
+    """At carrier 40 the Magnus segments must resolve the carrier over the
+    34-long window: the grid passes 2**16 intervals."""
+    system, pair = CARRIER_40, PAIR_40
     p_rwa = pulse_pair_population(system, pair, CFG, engine="rwa")
-    p_full = pulse_pair_population(system, pair, CFG, engine="full")
+    with mock.patch.object(propagator, "_magnus_grid", wraps=propagator._magnus_grid) as grid:
+        p_full = pulse_pair_population(system, pair, CFG, engine="full")
     assert p_full == pytest.approx(p_rwa, rel=0.1)
-    with pytest.raises(ValidationError):
-        pulse_pair_population(system, pair, CFG, engine="magic")
-    with pytest.raises(ValidationError):
-        phase_scan(system, pair, [0.0], CFG, engine="magic")
+    assert max(call.args[-1] for call in grid.call_args_list) > 2**16
+
+
+def test_full_field_below_the_rounding_floor():
+    """At rel_tol 1e-12 the carrier-40 pair's Magnus change levels off near
+    2.5e-11 from 139,264 intervals on, above the tolerance.  The doubling
+    stops at the rounding floor, 278,528 * eps = 6.2e-11 at the next grid,
+    and the population agrees with DP5 at the same tolerance (5e-12 off a
+    rel_tol-1e-13 DP5 run): an amplitude off by the floor moves the
+    population by at most twice it, so 1.5e-10 bounds the difference."""
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-16)
+    magnus = pulse_pair_population(CARRIER_40, PAIR_40, cfg, engine="full")
+    dp5 = phase_scan_loop(CARRIER_40, PAIR_40, [PAIR_40.rel_phase], cfg, engine="full")
+    assert abs(magnus - dp5.populations[0]) <= 1.5e-10
+
+
+@pytest.mark.parametrize("engine", ["rwa", "full"])
+@pytest.mark.parametrize("delay", [30.0, 0.0], ids=["separated", "merged"])
+def test_pair_population_is_the_scan_at_its_own_phase(delay, engine):
+    pair = make_pair(delay, rel_phase=1.234)
+    with mock.patch.object(propagator, "_integrate_pair") as dp5:
+        population = pulse_pair_population(SYSTEM, pair, CFG, engine)
+        record = phase_scan(SYSTEM, pair, [pair.rel_phase], CFG, engine)
+    dp5.assert_not_called()
+    assert population == record.populations[0]
+
+
+def test_unknown_engine_is_rejected_before_any_work():
+    """Checked before the strong-pulse warning and before any propagation."""
+    strong = DrivingField(5.0, EnvelopeSpec.gaussian(100.0 * PEAK, 0.0, WIDTH))
+    pair = PulsePairConfig(strong, 30.0, 0.0)
+    with warnings.catch_warnings(), mock.patch.object(interferometry, "_magnus_propagator") as magnus:
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="engine must be 'rwa' or 'full'"):
+            pulse_pair_population(SYSTEM, pair, CFG, engine="bogus")
+        with pytest.raises(ValidationError, match="engine must be 'rwa' or 'full'"):
+            phase_scan(SYSTEM, pair, [0.0], CFG, engine="bogus")
+    magnus.assert_not_called()
 
 
 def test_area_and_strong_pulse_warning():
     pair = make_pair()
     assert pair.pulse_area() == pytest.approx(AREA, rel=1e-12)
     strong = DrivingField(5.0, EnvelopeSpec.gaussian(100.0 * PEAK, 0.0, WIDTH))
-    with pytest.warns(UserWarning, match="excitation estimate"):
-        pulse_pair_population(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), CFG)
-    with pytest.warns(UserWarning, match="excitation estimate"):
-        phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), [0.0], CFG)
-    # A full-field scan propagates the pair once per delta, and still warns once, here.
+    # Every call warns once, here, whatever the engine or the number of deltas.
     deltas = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
-    with pytest.warns(UserWarning, match="excitation estimate") as record:
-        phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), deltas, CFG, engine="full")
-    assert [w.filename for w in record] == [__file__]
+    for engine in ("rwa", "full"):
+        with pytest.warns(UserWarning, match="excitation estimate") as record:
+            pulse_pair_population(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), CFG, engine)
+            phase_scan(SYSTEM, PulsePairConfig(strong, 30.0, 0.0), deltas, CFG, engine)
+        assert [w.filename for w in record] == [__file__] * 2
 
 
 def test_pair_validation():
@@ -175,7 +217,7 @@ def test_pair_validation():
     assert PulsePairConfig(BASE, 30.0, 7.0).rel_phase == pytest.approx(7.0 - 2 * math.pi)
     with pytest.raises(ValidationError):
         phase_scan(SYSTEM, make_pair(), np.array([]), CFG)
-    # Composed (delay 30), per-delta (delay 0) and full-field scans alike.
+    # Composed (delay 30), summed (delay 0) and full-field scans alike.
     for bad in (math.nan, math.inf, -math.inf):
         for delay, engine in ((30.0, "rwa"), (0.0, "rwa"), (30.0, "full")):
             with pytest.raises(ValidationError, match="delta_grid must be finite"):

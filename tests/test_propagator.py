@@ -225,7 +225,7 @@ FRAME_CALLS = {
         RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0.0, 1.0, 5), TIGHT, frame
     ),
     "rwa_propagate_coupling": lambda frame: rwa_propagate_coupling(
-        RESONANT, _coupling_fn(RESONANT, (RES_FIELD,)), 5.0, TwoLevelState(1.0, 0.0),
+        RESONANT, _coupling_fn(RESONANT, RES_FIELD), 5.0, TwoLevelState(1.0, 0.0),
         np.linspace(0.0, 1.0, 5), TIGHT, frame,
     ),
 }
@@ -269,6 +269,16 @@ def test_rk4_substeps_must_be_a_positive_integer(substeps):
         )
 
 
+def test_rk4_divergence_is_an_error():
+    """Steps far too long for the drive make RK4 grow the norm without
+    bound (here to ~1e184); without damping the norm cannot grow at all."""
+    system = TwoLevelSystem(0.0, 50.0)
+    field = DrivingField(50.0, EnvelopeSpec.constant(1.0))
+    t = np.linspace(0.0, 100.0, 11)
+    with pytest.raises(ValidationError, match="increase substeps"):
+        rk4_propagate(system, field, TwoLevelState(1.0, 0.0), t, engine="full")
+
+
 def test_trajectory_sequence_protocol():
     t = np.linspace(0.0, 1.0, 5)
     traj = rwa_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), t, TIGHT)
@@ -298,7 +308,7 @@ MAGNUS_SYSTEM = TwoLevelSystem(0.0, 5.0, gamma_re=0.05)
 def _magnus(weights, cfg):
     coupling = _array_coupling_fn(MAGNUS_SYSTEM, MAGNUS_PULSE)
     detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
-    return _magnus_propagator((coupling, coupling), weights, detuning, -5.5, 5.5, cfg)
+    return _magnus_propagator(lambda t: (coupling(t),) * 2, weights, detuning, -5.5, 5.5, cfg)
 
 
 def test_magnus_chunks_are_the_whole_batch():
@@ -314,13 +324,31 @@ def test_magnus_chunks_are_the_whole_batch():
 
 
 def test_magnus_interval_limit():
-    """Tolerances that rounding cannot meet double the grid up to 2**16
-    intervals and then raise; so does a step cap asking for more at once."""
+    """A drive the grids cannot resolve doubles them up to the cap (here
+    lowered to 2**16 intervals) and then raises: on a carrier of 5000 the
+    last grid below the cap, 45,056 intervals, still turns the phase by 1.2
+    rad per step.  So does a step cap asking for more at once."""
+    coupling = _array_coupling_fn(MAGNUS_SYSTEM, MAGNUS_PULSE)
+    detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
+
+    def fast(t):
+        return (coupling(t) * np.exp(-5000j * t),)
+
+    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 2**16):
+        with pytest.raises(StepSizeUnderflowError, match="Magnus"):
+            _magnus_propagator(fast, np.ones((1, 1)), detuning, -5.5, 5.5, IntegratorConfig(max_step=0.5))
+        with pytest.raises(StepSizeUnderflowError, match="Magnus"):
+            _magnus(np.ones((2, 1)), IntegratorConfig(max_step=1e-4))
+
+
+def test_magnus_stops_at_the_rounding_floor():
+    """Tolerances no rounding can meet stop the doubling once the change is
+    within n * eps * max|U| (n the finer count), and what is returned is
+    the converged propagator."""
     weights = np.ones((2, 1))
-    with pytest.raises(StepSizeUnderflowError, match="Magnus"):
-        _magnus(weights, IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300, max_step=0.5))
-    with pytest.raises(StepSizeUnderflowError, match="Magnus"):
-        _magnus(weights, IntegratorConfig(max_step=1e-4))
+    floor = _magnus(weights, IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300, max_step=0.5))
+    tight = _magnus(weights, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-16, max_step=0.5))
+    np.testing.assert_allclose(floor, tight, rtol=0.0, atol=1e-12)
 
 
 def test_magnus_step_is_fourth_order():
@@ -331,7 +359,8 @@ def test_magnus_step_is_fourth_order():
     detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
     # 22 -> 11 -> ... takes the pairwise product through odd counts too.
     grids = [
-        _magnus_grid((coupling,), np.ones((1, 1)), detuning, -5.5, 5.5, n) for n in (22, 44, 88, 176)
+        _magnus_grid(lambda t: (coupling(t),), np.ones((1, 1)), detuning, -5.5, 5.5, n)
+        for n in (22, 44, 88, 176)
     ]
     changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(grids, grids[1:])]
     for coarse, fine in zip(changes, changes[1:]):

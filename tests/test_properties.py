@@ -1,8 +1,8 @@
 """Properties of the evaluators that are kept in two forms on purpose.
 
 The ODE right-hand sides use fast scalar closures (``scalar_envelope_fn``,
-``scalar_phase_fn``, the fused pulse-pair coupling); the closed-form layer
-uses the array registries.  These tests check that the two forms agree, and
+``scalar_phase_fn``); the closed-form layer and the Magnus segments use the
+array registries.  These tests check that the two forms agree, and
 that ``generalized_rabi`` of a scalar time equals the array result there.
 The generalized Rabi branch is chosen pointwise: every point equals a
 one-point call and is the root nearer to the detuning wherever the two roots
@@ -12,10 +12,9 @@ against the point-by-point loop there.  Without damping the propagators
 conserve the norm, the adaptive DP5 engines agree with fixed-step RK4, and
 a common shift of both levels is a global phase of every engine and stepper,
 on random drives; so does the Magnus segment propagator, whose closed-form
-2x2 exponential agrees with Taylor series.  The rotating-wave fringe scans
-run no DP5 propagation and agree with the per-delta DP5 loop; the composed
-scan of separated pulses is one cosine in delta, and the full-field scan is
-the loop.
+2x2 exponential agrees with Taylor series.  The fringe scans of both
+engines run no DP5 propagation and agree with the per-delta DP5 loop of
+``oracles``; the composed scan of separated pulses is one cosine in delta.
 """
 
 import math
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase import interferometry, propagator
+from dressedphase import propagator
 from dressedphase.dressed import _continued_rabi, generalized_rabi
 from dressedphase.interferometry import PulsePairConfig, fit_fringe, phase_scan
 from dressedphase.model import (
@@ -48,7 +47,6 @@ from dressedphase.propagator import (
     IntegratorConfig,
     TwoLevelState,
     _array_coupling_fn,
-    _coupling_fn,
     _expm2,
     _magnus_propagator,
     compare_trajectories,
@@ -139,26 +137,6 @@ def test_phase_derivative_scalar_matches_array(ph, t, order):
         + abs(ph.depth) * max(1.0, abs(ph.mod_freq)) ** order
     )
     assert abs(scalar - array) <= REL * scale + TINY
-
-
-@PROPERTY
-@pytest.mark.filterwarnings("ignore:PulsePairConfig. pulses overlap")
-@given(
-    env=envelopes,
-    ph=phases,
-    carrier=st.floats(0.0, 10.0),
-    mu=st.floats(0.0, 3.0),
-    delay=st.floats(0.0, 20.0),
-    rel_phase=st.floats(-10.0, 10.0),
-    t=times,
-)
-def test_pair_coupling_is_sum_of_single_pulses(env, ph, carrier, mu, delay, rel_phase, t):
-    system = TwoLevelSystem(0.0, 5.0, mu=mu)
-    pair = PulsePairConfig(DrivingField(carrier, env, ph), delay, rel_phase)
-    first = _coupling_fn(system, (pair.base,))(t)
-    second = _coupling_fn(system, (pair.second,))(t)
-    fused = _coupling_fn(system, (pair.base, pair.second))(t)
-    assert abs(fused - (first + second)) <= REL * (abs(first) + abs(second)) + TINY
 
 
 RABI_CASES = {
@@ -423,8 +401,9 @@ def test_common_level_shift_is_a_global_phase(engine, stepper, field, initial, g
 # factor of modulus <= 1 (damping only shrinks), the loop's one, and two
 # amplitudes of modulus <= 1 differing by d have populations differing by
 # at most 2 d: |P_composed - P_loop| <= 2 * 5 E.  The summed scan of
-# overlapping pulses takes one error, and the loop one.  The neglected pulse
-# tails (< ~1e-11 of the peak) lie far below that.
+# overlapping pulses, and the full-field scan of any pair, takes one error,
+# and the loop one.  The neglected pulse tails (< ~1e-11 of the peak) lie
+# far below that.
 SCAN = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
 SCAN_BOUND = 2.0 * 5.0 * 1e3 * SCAN.rel_tol
 SCAN_DELTAS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
@@ -469,13 +448,9 @@ OVERLAP = "ignore:PulsePairConfig. pulses overlap"
 
 def magnus_scan(system, pair, deltas, engine="rwa"):
     """phase_scan, checked to run no DP5 propagation for any number of deltas."""
-    with mock.patch.object(
-        propagator, "_integrate_pair", wraps=propagator._integrate_pair
-    ) as rotating, mock.patch.object(
-        interferometry, "_integrate_pair", wraps=interferometry._integrate_pair
-    ) as full:
+    with mock.patch.object(propagator, "_integrate_pair", wraps=propagator._integrate_pair) as dp5:
         record = phase_scan(system, pair, deltas, SCAN, engine=engine)
-    assert rotating.call_count == full.call_count == 0
+    assert dp5.call_count == 0
     return record
 
 
@@ -495,6 +470,23 @@ def test_summed_scan_agrees_with_loop(system, pair):
     summed = magnus_scan(system, pair, SCAN_DELTAS)
     loop = phase_scan_loop(system, pair, SCAN_DELTAS, SCAN)
     assert np.max(np.abs(summed.populations - loop.populations)) <= SCAN_BOUND
+
+
+# The full field resolves the carrier, so its loop costs far more DP5 steps
+# per delta than the rotating-wave one: fewer examples and deltas.
+FULL_FIELD = settings(PROPAGATION, max_examples=10)
+
+
+@pytest.mark.filterwarnings(STRONG, OVERLAP)
+@pytest.mark.parametrize("pairs", [separated_pairs, overlapping_pairs], ids=["separated", "overlapping"])
+@FULL_FIELD
+@given(system=damped, data=st.data())
+def test_full_field_scan_agrees_with_loop(pairs, system, data):
+    pair = data.draw(pairs)
+    deltas = SCAN_DELTAS[::2]
+    scan = magnus_scan(system, pair, deltas, engine="full")
+    loop = phase_scan_loop(system, pair, deltas, SCAN, engine="full")
+    assert np.max(np.abs(scan.populations - loop.populations)) <= SCAN_BOUND
 
 
 @pytest.mark.filterwarnings(STRONG)
@@ -520,19 +512,14 @@ THRESHOLD = 2.0 * BASE_PULSE.envelope.support_halfwidth()
     ids=["just_overlapping", "merged", "full_field"],
 )
 def test_other_scans_are_the_loop(delay, engine):
-    """Overlapping and merged rotating-wave scans agree with the loop within
-    SCAN_BOUND; the full-field scan is the loop, bit for bit."""
+    """Overlapping and merged rotating-wave scans, and a full-field scan at
+    the composition threshold, agree with the loop within SCAN_BOUND."""
     system = TwoLevelSystem(0.0, 5.0, gamma_re=0.02)
     pair = PulsePairConfig(BASE_PULSE, delay, 0.0)
     deltas = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
     loop = phase_scan_loop(system, pair, deltas, SCAN, engine=engine)
-    if engine == "full":
-        scan = phase_scan(system, pair, deltas, SCAN, engine=engine)
-        assert np.array_equal(scan.populations, loop.populations)
-        assert (scan.visibility, scan.delta_star) == (loop.visibility, loop.delta_star)
-    else:
-        scan = magnus_scan(system, pair, deltas)
-        assert np.max(np.abs(scan.populations - loop.populations)) <= SCAN_BOUND
+    scan = magnus_scan(system, pair, deltas, engine)
+    assert np.max(np.abs(scan.populations - loop.populations)) <= SCAN_BOUND
 
 
 # The Magnus leg of the three-way check.  The closed-form 2x2 exponential
@@ -588,7 +575,7 @@ def test_magnus_segment_agrees_with_dp5_and_rk4(reference, field, initial, gamma
     cfg = replace(DP5, max_step=0.5 * field.envelope.width)
     coupling = _array_coupling_fn(system, field)
     u00, u01, u10, u11 = _magnus_propagator(
-        (coupling,), np.ones((1, 1)), complex_detuning(system, field), t0, t1, cfg
+        lambda t: (coupling(t),), np.ones((1, 1)), complex_detuning(system, field), t0, t1, cfg
     )[:, 0]
     # omega_g = 0: the rotating frame turns only c_e, at the carrier.
     a_g, a_e = initial.c_g, initial.c_e * np.exp(1j * field.carrier * t0)
