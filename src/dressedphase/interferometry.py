@@ -56,7 +56,9 @@ class PulsePairConfig:
         self.check_delay(self.delay)
         if not math.isfinite(self.rel_phase):
             raise ValidationError("PulsePairConfig: rel_phase must be finite")
-        object.__setattr__(self, "rel_phase", self.rel_phase % (2.0 * math.pi))
+        # A tiny negative phase rounds up to exactly 2*pi, which is 0.
+        rel_phase = self.rel_phase % (2.0 * math.pi)
+        object.__setattr__(self, "rel_phase", 0.0 if rel_phase == 2.0 * math.pi else rel_phase)
         env = self.base.envelope
         if self.delay > 0.0 and math.isfinite(env.support_halfwidth()):
             midpoint_amplitude = env.value(env.center + 0.5 * self.delay)
@@ -160,7 +162,7 @@ def phase_scan(
     support, and every delta follows from the D(delta) conjugation (see
     ``_composed_populations``).  Overlapping or merged pulses, and every
     full-field pair, take one segment over the whole window for all deltas
-    at once (see ``_summed_populations``).  The segments start from the DP5
+    at once (see ``_summed_populations``).  The segments start from the
     step cap (``max_step``, at most half the envelope width) and double
     their interval count until the propagator changes by at most
     ``abs_tol + rel_tol * max|U|`` between counts, or by no more than the

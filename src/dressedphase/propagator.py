@@ -11,22 +11,22 @@ checked against.  Two engines are provided:
 
 Both integrate one equation, ``_rwa_rhs``, in a frame rotating at w_g: an
 engine is a choice of drive (``_drive``) for one pulse, and every trajectory
-runs through ``_propagate``.  The main stepper is an adaptive embedded
-Dormand-Prince 5(4) one for the two-component complex state (steps are
-clipped onto the samples, so no interpolation error enters trajectories);
-``rk4_propagate`` runs the same equation through a fixed-step RK4 stepper as
-an independent cross-check.
+runs through ``_propagate``, which checks the grid and the frame.
 
-The pulse pairs and fringe scans of ``interferometry``, on either engine,
-need only the 2x2 rotating-frame propagator of a drive, often for many
-drives that differ in one phase.  ``_magnus_propagator`` computes it with
-fourth-order Magnus steps evaluated as numpy arrays (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470 (2009)): the constant complex detuning enters each
-step's exponent exactly, the 2x2 exponentials are closed-form, and the
-interval count is doubled until the propagator changes by at most
-``abs_tol + rel_tol * max|U|``, or by no more than its rounding can reach.
-DP5 stays the engine of every trajectory and the oracle the Magnus segments
-are tested against.
+The rotating-wave trajectories, and the pulse pairs and fringe scans of
+``interferometry`` on either engine, run fourth-order Magnus steps evaluated
+as numpy arrays (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the
+constant complex detuning enters each step's exponent exactly, the 2x2
+exponentials are closed-form, and ``_magnus_grid`` forms the propagator of
+every sample interval (a segment is one interval, often for many drives that
+differ in one phase).  The steps per interval are doubled until what is
+returned, the sampled states or the segment propagators, changes by at most
+``abs_tol + rel_tol * max``, or by no more than its rounding can reach.
+``full_field_propagate`` runs an adaptive embedded Dormand-Prince 5(4)
+stepper for the two-component complex state (steps are clipped onto the
+samples, so no interpolation error enters trajectories); ``rk4_propagate``
+runs a fixed-step RK4 stepper as an independent cross-check.  The tests keep
+DP5 on a scalar coupling as the reference for the Magnus steps.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
 _MAGNUS_MAX_INTERVALS = 2**20
-_MAGNUS_CHUNK = 2**15  # a power of two
+_MAGNUS_CHUNK = 2**11  # a power of two
 # Below this |s^2| the closed-form exponential sums cosh(s) and sinh(s)/s as
 # series; the first term left out is below s^10 / 10! < 3e-17.
 _SERIES_S2 = 1e-2
@@ -106,13 +106,14 @@ class TwoLevelState:
 class IntegratorConfig:
     """Integrator tolerances and step cap.
 
-    For the adaptive embedded Runge-Kutta 5(4) engine of the trajectories
-    they bound each step's error estimate, ``abs_tol + rel_tol * |y|`` per
-    component.  For the Magnus segments of the pulse pairs and fringe scans
-    they bound the largest change of the segment propagator when its
-    interval count is doubled, ``abs_tol + rel_tol * max|U|`` (raised to the
-    rounding floor n * eps * max|U| of n intervals), and ``max_step`` sets
-    the first count.
+    For the Magnus steps of the rotating-wave trajectories and of the pulse
+    pairs' segments they bound the largest change of what is returned (the
+    sampled states, or the segment propagator U) when the steps per sample
+    interval are doubled, ``abs_tol + rel_tol * max|x|`` (raised to the
+    rounding floor n * eps * max|x| of n steps), and ``max_step`` sets the
+    first count.  For the adaptive embedded Runge-Kutta 5(4) engine of the
+    full-field trajectory they bound each step's error estimate,
+    ``abs_tol + rel_tol * |y|`` per component.
     """
 
     rel_tol: float = 1e-9
@@ -179,16 +180,18 @@ class TrajectoryComparison:
 
 
 def _integrate_pair(
-    rhs: Callable[[float, complex, complex], tuple[complex, complex]],
+    coupling: Callable[[float], complex],
+    detuning: complex,
     t_grid: np.ndarray,
     y0: tuple[complex, complex],
     cfg: IntegratorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive DP5(4) integration of a 2-component complex ODE over t_grid.
+    """Adaptive DP5(4) integration of ``_rwa_rhs`` over t_grid.
 
     The state is kept in scalar complex variables; steps are clipped so every
     requested sample time is hit exactly.
     """
+    rhs = _rwa_rhs(coupling, detuning)
     n = t_grid.size
     out_g = np.empty(n, dtype=complex)
     out_e = np.empty(n, dtype=complex)
@@ -273,12 +276,14 @@ def _integrate_pair(
 
 
 def _rk4_pair(
-    rhs: Callable[[float, complex, complex], tuple[complex, complex]],
+    coupling: Callable[[float], complex],
+    detuning: complex,
     t_grid: np.ndarray,
     y0: tuple[complex, complex],
     substeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fixed-step RK4 over t_grid, ``substeps`` steps per sample interval."""
+    """Classic fixed-step RK4 of ``_rwa_rhs`` over t_grid, ``substeps`` steps per sample interval."""
+    rhs = _rwa_rhs(coupling, detuning)
     n = t_grid.size
     out_g = np.empty(n, dtype=complex)
     out_e = np.empty(n, dtype=complex)
@@ -341,12 +346,13 @@ def _ordered_product(m: Sequence[np.ndarray]) -> tuple:
     return tuple(x[..., 0] for x in m)
 
 
-def _magnus_steps(terms: Sequence[np.ndarray], weights: np.ndarray, detuning: complex, h: float) -> tuple:
+def _magnus_steps(terms: Sequence[np.ndarray], weights: np.ndarray, detuning: complex, h) -> tuple:
     """One-step propagators exp(Omega) of every interval, for every weight column.
 
     ``terms[j]`` holds K_j at the two Gauss nodes of each interval (first the
     n lower nodes, then the n upper ones), so the coupling at the nodes is
-    K = sum_j weights[j] K_j, with shape (n_drives, 2n).  For the generator
+    K = sum_j weights[j] K_j, with shape (n_drives, 2n); ``h`` is the
+    intervals' common length or an array of each one's.  For the generator
     A = [[0, i conj K], [i K, -i dw~]] the fourth-order Magnus exponent is
     Omega = (h/2)(A1 + A2) + (sqrt(3)/12) h^2 [A2, A1], written out entry by
     entry; its trace -i dw~ h is exact.
@@ -371,29 +377,69 @@ def _magnus_grid(
     terms: Callable[[np.ndarray], Sequence[np.ndarray]],
     weights: np.ndarray,
     detuning: complex,
-    t0: float,
-    t1: float,
-    n: int,
+    t: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    """The propagators of ``_magnus_propagator`` on one grid of n intervals.
+    """Propagators over every interval of the sample grid ``t``, k Magnus steps each.
 
-    Time is taken in chunks of ``_MAGNUS_CHUNK`` intervals and the drives in
-    chunks within each, so a stack holds at most ``_MAGNUS_CHUNK`` steps.  A
-    power-of-two chunk is an aligned block of ``_ordered_product``'s pairwise
-    tree, so multiplying the chunk products in order changes no bit.
+    Returns the entries (00, 01, 10, 11) for the m drives of ``weights`` over
+    the n = t.size - 1 intervals as a (4, m, n) array.  Time is taken in
+    chunks of at most ``_MAGNUS_CHUNK`` steps (whole intervals while k fits,
+    power-of-two blocks of one interval beyond) and the drives in chunks
+    within each, so a stack holds at most ``_MAGNUS_CHUNK`` steps.  A
+    power-of-two block is an aligned block of ``_ordered_product``'s pairwise
+    tree, so multiplying the block products in order changes no bit.
     """
-    h = (t1 - t0) / n
-    span = min(n, _MAGNUS_CHUNK)
-    drives = _MAGNUS_CHUNK // span
-    batches = [weights[:, i : i + drives] for i in range(0, weights.shape[1], drives)]
+    n = t.size - 1
+    h = np.diff(t) / k
+    span = min(k, _MAGNUS_CHUNK)
+    per_chunk = min(n, _MAGNUS_CHUNK // span)
+    drives = _MAGNUS_CHUNK // (per_chunk * span)
+    batches = [weights[:, d : d + drives] for d in range(0, weights.shape[1], drives)]
     products = []
-    for start in range(0, n, span):
-        mids = t0 + h * (np.arange(start, min(start + span, n)) + 0.5)
-        nodes = np.concatenate((mids - _GAUSS_OFFSET * h, mids + _GAUSS_OFFSET * h))
-        values = terms(nodes)
-        chunk = [np.stack(_ordered_product(_magnus_steps(values, w, detuning, h))) for w in batches]
-        products.append(np.concatenate(chunk, axis=-1))
-    return np.stack(_ordered_product(np.stack(products, axis=-1)))
+    for i in range(0, n, per_chunk):
+        hi = h[i : i + per_chunk, None]
+        # A chunk of several intervals holds all k steps of each.  One step
+        # length is passed as a float: numpy's scalar path is the cheaper one.
+        hs = np.repeat(hi, k) if hi.size > 1 else float(hi[0, 0])
+        blocks = []
+        for j in range(0, k, span):
+            offsets = np.arange(j, min(j + span, k)) + 0.5
+            mids = (t[i : i + hi.size, None] + hi * offsets).ravel()
+            values = terms(np.concatenate((mids - _GAUSS_OFFSET * hs, mids + _GAUSS_OFFSET * hs)))
+            steps = (_magnus_steps(values, w, detuning, hs) for w in batches)
+            per_interval = [_ordered_product([x.reshape(x.shape[0], hi.size, -1) for x in u]) for u in steps]
+            blocks.append(np.concatenate([np.stack(u) for u in per_interval], axis=1))
+        products.append(np.stack(_ordered_product(np.stack(blocks, axis=-1))))
+    return np.concatenate(products, axis=-1)
+
+
+def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """``grid(2k)`` at the first k whose doubling changes it by at most its tolerance.
+
+    k, the Magnus steps per interval of the sample grid ``t``, starts at the
+    count ``cfg.max_step`` asks for and is doubled until the largest entry
+    change between ``grid(k)`` and ``grid(2k)`` is at most
+    ``abs_tol + rel_tol * max|grid(2k)|``, or at most ``n * eps * max|grid(2k)|``,
+    the rounding a product of the finer grid's n steps can reach.  Past
+    ``_MAGNUS_MAX_INTERVALS`` steps in one grid StepSizeUnderflowError is
+    raised; the cap bounds work only, since ``_magnus_grid`` chunks time and
+    drives.
+    """
+    intervals = t.size - 1
+    k = max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
+    coarse = None
+    while intervals * k <= _MAGNUS_MAX_INTERVALS:
+        fine = grid(k)
+        scale = np.max(np.abs(fine))
+        tol = max(cfg.abs_tol + cfg.rel_tol * scale, intervals * k * np.finfo(float).eps * scale)
+        if coarse is not None and np.max(np.abs(fine - coarse)) <= tol:
+            return fine
+        coarse = fine
+        k *= 2
+    raise StepSizeUnderflowError(
+        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps on [{t[0]!r}, {t[-1]!r}]"
+    )
 
 
 def _magnus_propagator(
@@ -414,29 +460,40 @@ def _magnus_propagator(
     The steps are fourth-order Magnus steps (two Gauss-Legendre nodes, one
     commutator) on a uniform grid, all evaluated at once; the 2x2
     exponentials are closed-form and the time-ordered product is a pairwise
-    reduction.  The grid starts at the interval count ``cfg.max_step`` asks
-    for and is doubled until the largest entry change between the n-interval
-    and the 2n-interval propagators, over all drives, is at most
-    ``abs_tol + rel_tol * max|U_2n|``, or at most ``2n * eps * max|U_2n|``,
-    the rounding a product of 2n steps can reach (it binds below the cap only
-    for rel_tol < 2.3e-10); U_2n is returned.  Past 2**20 intervals
-    StepSizeUnderflowError is raised; the cap bounds work only, since
-    ``_magnus_grid`` chunks time and drives.
+    reduction.  The step count is doubled (``_magnus_doubled``) until the
+    propagators, over all drives, change by at most their tolerance; the
+    rounding floor binds below the cap only for rel_tol < 2.3e-10.
     """
     weights = np.asarray(weights, dtype=complex)
-    n = max(1, math.ceil((t1 - t0) / cfg.max_step))
-    coarse = None
-    while n <= _MAGNUS_MAX_INTERVALS:
-        fine = _magnus_grid(terms, weights, detuning, t0, t1, n)
-        scale = np.max(np.abs(fine))
-        tol = max(cfg.abs_tol + cfg.rel_tol * scale, n * np.finfo(float).eps * scale)
-        if coarse is not None and np.max(np.abs(fine - coarse)) <= tol:
-            return fine
-        coarse = fine
-        n *= 2
-    raise StepSizeUnderflowError(
-        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} intervals on [{t0!r}, {t1!r}]"
-    )
+    t = np.array([t0, t1], dtype=float)
+    return _magnus_doubled(lambda k: _magnus_grid(terms, weights, detuning, t, k)[..., 0], t, cfg)
+
+
+def _magnus_trajectory(
+    coupling: Callable[[np.ndarray], np.ndarray],
+    detuning: complex,
+    t: np.ndarray,
+    y0: tuple[complex, complex],
+    cfg: IntegratorConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame states at the samples ``t`` from ``y0``, on Magnus steps.
+
+    ``coupling`` evaluates K(t) on an array of times.  Each sample
+    interval's propagator of ``_magnus_grid`` is applied to the state in
+    order; the steps per interval are doubled (``_magnus_doubled``) until
+    the sampled states change by at most their tolerance.
+    """
+
+    def states(k):
+        u = _magnus_grid(lambda x: (coupling(x),), np.ones((1, 1), dtype=complex), detuning, t, k)
+        g, e = y0
+        out = [(g, e)]
+        for u00, u01, u10, u11 in zip(*u[:, 0].tolist()):
+            g, e = u00 * g + u01 * e, u10 * g + u11 * e
+            out.append((g, e))
+        return np.array(out, dtype=complex).T
+
+    return tuple(_magnus_doubled(states, t, cfg))
 
 
 def _rwa_rhs(
@@ -512,10 +569,9 @@ def _propagate(system, coupling, carrier, initial, t_grid, integrate, frame="bar
     t = check_monotone_grid(t_grid)
     if frame not in ("bare", "rotating"):
         raise ValidationError(f"frame must be 'bare' or 'rotating', not {frame!r}")
-    rhs = _rwa_rhs(coupling, _complex_detuning(system, carrier))
     w_g, w_e_frame = system.omega_g, system.omega_g + carrier
     a0 = (initial.c_g * cmath.exp(1j * w_g * t[0]), initial.c_e * cmath.exp(1j * w_e_frame * t[0]))
-    a_g, a_e = integrate(rhs, t, a0)
+    a_g, a_e = integrate(coupling, _complex_detuning(system, carrier), t, a0)
     if frame == "bare":
         a_g, a_e = a_g * np.exp(-1j * w_g * t), a_e * np.exp(-1j * w_e_frame * t)
     return TwoLevelTrajectory(t, a_g, a_e, frame=frame)
@@ -535,9 +591,12 @@ def rwa_propagate(
 
         i da_g/dt = -(Omega/2) e^{+i phi} a_e
         i da_e/dt = dw a_e - (Omega/2) e^{-i phi} a_g - i (gamma/2) a_e
+
+    on fourth-order Magnus steps (see ``_magnus_trajectory``).
     """
-    integrate = partial(_integrate_pair, cfg=cfg)
-    return _propagate(system, *_drive(system, field, "rwa"), initial, t_grid, integrate, frame)
+    integrate = partial(_magnus_trajectory, cfg=cfg)
+    coupling = _array_coupling_fn(system, field)
+    return _propagate(system, coupling, field.carrier, initial, t_grid, integrate, frame)
 
 
 def rwa_propagate_coupling(
@@ -553,10 +612,15 @@ def rwa_propagate_coupling(
 
     K(t) is any drive on one carrier, e.g. the coherent sum of
     (Omega_j(t)/2) exp(-i phi_j(t)) over pulses; ``rwa_propagate`` is the
-    case of one ``DrivingField``.
+    case of one ``DrivingField``, on the same Magnus steps: K is evaluated
+    at their nodes one time at a time.
     """
-    integrate = partial(_integrate_pair, cfg=cfg)
-    return _propagate(system, coupling, carrier, initial, t_grid, integrate, frame)
+
+    def at_nodes(nodes: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(coupling, nodes.tolist()), complex, nodes.size)
+
+    integrate = partial(_magnus_trajectory, cfg=cfg)
+    return _propagate(system, at_nodes, carrier, initial, t_grid, integrate, frame)
 
 
 def full_field_propagate(

@@ -6,12 +6,14 @@ cannot share a bug with the check itself.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
+from dressedphase import propagator
 from dressedphase.errors import ValidationError
 from dressedphase.interferometry import FringeRecord, _step_capped, _visibility_value
-from dressedphase.propagator import IntegratorConfig, TwoLevelState, _drive, rwa_propagate_coupling
+from dressedphase.propagator import IntegratorConfig, TwoLevelState, _drive
 
 
 def free_gaussian(x, t, mass=1.0, x0=0.0, sigma0=1.0, k0=0.0):
@@ -166,13 +168,30 @@ def write_csv_loop(path, header, rows) -> None:
             fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
 
 
+def dp5_propagate(system, coupling, carrier, initial, t_grid, cfg=IntegratorConfig(), frame="bare"):
+    """``rwa_propagate_coupling`` on the adaptive Dormand-Prince 5(4) stepper.
+
+    The same rotating-frame equation and frame conversions as the library's
+    rotating-wave propagators, with the scalar coupling K(t) on ``carrier``
+    evaluated at DP5's own stages, so it shares no stepper with the Magnus
+    steps they run on.
+    """
+    integrate = partial(propagator._integrate_pair, cfg=cfg)
+    return propagator._propagate(system, coupling, carrier, initial, t_grid, integrate, frame)
+
+
+def dp5_rwa_propagate(system, field, initial, t_grid, cfg=IntegratorConfig(), frame="bare"):
+    """``rwa_propagate`` of one pulse on DP5 (see ``dp5_propagate``)."""
+    return dp5_propagate(system, *_drive(system, field, "rwa"), initial, t_grid, cfg, frame)
+
+
 def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):
     """The fringe scan one delta at a time, on DP5.
 
-    Each delta is an independent ``rwa_propagate_coupling`` run from |g>
-    over the pair's window, with the scan's step cap, of the summed scalar
-    coupling of the two pulses: K1 + K2 on the carrier, or the real
-    mu E1 + mu E2 on carrier 0 for the full field.
+    Each delta is an independent ``dp5_propagate`` run from |g> over the
+    pair's window, with the scan's step cap, of the summed scalar coupling
+    of the two pulses: K1 + K2 on the carrier, or the real mu E1 + mu E2 on
+    carrier 0 for the full field.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
@@ -182,7 +201,7 @@ def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rw
     for i, delta in enumerate(deltas):
         at_delta = replace(pair, rel_phase=float(delta))
         (k1, carrier), (k2, _) = (_drive(system, p, engine) for p in (pair.base, at_delta.second))
-        traj = rwa_propagate_coupling(
+        traj = dp5_propagate(
             system, lambda t: k1(t) + k2(t), carrier, TwoLevelState(1.0, 0.0), pair.window(), capped
         )
         populations[i] = abs(traj.c_e[-1]) ** 2

@@ -17,7 +17,7 @@ from dressedphase.interferometry import (
 )
 from dressedphase.model import DrivingField, EnvelopeSpec, PhaseSpec, TwoLevelSystem
 from dressedphase.propagator import IntegratorConfig, TwoLevelState, rwa_propagate
-from oracles import phase_scan_loop
+from oracles import dp5_rwa_propagate, phase_scan_loop
 
 SYSTEM = TwoLevelSystem(0.0, 5.0, mu=1.0)
 WIDTH = 2.0
@@ -33,7 +33,7 @@ def make_pair(delay=30.0, rel_phase=0.0, field=BASE):
 
 def single_pulse_population():
     t = np.linspace(-10.0, 10.0, 3)
-    traj = rwa_propagate(SYSTEM, BASE, TwoLevelState(1.0, 0.0), t, CFG)
+    traj = dp5_rwa_propagate(SYSTEM, BASE, TwoLevelState(1.0, 0.0), t, CFG)
     return float(traj.population_e[-1])
 
 
@@ -89,7 +89,7 @@ def test_merged_pair_equals_double_amplitude_pulse():
     merged = pulse_pair_population(SYSTEM, PulsePairConfig(BASE, 0.0, 0.0), CFG)
     doubled = DrivingField(5.0, EnvelopeSpec.gaussian(2.0 * PEAK, 0.0, WIDTH))
     t = np.linspace(-12.0, 12.0, 3)
-    direct = rwa_propagate(SYSTEM, doubled, TwoLevelState(1.0, 0.0), t, CFG)
+    direct = dp5_rwa_propagate(SYSTEM, doubled, TwoLevelState(1.0, 0.0), t, CFG)
     assert merged == pytest.approx(float(direct.population_e[-1]), abs=1e-10)
 
 
@@ -97,6 +97,12 @@ def test_two_pi_periodicity_is_exact():
     a = pulse_pair_population(SYSTEM, make_pair(rel_phase=1.234), CFG)
     b = pulse_pair_population(SYSTEM, make_pair(rel_phase=1.234 + 2.0 * math.pi), CFG)
     assert a == b
+
+
+@pytest.mark.parametrize("rel_phase", [-1e-20, -5e-324, 2.0 * math.pi])
+def test_rel_phase_is_normalized_below_two_pi(rel_phase):
+    """``x % 2pi`` rounds a tiny negative x up to exactly 2pi, which is 0."""
+    assert make_pair(rel_phase=rel_phase).rel_phase == 0.0
 
 
 def test_global_phase_immunity():

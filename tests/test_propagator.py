@@ -1,10 +1,16 @@
+import cmath
+import json
 import math
+from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from dressedphase import propagator
+from dressedphase.cli import load_config_dict
+from dressedphase.dressed import InitialPhases, adiabatic_report, assemble_bare_state
 
 from dressedphase.errors import (
     GridError,
@@ -34,7 +40,7 @@ from dressedphase.propagator import (
     rwa_propagate_coupling,
 )
 from dressedphase.numerics import check_monotone_grid
-from oracles import rabi_population
+from oracles import dp5_propagate, rabi_population
 
 RESONANT = TwoLevelSystem(0.0, 5.0)
 RES_FIELD = DrivingField(5.0, EnvelopeSpec.constant(1.0))
@@ -126,20 +132,23 @@ def test_full_field_approaches_rwa_at_high_carrier():
 
 
 def test_tolerance_scaling():
+    """A tighter rel_tol buys a smaller error on both steppers: the Magnus
+    steps of ``rwa_propagate`` on a chirped, damped pulse (a constant drive
+    is exact on them at any step), and DP5 on the constant drive."""
     # Sparse samples so the step size is set by the tolerance, not by clipping
     # to the output grid.
-    t = np.linspace(0.0, 20.0, 6)
-    reference = rwa_propagate(
-        RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), t, IntegratorConfig(1e-12, 1e-15)
+    start = TwoLevelState(1.0, 0.0)
+    magnus = partial(rwa_propagate, MAGNUS_SYSTEM, MAGNUS_PULSE, start, np.linspace(-5.5, 5.5, 6))
+    dp5 = partial(
+        dp5_propagate, RESONANT, _coupling_fn(RESONANT, RES_FIELD), 5.0, start, np.linspace(0.0, 20.0, 6)
     )
+    for run in (magnus, dp5):
+        reference = run(IntegratorConfig(1e-12, 1e-15))
 
-    def err(rel_tol):
-        traj = rwa_propagate(
-            RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), t, IntegratorConfig(rel_tol, 1e-15)
-        )
-        return compare_trajectories(traj, reference).max_amplitude_error
+        def err(rel_tol):
+            return compare_trajectories(run(IntegratorConfig(rel_tol, 1e-15)), reference).max_amplitude_error
 
-    assert err(1e-4) / err(1e-6) >= 10.0
+        assert err(1e-4) / err(1e-6) >= 10.0
 
 
 def test_rk4_cross_check():
@@ -234,7 +243,7 @@ FRAME_CALLS = {
 @pytest.mark.parametrize("frame", ["Rotating", "nonsense"])
 @pytest.mark.parametrize("call", list(FRAME_CALLS))
 def test_unknown_frame_rejected_before_integrating(call, frame):
-    with mock.patch.object(propagator, "_integrate_pair") as integrate:
+    with mock.patch.object(propagator, "_magnus_grid") as integrate:
         with pytest.raises(ValidationError, match="frame must be 'bare' or 'rotating'"):
             FRAME_CALLS[call](frame)
     integrate.assert_not_called()
@@ -359,9 +368,92 @@ def test_magnus_step_is_fourth_order():
     detuning = complex_detuning(MAGNUS_SYSTEM, MAGNUS_PULSE)
     # 22 -> 11 -> ... takes the pairwise product through odd counts too.
     grids = [
-        _magnus_grid(lambda t: (coupling(t),), np.ones((1, 1)), detuning, -5.5, 5.5, n)
+        _magnus_grid(lambda t: (coupling(t),), np.ones((1, 1)), detuning, np.array([-5.5, 5.5]), n)
         for n in (22, 44, 88, 176)
     ]
     changes = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(grids, grids[1:])]
     for coarse, fine in zip(changes, changes[1:]):
         assert 12.0 < coarse / fine < 20.0
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def _seeded(raw):
+    """A benchmark-style perturbation: carrier x1.01 and a constant phase of 1.3."""
+    raw["field"]["carrier"] *= 1.01
+    raw["field"]["phase"] = {"shape": "constant", "phi0": 1.3}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "name,edit",
+    [("dressed_compare", None), ("propagate", None), ("dressed_compare", _seeded)],
+    ids=["dressed_compare", "propagate", "dressed_compare_seeded"],
+)
+def test_rwa_propagate_is_the_coupling_form(name, edit):
+    """``rwa_propagate`` is ``rwa_propagate_coupling`` of its one pulse, with
+    K(t) built from the public ``envelope.value`` and ``phase.value`` one time
+    at a time, to 1e-12 on the command line's rotating-wave runs: both
+    evaluate the coupling at the same Magnus nodes."""
+    raw = json.loads((DEMO_CONFIGS / f"{name}.json").read_text())
+    config = load_config_dict(edit(raw) if edit else raw)
+    system, field, cfg, p = config.system, config.field, config.integrator, config.params
+    t = config.grid.array()
+    if config.kind == "dressed":
+        phases = InitialPhases(p["phi_g"], p["phi_e"])
+        initial = assemble_bare_state(system, field, phases, p["branch"], t)[0]
+    else:
+        initial = TwoLevelState(complex(*p["c_g"]), complex(*p["c_e"]))
+    half_mu, envelope, phase = 0.5 * system.mu, field.envelope, field.phase
+
+    def coupling(x):
+        return half_mu * envelope.value(x) * cmath.exp(-1j * phase.value(x))
+
+    array = rwa_propagate(system, field, initial, t, cfg)
+    scalar = rwa_propagate_coupling(system, coupling, field.carrier, initial, t, cfg)
+    assert compare_trajectories(array, scalar).max_amplitude_error <= 1e-12
+
+
+def _grid_steps(call):
+    """Run ``call`` and return the step counts n * k of every Magnus grid it made."""
+    steps = []
+
+    def spy(terms, weights, detuning, t, k):
+        steps.append((t.size - 1) * k)
+        return grid(terms, weights, detuning, t, k)
+
+    grid = propagator._magnus_grid
+    with mock.patch.object(propagator, "_magnus_grid", spy):
+        call()
+    return steps
+
+
+def test_trajectory_reach_under_the_step_cap():
+    """The quick-tour pulse stretched eightfold, over t1 = 9,600 with 19,201
+    samples: the doubling stops at 32 steps per interval, 614,400 steps under
+    the 2**20 cap, and the state is the assembled one within ten times the
+    adiabatic margin (acceptance criterion A3's bound)."""
+    system = TwoLevelSystem(0.0, 12.0)
+    field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 4800.0, 4800.0))
+    t = np.linspace(0.0, 9600.0, 19201)
+    margin = adiabatic_report(system, field, t, 1).margin
+    assembled = assemble_bare_state(system, field, InitialPhases(0.0, 0.0), "ground", t)
+    out = []
+    steps = _grid_steps(
+        lambda: out.append(rwa_propagate(system, field, assembled[0], t, IntegratorConfig(1e-10, 1e-13)))
+    )
+    assert 2**19 < max(steps) <= propagator._MAGNUS_MAX_INTERVALS
+    assert compare_trajectories(assembled, out[0]).max_amplitude_error <= 10.0 * margin
+
+
+def test_trajectory_step_cap_counts_every_step():
+    """The cap bounds the steps of one grid, n intervals times k steps each:
+    ten intervals that converge at 128 steps per interval raise once n * k
+    passes a cap (here lowered to 512) that k alone never reaches."""
+    t = np.linspace(-5.5, 5.5, 11)
+    run = partial(rwa_propagate, MAGNUS_SYSTEM, MAGNUS_PULSE, TwoLevelState(1.0, 0.0), t, TIGHT)
+    assert max(_grid_steps(run)) == 10 * 128
+    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 512):
+        with pytest.raises(StepSizeUnderflowError, match="Magnus step doubling passed 512 steps"):
+            run()

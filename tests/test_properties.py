@@ -12,7 +12,8 @@ against the point-by-point loop there.  Without damping the propagators
 conserve the norm, the adaptive DP5 engines agree with fixed-step RK4, and
 a common shift of both levels is a global phase of every engine and stepper,
 on random drives; so does the Magnus segment propagator, whose closed-form
-2x2 exponential agrees with Taylor series.  The fringe scans of both
+2x2 exponential agrees with Taylor series, and the Magnus trajectories of
+``rwa_propagate`` agree with DP5 on uneven grids.  The fringe scans of both
 engines run no DP5 propagation and agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
 """
@@ -54,7 +55,13 @@ from dressedphase.propagator import (
     rk4_propagate,
     rwa_propagate,
 )
-from oracles import continued_rabi_loop, cumulative_simpson_loop, expm_taylor, phase_scan_loop
+from oracles import (
+    continued_rabi_loop,
+    cumulative_simpson_loop,
+    dp5_rwa_propagate,
+    expm_taylor,
+    phase_scan_loop,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -302,7 +309,7 @@ def test_cumulative_simpson_equals_loop(steps, t0, seed, is_complex):
 DP5 = IntegratorConfig()
 DP5_GLOBAL = 1e3 * DP5.rel_tol
 WINDOW = np.linspace(-4.0, 4.0, 41)
-RK4_RUNS = {"rwa": (rwa_propagate, 20, 4.0), "full": (full_field_propagate, 80, 8.0)}
+RK4_RUNS = {"rwa": (dp5_rwa_propagate, 20, 4.0), "full": (full_field_propagate, 80, 8.0)}
 PROPAGATION = settings(PROPERTY, max_examples=20)
 
 chirps = st.builds(
@@ -582,7 +589,7 @@ def test_magnus_segment_agrees_with_dp5_and_rk4(reference, field, initial, gamma
     c_g = u00 * a_g + u01 * a_e
     c_e = (u10 * a_g + u11 * a_e) * np.exp(-1j * field.carrier * t1)
     if reference == "dp5":
-        final = rwa_propagate(system, field, initial, WINDOW, DP5)[-1]
+        final = dp5_rwa_propagate(system, field, initial, WINDOW, DP5)[-1]
         bound = 2.0 * DP5_GLOBAL
     else:
         _, substeps, lam = RK4_RUNS["rwa"]
@@ -590,3 +597,36 @@ def test_magnus_segment_agrees_with_dp5_and_rk4(reference, field, initial, gamma
         final = rk4_propagate(system, field, initial, WINDOW, engine="rwa", substeps=substeps)[-1]
         bound = DP5_GLOBAL + (t1 - t0) * lam**5 * h**4 / 120.0
     assert max(abs(c_g - final.c_g), abs(c_e - final.c_e)) <= bound
+
+
+# Magnus trajectories (``rwa_propagate``) against DP5 on random Gaussian and
+# sech pulses damped up to gamma' = 0.2, from random states, on random
+# non-uniform grids over WINDOW's span (the step differs per interval).
+# Bound fixed from rel_tol before any run: each engine errs by at most
+# DP5_GLOBAL in amplitude (the Magnus doubling stops once the sampled states
+# move by at most rel_tol * max|a|, and a fourth-order step leaves about a
+# fifteenth of that move), so the two differ by at most twice that.
+uneven_grids = st.lists(st.floats(WINDOW[0], WINDOW[-1]), max_size=30).map(
+    lambda points: np.unique(np.concatenate(([WINDOW[0], WINDOW[-1]], points)))
+)
+smooth_pulses = st.builds(
+    DrivingField,
+    carrier=st.floats(4.5, 5.5),
+    envelope=st.builds(
+        EnvelopeSpec,
+        shape=st.sampled_from(["gaussian", "sech"]),
+        peak=st.floats(0.1, 2.0),
+        center=st.floats(-1.0, 1.0),
+        width=st.floats(0.5, 2.0),
+    ),
+    phase=chirps,
+)
+
+
+@PROPAGATION
+@given(field=smooth_pulses, initial=states, gamma=st.floats(0.0, 0.2), t=uneven_grids)
+def test_magnus_trajectory_agrees_with_dp5(field, initial, gamma, t):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    magnus = rwa_propagate(system, field, initial, t, DP5)
+    dp5 = dp5_rwa_propagate(system, field, initial, t, DP5)
+    assert compare_trajectories(magnus, dp5).max_amplitude_error <= 2.0 * DP5_GLOBAL
