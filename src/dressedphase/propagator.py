@@ -81,8 +81,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # -+ _GAUSS_OFFSET * h, and the weight of the commutator term.
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
-_MAGNUS_MAX_INTERVALS = 2**20
-_MAGNUS_CHUNK = 2**11  # a power of two
+_MAGNUS_MAX_INTERVALS = 2**20  # Magnus steps per sample interval
+# A time chunk holds at most _MAGNUS_CHUNK steps (a power of two), and a
+# stack at most _MAGNUS_STACK steps over all its drives: one drive's short
+# stacks keep a trajectory's memory down, many drives share a longer one.
+_MAGNUS_CHUNK = 2**11
+_MAGNUS_STACK = 2**15
 # Below this |s^2| the closed-form exponential sums cosh(s) and sinh(s)/s as
 # series; the first term left out is below s^10 / 10! < 3e-17.
 _SERIES_S2 = 1e-2
@@ -385,22 +389,32 @@ def _magnus_grid(
     Returns the entries (00, 01, 10, 11) for the m drives of ``weights`` over
     the n = t.size - 1 intervals as a (4, m, n) array.  Time is taken in
     chunks of at most ``_MAGNUS_CHUNK`` steps (whole intervals while k fits,
-    power-of-two blocks of one interval beyond) and the drives in chunks
-    within each, so a stack holds at most ``_MAGNUS_CHUNK`` steps.  A
+    power-of-two blocks of one interval beyond) and the drives in batches
+    within each, so a stack holds at most ``_MAGNUS_STACK`` steps.  A
     power-of-two block is an aligned block of ``_ordered_product``'s pairwise
     tree, so multiplying the block products in order changes no bit.
     """
     n = t.size - 1
-    h = np.diff(t) / k
     span = min(k, _MAGNUS_CHUNK)
     per_chunk = min(n, _MAGNUS_CHUNK // span)
-    drives = _MAGNUS_CHUNK // (per_chunk * span)
+    drives = _MAGNUS_STACK // (per_chunk * span)
     batches = [weights[:, d : d + drives] for d in range(0, weights.shape[1], drives)]
+    if n == 1:
+        # A segment: one step length, passed as a float (numpy's scalar path
+        # is the cheaper one), and no interval axis.
+        t0, h = float(t[0]), float(t[1] - t[0]) / k
+        blocks = []
+        for j in range(0, k, span):
+            mids = t0 + h * (np.arange(j, min(j + span, k)) + 0.5)
+            values = terms(np.concatenate((mids - _GAUSS_OFFSET * h, mids + _GAUSS_OFFSET * h)))
+            steps = (_magnus_steps(values, w, detuning, h) for w in batches)
+            blocks.append(np.concatenate([np.stack(_ordered_product(u)) for u in steps], axis=-1))
+        return np.stack(_ordered_product(np.stack(blocks, axis=-1)))[..., None]
+    h = np.diff(t)[:, None] / k
     products = []
     for i in range(0, n, per_chunk):
-        hi = h[i : i + per_chunk, None]
-        # A chunk of several intervals holds all k steps of each.  One step
-        # length is passed as a float: numpy's scalar path is the cheaper one.
+        hi = h[i : i + per_chunk]
+        # A chunk of several intervals holds all k steps of each.
         hs = np.repeat(hi, k) if hi.size > 1 else float(hi[0, 0])
         blocks = []
         for j in range(0, k, span):
@@ -422,14 +436,15 @@ def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: Integ
     change between ``grid(k)`` and ``grid(2k)`` is at most
     ``abs_tol + rel_tol * max|grid(2k)|``, or at most ``n * eps * max|grid(2k)|``,
     the rounding a product of the finer grid's n steps can reach.  Past
-    ``_MAGNUS_MAX_INTERVALS`` steps in one grid StepSizeUnderflowError is
-    raised; the cap bounds work only, since ``_magnus_grid`` chunks time and
-    drives.
+    ``_MAGNUS_MAX_INTERVALS`` steps per interval StepSizeUnderflowError is
+    raised.  The cap bounds k, not the steps of the whole grid, so only the
+    drive limits a trajectory however many samples it has; ``_magnus_grid``
+    chunks time and drives, so memory stays bounded.
     """
     intervals = t.size - 1
     k = max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
     coarse = None
-    while intervals * k <= _MAGNUS_MAX_INTERVALS:
+    while k <= _MAGNUS_MAX_INTERVALS:
         fine = grid(k)
         scale = np.max(np.abs(fine))
         tol = max(cfg.abs_tol + cfg.rel_tol * scale, intervals * k * np.finfo(float).eps * scale)
@@ -438,7 +453,7 @@ def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: Integ
         coarse = fine
         k *= 2
     raise StepSizeUnderflowError(
-        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps on [{t[0]!r}, {t[-1]!r}]"
+        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps per interval on [{t[0]!r}, {t[-1]!r}]"
     )
 
 
@@ -485,13 +500,18 @@ def _magnus_trajectory(
     """
 
     def states(k):
-        u = _magnus_grid(lambda x: (coupling(x),), np.ones((1, 1), dtype=complex), detuning, t, k)
-        g, e = y0
-        out = [(g, e)]
-        for u00, u01, u10, u11 in zip(*u[:, 0].tolist()):
-            g, e = u00 * g + u01 * e, u10 * g + u11 * e
-            out.append((g, e))
-        return np.array(out, dtype=complex).T
+        u = _magnus_grid(lambda x: (coupling(x),), np.ones((1, 1), dtype=complex), detuning, t, k)[:, 0]
+        out = np.empty((2, t.size), dtype=complex)
+        out[:, 0] = g, e = y0
+        # Python complex arithmetic is the fast form of this sequential
+        # loop; the intervals go through it in chunks to bound its lists.
+        for i in range(0, u.shape[1], _MAGNUS_CHUNK):
+            chunk = []
+            for u00, u01, u10, u11 in zip(*u[:, i : i + _MAGNUS_CHUNK].tolist()):
+                g, e = u00 * g + u01 * e, u10 * g + u11 * e
+                chunk.append((g, e))
+            out[:, i + 1 : i + 1 + len(chunk)] = np.array(chunk, dtype=complex).T
+        return out
 
     return tuple(_magnus_doubled(states, t, cfg))
 

@@ -40,7 +40,7 @@ from dressedphase.propagator import (
     rwa_propagate_coupling,
 )
 from dressedphase.numerics import check_monotone_grid
-from oracles import dp5_propagate, rabi_population
+from oracles import dp5_propagate, dp5_rwa_propagate, rabi_population
 
 RESONANT = TwoLevelSystem(0.0, 5.0)
 RES_FIELD = DrivingField(5.0, EnvelopeSpec.constant(1.0))
@@ -326,7 +326,7 @@ def test_magnus_chunks_are_the_whole_batch():
     weights = np.stack((np.ones(deltas.size), np.exp(-1j * deltas)))
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, max_step=0.5)
     whole = _magnus(weights, cfg)
-    with mock.patch.object(propagator, "_MAGNUS_CHUNK", 64):
+    with mock.patch.object(propagator, "_MAGNUS_CHUNK", 64), mock.patch.object(propagator, "_MAGNUS_STACK", 64):
         chunked = _magnus(weights, cfg)
     assert whole.shape == (4, deltas.size)
     np.testing.assert_array_equal(chunked, whole)
@@ -416,11 +416,11 @@ def test_rwa_propagate_is_the_coupling_form(name, edit):
 
 
 def _grid_steps(call):
-    """Run ``call`` and return the step counts n * k of every Magnus grid it made."""
+    """Run ``call`` and return the steps per interval k of every Magnus grid it made."""
     steps = []
 
     def spy(terms, weights, detuning, t, k):
-        steps.append((t.size - 1) * k)
+        steps.append(k)
         return grid(terms, weights, detuning, t, k)
 
     grid = propagator._magnus_grid
@@ -431,9 +431,9 @@ def _grid_steps(call):
 
 def test_trajectory_reach_under_the_step_cap():
     """The quick-tour pulse stretched eightfold, over t1 = 9,600 with 19,201
-    samples: the doubling stops at 32 steps per interval, 614,400 steps under
-    the 2**20 cap, and the state is the assembled one within ten times the
-    adiabatic margin (acceptance criterion A3's bound)."""
+    samples: the doubling stops at 32 steps per interval (614,400 steps in
+    all), and the state is the assembled one within ten times the adiabatic
+    margin (acceptance criterion A3's bound)."""
     system = TwoLevelSystem(0.0, 12.0)
     field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 4800.0, 4800.0))
     t = np.linspace(0.0, 9600.0, 19201)
@@ -443,17 +443,36 @@ def test_trajectory_reach_under_the_step_cap():
     steps = _grid_steps(
         lambda: out.append(rwa_propagate(system, field, assembled[0], t, IntegratorConfig(1e-10, 1e-13)))
     )
-    assert 2**19 < max(steps) <= propagator._MAGNUS_MAX_INTERVALS
+    assert max(steps) == 32
     assert compare_trajectories(assembled, out[0]).max_amplitude_error <= 10.0 * margin
 
 
-def test_trajectory_step_cap_counts_every_step():
-    """The cap bounds the steps of one grid, n intervals times k steps each:
-    ten intervals that converge at 128 steps per interval raise once n * k
-    passes a cap (here lowered to 512) that k alone never reaches."""
+def test_trajectory_step_cap_bounds_steps_per_interval():
+    """The cap bounds the steps per interval k, not the n * k steps of the
+    grid: ten intervals that converge at 128 steps each (1,280 in all)
+    return under a cap of 128 and raise under 64."""
     t = np.linspace(-5.5, 5.5, 11)
     run = partial(rwa_propagate, MAGNUS_SYSTEM, MAGNUS_PULSE, TwoLevelState(1.0, 0.0), t, TIGHT)
-    assert max(_grid_steps(run)) == 10 * 128
-    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 512):
-        with pytest.raises(StepSizeUnderflowError, match="Magnus step doubling passed 512 steps"):
+    assert max(_grid_steps(run)) == 128
+    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 128):
+        run()
+    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 64):
+        with pytest.raises(StepSizeUnderflowError, match="passed 64 steps per interval"):
             run()
+
+
+def test_dense_trajectory_is_not_capped_by_its_samples():
+    """Far more intervals than the cap (here lowered to 16 steps per
+    interval): 4,001 samples over the chirped, damped pulse converge at a
+    few steps per interval and agree with DP5 within 1e3 * rel_tol, where a
+    cap on the grid's n * k steps would raise before any work."""
+    t = np.linspace(-5.5, 5.5, 4001)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
+    out = []
+    with mock.patch.object(propagator, "_MAGNUS_MAX_INTERVALS", 16):
+        steps = _grid_steps(
+            lambda: out.append(rwa_propagate(MAGNUS_SYSTEM, MAGNUS_PULSE, TwoLevelState(1.0, 0.0), t, cfg))
+        )
+    dp5 = dp5_rwa_propagate(MAGNUS_SYSTEM, MAGNUS_PULSE, TwoLevelState(1.0, 0.0), t, cfg)
+    assert max(steps) <= 16
+    assert compare_trajectories(out[0], dp5).max_amplitude_error <= 1e3 * cfg.rel_tol
