@@ -44,7 +44,7 @@ class GridError(ValidationError):
 
 
 class StepSizeUnderflowError(DressedPhaseError):
-    """Adaptive step controller stalled below the representable step."""
+    """The Magnus steps cannot resolve the drive within their step cap."""
 
     module = "propagator"
 

@@ -17,9 +17,9 @@ propagation per delta: the phase enters the fringe only through D(delta).
 Otherwise the drives of different deltas differ only in the weights of
 pulse 2's terms, e^{-i delta} on K2 and, for the real field, its conjugate
 on the counter-rotating term, so one batched run covers every delta.  Both
-use the Magnus segments of ``propagator`` and no DP5 propagation;
-``pulse_pair_population`` is the scan at the pair's own delta.  A scan of
-any engine warns once, at its caller.
+use the Magnus segments of ``propagator``; ``pulse_pair_population`` is the
+scan at the pair's own delta.  A scan of any engine warns once, at its
+caller.
 """
 
 from __future__ import annotations
@@ -34,7 +34,13 @@ import numpy as np
 from .errors import ValidationError
 from .model import DrivingField, TwoLevelSystem, _complex_detuning
 from .numerics import _read_only
-from .propagator import IntegratorConfig, _array_coupling_fn, _check_engine, _magnus_propagator
+from .propagator import (
+    IntegratorConfig,
+    _array_coupling_fn,
+    _check_engine,
+    _check_resolved,
+    _magnus_propagator,
+)
 
 
 @dataclass(frozen=True)
@@ -156,19 +162,21 @@ def phase_scan(
     """Fringe record P_e(delta) over a grid of relative phases.
 
     Every scan runs fourth-order Magnus segments (see
-    ``propagator._magnus_propagator``) and no DP5 propagation.  Separated
-    pulses (delay at least twice the envelope's support half-width) on the
-    rotating-wave engine are composed from one segment over pulse 1's
-    support, and every delta follows from the D(delta) conjugation (see
-    ``_composed_populations``).  Overlapping or merged pulses, and every
-    full-field pair, take one segment over the whole window for all deltas
-    at once (see ``_summed_populations``).  The segments start from the
-    step cap (``max_step``, at most half the envelope width) and double
-    their interval count until the propagator changes by at most
+    ``propagator._magnus_propagator``).  Separated pulses (delay at least
+    twice the envelope's support half-width) on the rotating-wave engine are
+    composed from one segment over pulse 1's support, and every delta
+    follows from the D(delta) conjugation (see ``_composed_populations``).
+    Overlapping or merged pulses, and every full-field pair, take one
+    segment over the whole window for all deltas at once (see
+    ``_summed_populations``).  The segments start from the step cap
+    (``max_step``, at most half the envelope width) and double their
+    interval count until the propagator changes by at most
     ``abs_tol + rel_tol * max|U|`` between counts, or by no more than the
-    rounding of the product can reach.  Constant envelopes have no pulse
-    window and are rejected.  An unknown engine is rejected before anything
-    else; every engine warns at most once per scan.  ``delta_grid`` must be
+    rounding of the product can reach.  A full-field scan whose carrier the
+    step cap cannot resolve over the window raises StepSizeUnderflowError
+    before any step.  Constant envelopes have no pulse window and are
+    rejected.  An unknown engine is rejected before anything else; every
+    engine warns at most once per scan.  ``delta_grid`` must be
     a non-empty 1-D array of finite values on every path.
     """
     _check_engine(engine)
@@ -235,6 +243,7 @@ def _summed_populations(system, pair, deltas, cfg, engine) -> np.ndarray:
     'full': the real coupling mu E0_j cos(W t + phi_j) = K_j e^{-i W t} + c.c.
     on carrier 0, so the terms are (K1 e^{-i W t}, c.c., K2 e^{-i W t}, c.c.)
     with weights (1, 1, w, conj(w)); each K_j e^{-i W t} is evaluated once.
+    The window is one interval, so the carrier must be resolved over all of it.
     """
     start, end = pair.window()
     k1, k2 = _array_coupling_fn(system, pair.base), _array_coupling_fn(system, pair.second)
@@ -243,6 +252,8 @@ def _summed_populations(system, pair, deltas, cfg, engine) -> np.ndarray:
     if engine == "rwa":
         terms, weights, frame = lambda t: (k1(t), k2(t)), np.stack((ones, w)), carrier
     else:
+        _check_resolved(carrier, end - start)
+
         def terms(t):
             turn = np.exp(-1j * carrier * t)
             a, b = k1(t) * turn, k2(t) * turn

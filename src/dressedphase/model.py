@@ -344,56 +344,6 @@ class InitialPhases:
         _require_finite(self, ("phi_g", "phi_e"))
 
 
-def scalar_envelope_fn(env: EnvelopeSpec):
-    """Fast scalar-argument evaluator for the envelope (used in ODE right-hand sides)."""
-    peak = env.peak
-    if env.shape == "constant":
-        return lambda t: peak
-    center, width = env.center, env.width
-    if env.shape == "gaussian":
-        def gauss(t: float) -> float:
-            u = (t - center) / width
-            return peak * math.exp(-u * u)
-        return gauss
-    if env.shape == "sech":
-        def sech(t: float) -> float:
-            try:
-                return peak / math.cosh((t - center) / width)
-            except OverflowError:  # where the array form divides by inf
-                return 0.0
-        return sech
-    half = env.plateau / 2.0
-    a0, a1 = center - half - width, center - half
-    b1, b0 = center + half, center + half + width
-    k = math.pi / width
-
-    def flat_top(t: float) -> float:
-        if t < a0 or t > b0:
-            return 0.0
-        if t < a1:
-            return 0.5 * peak * (1.0 - math.cos(k * (t - a0)))
-        if t <= b1:
-            return peak
-        return 0.5 * peak * (1.0 + math.cos(k * (t - b1)))
-
-    return flat_top
-
-
-def scalar_phase_fn(ph: PhaseSpec):
-    """Fast scalar-argument evaluator for the slow phase phi(t)."""
-    phi0, t_ref = ph.phi0, ph.t_ref
-    if ph.shape == "constant":
-        return lambda t: phi0
-    if ph.shape == "linear_chirp":
-        rate = ph.rate
-        return lambda t: phi0 + rate * (t - t_ref)
-    if ph.shape == "quadratic_chirp":
-        rate, curv = ph.rate, ph.curvature
-        return lambda t: phi0 + (rate + curv * (t - t_ref)) * (t - t_ref)
-    depth, nu = ph.depth, ph.mod_freq
-    return lambda t: phi0 + depth * math.sin(nu * (t - t_ref))
-
-
 def rabi_frequency(system: TwoLevelSystem, field: DrivingField, t, order: int = 0):
     """n-th time derivative of the Rabi frequency Omega(t) = mu * E0(t)."""
     return system.mu * field.envelope.derivative(t, order)

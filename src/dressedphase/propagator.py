@@ -9,24 +9,22 @@ checked against.  Two engines are provided:
   solution lives in; ``rwa_propagate_coupling`` takes any complex coupling
   K(t) on one carrier instead of a pulse.
 
-Both integrate one equation, ``_rwa_rhs``, in a frame rotating at w_g: an
-engine is a choice of drive (``_drive``) for one pulse, and every trajectory
-runs through ``_propagate``, which checks the grid and the frame.
+Both integrate one equation in a frame rotating at w_g: an engine is a
+choice of drive (``_drive``) for one pulse, and every trajectory runs
+through ``_propagate``, which checks the grid and the frame.
 
-The rotating-wave trajectories, and the pulse pairs and fringe scans of
-``interferometry`` on either engine, run fourth-order Magnus steps evaluated
-as numpy arrays (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the
-constant complex detuning enters each step's exponent exactly, the 2x2
-exponentials are closed-form, and ``_magnus_grid`` forms the propagator of
-every sample interval (a segment is one interval, often for many drives that
-differ in one phase).  The steps per interval are doubled until what is
-returned, the sampled states or the segment propagators, changes by at most
+Every trajectory of either engine, and the pulse pairs and fringe scans of
+``interferometry``, run fourth-order Magnus steps evaluated as numpy arrays
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the constant complex
+detuning enters each step's exponent exactly, the 2x2 exponentials are
+closed-form, and ``_magnus_grid`` forms the propagator of every sample
+interval (a segment is one interval, often for many drives that differ in
+one phase).  The steps per interval are doubled until what is returned, the
+sampled states or the segment propagators, changes by at most
 ``abs_tol + rel_tol * max``, or by no more than its rounding can reach.
-``full_field_propagate`` runs an adaptive embedded Dormand-Prince 5(4)
-stepper for the two-component complex state (steps are clipped onto the
-samples, so no interpolation error enters trajectories); ``rk4_propagate``
-runs a fixed-step RK4 stepper as an independent cross-check.  The tests keep
-DP5 on a scalar coupling as the reference for the Magnus steps.
+``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
+cross-check.  The tests keep an adaptive Dormand-Prince 5(4) stepper on
+scalar couplings as the reference for the Magnus steps.
 """
 
 from __future__ import annotations
@@ -49,33 +47,9 @@ from .model import (
     TwoLevelSystem,
     _complex_detuning,
     _require_finite,
-    scalar_envelope_fn,
-    scalar_phase_fn,
+    instantaneous_field,
 )
 from .numerics import _read_only, check_monotone_grid
-
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
 
 # Fourth-order Magnus step: Gauss-Legendre nodes at the interval midpoint
 # -+ _GAUSS_OFFSET * h, and the weight of the commutator term.
@@ -110,14 +84,12 @@ class TwoLevelState:
 class IntegratorConfig:
     """Integrator tolerances and step cap.
 
-    For the Magnus steps of the rotating-wave trajectories and of the pulse
-    pairs' segments they bound the largest change of what is returned (the
+    For the Magnus steps of the trajectories and of the pulse pairs'
+    segments they bound the largest change of what is returned (the
     sampled states, or the segment propagator U) when the steps per sample
     interval are doubled, ``abs_tol + rel_tol * max|x|`` (raised to the
     rounding floor n * eps * max|x| of n steps), and ``max_step`` sets the
-    first count.  For the adaptive embedded Runge-Kutta 5(4) engine of the
-    full-field trajectory they bound each step's error estimate,
-    ``abs_tol + rel_tol * |y|`` per component.
+    first count.
     """
 
     rel_tol: float = 1e-9
@@ -183,129 +155,40 @@ class TrajectoryComparison:
     final_phase_error_e: float
 
 
-def _integrate_pair(
-    coupling: Callable[[float], complex],
-    detuning: complex,
-    t_grid: np.ndarray,
-    y0: tuple[complex, complex],
-    cfg: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive DP5(4) integration of ``_rwa_rhs`` over t_grid.
-
-    The state is kept in scalar complex variables; steps are clipped so every
-    requested sample time is hit exactly.
-    """
-    rhs = _rwa_rhs(coupling, detuning)
-    n = t_grid.size
-    out_g = np.empty(n, dtype=complex)
-    out_e = np.empty(n, dtype=complex)
-    g, e = complex(y0[0]), complex(y0[1])
-    out_g[0] = g
-    out_e[0] = e
-
-    rel, abt, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
-    t = float(t_grid[0])
-    t_end = float(t_grid[-1])
-    span = t_end - t
-
-    k1g, k1e = rhs(t, g, e)
-    d0 = max(abs(g), abs(e), abt)
-    d1 = max(abs(k1g), abs(k1e), 1e-300)
-    h = min(max_step, span, 1e-2 * d0 / d1)
-    h_floor = 16.0 * np.finfo(float).eps
-
-    idx = 1
-    target = float(t_grid[idx])
-    while True:
-        if h < h_floor * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(f"step-size underflow at t = {t!r}")
-        clipped = t + h >= target
-        h_used = target - t if clipped else h
-
-        k2g, k2e = rhs(t + _C2 * h_used, g + h_used * (_A21 * k1g), e + h_used * (_A21 * k1e))
-        k3g, k3e = rhs(
-            t + _C3 * h_used,
-            g + h_used * (_A31 * k1g + _A32 * k2g),
-            e + h_used * (_A31 * k1e + _A32 * k2e),
-        )
-        k4g, k4e = rhs(
-            t + _C4 * h_used,
-            g + h_used * (_A41 * k1g + _A42 * k2g + _A43 * k3g),
-            e + h_used * (_A41 * k1e + _A42 * k2e + _A43 * k3e),
-        )
-        k5g, k5e = rhs(
-            t + _C5 * h_used,
-            g + h_used * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g),
-            e + h_used * (_A51 * k1e + _A52 * k2e + _A53 * k3e + _A54 * k4e),
-        )
-        k6g, k6e = rhs(
-            t + h_used,
-            g + h_used * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g + _A65 * k5g),
-            e + h_used * (_A61 * k1e + _A62 * k2e + _A63 * k3e + _A64 * k4e + _A65 * k5e),
-        )
-        g_new = g + h_used * (_B1 * k1g + _B3 * k3g + _B4 * k4g + _B5 * k5g + _B6 * k6g)
-        e_new = e + h_used * (_B1 * k1e + _B3 * k3e + _B4 * k4e + _B5 * k5e + _B6 * k6e)
-        t_new = target if clipped else t + h_used
-        k7g, k7e = rhs(t_new, g_new, e_new)
-
-        err_g = h_used * (
-            _E1 * k1g + _E3 * k3g + _E4 * k4g + _E5 * k5g + _E6 * k6g + _E7 * k7g
-        )
-        err_e = h_used * (
-            _E1 * k1e + _E3 * k3e + _E4 * k4e + _E5 * k5e + _E6 * k6e + _E7 * k7e
-        )
-        scale_g = abt + rel * max(abs(g), abs(g_new))
-        scale_e = abt + rel * max(abs(e), abs(e_new))
-        err = math.sqrt(0.5 * ((abs(err_g) / scale_g) ** 2 + (abs(err_e) / scale_e) ** 2))
-
-        if err <= 1.0:
-            t, g, e = t_new, g_new, e_new
-            k1g, k1e = k7g, k7e
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h_next = min(max_step, h_used * factor)
-            if clipped:
-                # Do not let an output-clipped step shrink the natural step.
-                h_next = min(max_step, max(h_next, h))
-                out_g[idx] = g
-                out_e[idx] = e
-                idx += 1
-                if idx == n:
-                    break
-                target = float(t_grid[idx])
-            h = h_next
-        else:
-            h = h_used * max(0.2, 0.9 * err ** -0.2)
-
-    return out_g, out_e
-
-
 def _rk4_pair(
-    coupling: Callable[[float], complex],
+    coupling: Callable[[np.ndarray], np.ndarray],
     detuning: complex,
     t_grid: np.ndarray,
     y0: tuple[complex, complex],
     substeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fixed-step RK4 of ``_rwa_rhs`` over t_grid, ``substeps`` steps per sample interval."""
-    rhs = _rwa_rhs(coupling, detuning)
-    n = t_grid.size
-    out_g = np.empty(n, dtype=complex)
-    out_e = np.empty(n, dtype=complex)
-    g, e = y0
-    out_g[0], out_e[0] = g, e
-    for i in range(n - 1):
-        h = (t_grid[i + 1] - t_grid[i]) / substeps
-        tt = t_grid[i]
-        for _ in range(substeps):
-            k1g, k1e = rhs(tt, g, e)
-            k2g, k2e = rhs(tt + 0.5 * h, g + 0.5 * h * k1g, e + 0.5 * h * k1e)
-            k3g, k3e = rhs(tt + 0.5 * h, g + 0.5 * h * k2g, e + 0.5 * h * k2e)
-            k4g, k4e = rhs(tt + h, g + h * k3g, e + h * k3e)
-            g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-            e = e + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-            tt += h
-        out_g[i + 1], out_e[i + 1] = g, e
-    return out_g, out_e
+    """Classic fixed-step RK4 over t_grid, ``substeps`` steps per sample interval.
+
+    Every node the steps need, t_i + j h/2 for j = 0 .. 2 substeps, is
+    evaluated in one array call of ``coupling``; the loop runs over the
+    state only (see ``_propagate`` for the equations).
+    """
+    h = np.diff(t_grid) / substeps
+    nodes = t_grid[:-1, None] + h[:, None] * (0.5 * np.arange(2 * substeps + 1))
+    k_nodes = np.asarray(coupling(nodes), dtype=complex)
+    m_i_det = -1j * detuning
+
+    def rhs(k, g, e):
+        return 1j * k.conjugate() * e, m_i_det * e + 1j * k * g
+
+    out = np.empty((2, t_grid.size), dtype=complex)
+    out[:, 0] = g, e = y0
+    for i, (hi, row) in enumerate(zip(h.tolist(), k_nodes), start=1):
+        ks = row.tolist()
+        for j in range(0, 2 * substeps, 2):
+            k1g, k1e = rhs(ks[j], g, e)
+            k2g, k2e = rhs(ks[j + 1], g + 0.5 * hi * k1g, e + 0.5 * hi * k1e)
+            k3g, k3e = rhs(ks[j + 1], g + 0.5 * hi * k2g, e + 0.5 * hi * k2e)
+            k4g, k4e = rhs(ks[j + 2], g + hi * k3g, e + hi * k3e)
+            g = g + (hi / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+            e = e + (hi / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+        out[:, i] = g, e
+    return out[0], out[1]
 
 
 def _mat_mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple:
@@ -470,7 +353,7 @@ def _magnus_propagator(
     ``terms`` evaluates every term K_j on an array of times at once and
     returns their arrays in order; ``weights`` has shape (number of terms,
     m).  Returns the entries (00, 01, 10, 11) of the m propagators as a
-    (4, m) array, in the rotating frame of ``_rwa_rhs``.
+    (4, m) array, in the rotating frame of ``_propagate``.
 
     The steps are fourth-order Magnus steps (two Gauss-Legendre nodes, one
     commutator) on a uniform grid, all evaluated at once; the 2x2
@@ -516,32 +399,6 @@ def _magnus_trajectory(
     return tuple(_magnus_doubled(states, t, cfg))
 
 
-def _rwa_rhs(
-    coupling: Callable[[float], complex], detuning: complex
-) -> Callable[[float, complex, complex], tuple[complex, complex]]:
-    """Rotating-frame right-hand side with a_g, a_e referenced to w_g and w_g + w.
-
-    ``coupling`` is K(t) of ``_drive``: (Omega(t)/2) exp(-i phi(t)), or the
-    real mu E(t) at w = 0.  The equations, the only ones integrated, are
-    da_g/dt = i conj(K) a_e and da_e/dt = -i dw~ a_e + i K a_g with the full
-    complex detuning dw~ = dw - i gamma/2.
-    """
-    m_i_det = -1j * detuning
-
-    def rhs(t: float, a_g: complex, a_e: complex) -> tuple[complex, complex]:
-        k = coupling(t)
-        return 1j * k.conjugate() * a_e, m_i_det * a_e + 1j * k * a_g
-
-    return rhs
-
-
-def _coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[float], complex]:
-    """K(t) = (mu E0(t)/2) exp(-i phi(t)) of one pulse."""
-    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
-    half_mu = 0.5 * system.mu
-    return lambda t: half_mu * env(t) * cmath.exp(-1j * phi(t))
-
-
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:
     """K(t) = (mu E0(t)/2) exp(-i phi(t)) on an array of times, for the Magnus steps."""
     half_mu = 0.5 * system.mu
@@ -552,25 +409,34 @@ def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[
     return coupling
 
 
-def _field_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[float], float]:
-    """Real coupling mu E(t) = mu E0(t) cos(W t + phi(t)) of one pulse."""
-    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
-    mu, carrier = system.mu, field.carrier
-    return lambda t: mu * (env(t) * math.cos(carrier * t + phi(t)))
-
-
 def _drive(system: TwoLevelSystem, field: DrivingField, engine: str) -> tuple:
-    """The coupling and frame carrier of ``_rwa_rhs`` for the pulse ``field`` on carrier W.
+    """The array coupling and frame carrier of ``_propagate`` for the pulse ``field`` on carrier W.
 
-    'rwa': K(t) on W.  'full': the real mu E(t) on carrier 0, since the
-    bare-frame equations with the real field are ``_rwa_rhs`` in the frame
-    rotating at w_g (Allen & Eberly, Optical Resonance and Two-Level Atoms,
-    1975, ch. 2); a common shift of both levels is then an exact global phase.
+    'rwa': K(t) on W.  'full': the real mu E(t) = mu E0(t) cos(W t + phi(t))
+    on carrier 0, since the bare-frame equations with the real field are the
+    rotating-frame ones at w = 0 in the frame rotating at w_g (Allen &
+    Eberly, Optical Resonance and Two-Level Atoms, 1975, ch. 2); a common
+    shift of both levels is then an exact global phase.
     """
     _check_engine(engine)
     if engine == "rwa":
-        return _coupling_fn(system, field), field.carrier
-    return _field_fn(system, field), 0.0
+        return _array_coupling_fn(system, field), field.carrier
+    mu = system.mu
+    return (lambda t: mu * instantaneous_field(field, t)), 0.0
+
+
+def _check_resolved(carrier: float, span: float) -> None:
+    """StepSizeUnderflowError unless the step cap resolves the carrier over ``span``.
+
+    A Magnus step samples cos(W t) at two Gauss nodes, which tell nothing
+    once the step turns it by pi or more; at ``_MAGNUS_MAX_INTERVALS`` steps
+    over an interval of length ``span`` that is W span / cap >= pi.
+    """
+    if not carrier * span / _MAGNUS_MAX_INTERVALS < math.pi:
+        raise StepSizeUnderflowError(
+            f"step-size underflow: the carrier {carrier!r} turns by pi or more per Magnus step "
+            f"at {_MAGNUS_MAX_INTERVALS} steps over an interval of {span!r}"
+        )
 
 
 def _check_engine(engine: str) -> None:
@@ -583,8 +449,14 @@ def _propagate(system, coupling, carrier, initial, t_grid, integrate, frame="bar
     """Propagate ``initial`` over ``t_grid`` under K(t) on ``carrier`` with ``integrate``.
 
     The state is moved into the frame rotating at w_g and w_g + carrier,
-    integrated there by ``_rwa_rhs``, and moved back unless ``frame`` is
-    'rotating'.  The grid and the frame are checked before any integration.
+    integrated there, and moved back unless ``frame`` is 'rotating'.  With
+    the full complex detuning dw~ = dw - i gamma/2 the equations there, the
+    only ones integrated, are
+
+        da_g/dt = i conj(K) a_e,    da_e/dt = -i dw~ a_e + i K a_g.
+
+    ``integrate(coupling, dw~, t, a0)`` returns (a_g, a_e) at the samples.
+    The grid and the frame are checked before any integration.
     """
     t = check_monotone_grid(t_grid)
     if frame not in ("bare", "rotating"):
@@ -615,8 +487,7 @@ def rwa_propagate(
     on fourth-order Magnus steps (see ``_magnus_trajectory``).
     """
     integrate = partial(_magnus_trajectory, cfg=cfg)
-    coupling = _array_coupling_fn(system, field)
-    return _propagate(system, coupling, field.carrier, initial, t_grid, integrate, frame)
+    return _propagate(system, *_drive(system, field, "rwa"), initial, t_grid, integrate, frame)
 
 
 def rwa_propagate_coupling(
@@ -655,9 +526,16 @@ def full_field_propagate(
         i dc_g/dt = w_g c_g - Omega(t) cos(Phi(t)) c_e
         i dc_e/dt = w_e c_e - Omega(t) cos(Phi(t)) c_g - i (gamma/2) c_e
 
-    They are integrated in the frame rotating at w_g (see ``_drive``).
+    They are integrated in the frame rotating at w_g (see ``_drive``), on
+    fourth-order Magnus steps (see ``_magnus_trajectory``).  A carrier the
+    step cap cannot resolve over the longest sample interval is rejected
+    before any step (``_check_resolved``).
     """
-    integrate = partial(_integrate_pair, cfg=cfg)
+
+    def integrate(coupling, detuning, t, a0):
+        _check_resolved(field.carrier, float(np.max(np.diff(t))))
+        return _magnus_trajectory(coupling, detuning, t, a0, cfg)
+
     return _propagate(system, *_drive(system, field, "full"), initial, t_grid, integrate)
 
 
@@ -672,7 +550,7 @@ def rk4_propagate(
     """Fixed-step classic RK4 cross-check integrator (``engine``: 'rwa' or 'full').
 
     Steps ``substeps`` times between consecutive sample points; the stepper is
-    entirely independent of the adaptive one so the two can audit each other.
+    entirely independent of the Magnus steps so the two can audit each other.
     The equations never grow the norm (gamma' >= 0), so a trajectory whose
     norm passes twice the initial one has diverged: ValidationError.
     """

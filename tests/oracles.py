@@ -2,18 +2,23 @@
 
 These are intentionally separate derivations (textbook formulas, direct
 eigendecompositions, brute-force evaluations) so the library code they check
-cannot share a bug with the check itself.
+cannot share a bug with the check itself.  The propagation reference is an
+adaptive Dormand-Prince 5(4) stepper driven by scalar evaluators of the
+envelope, the phase and the couplings, written apart from the array
+registries and the Magnus steps of the library.
 """
 
+import cmath
+import math
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from dressedphase import propagator
-from dressedphase.errors import ValidationError
+from dressedphase.errors import StepSizeUnderflowError, ValidationError
 from dressedphase.interferometry import FringeRecord, _step_capped, _visibility_value
-from dressedphase.propagator import IntegratorConfig, TwoLevelState, _drive
+from dressedphase.propagator import IntegratorConfig, TwoLevelState, _check_engine
 
 
 def free_gaussian(x, t, mass=1.0, x0=0.0, sigma0=1.0, k0=0.0):
@@ -168,21 +173,233 @@ def write_csv_loop(path, header, rows) -> None:
             fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
 
 
+def scalar_envelope_fn(env):
+    """Scalar-argument evaluator for the envelope, written apart from the array registry."""
+    peak = env.peak
+    if env.shape == "constant":
+        return lambda t: peak
+    center, width = env.center, env.width
+    if env.shape == "gaussian":
+        def gauss(t: float) -> float:
+            u = (t - center) / width
+            return peak * math.exp(-u * u)
+        return gauss
+    if env.shape == "sech":
+        def sech(t: float) -> float:
+            try:
+                return peak / math.cosh((t - center) / width)
+            except OverflowError:  # where the array form divides by inf
+                return 0.0
+        return sech
+    half = env.plateau / 2.0
+    a0, a1 = center - half - width, center - half
+    b1, b0 = center + half, center + half + width
+    k = math.pi / width
+
+    def flat_top(t: float) -> float:
+        if t < a0 or t > b0:
+            return 0.0
+        if t < a1:
+            return 0.5 * peak * (1.0 - math.cos(k * (t - a0)))
+        if t <= b1:
+            return peak
+        return 0.5 * peak * (1.0 + math.cos(k * (t - b1)))
+
+    return flat_top
+
+
+def scalar_phase_fn(ph):
+    """Scalar-argument evaluator for the slow phase phi(t), written apart from the array registry."""
+    phi0, t_ref = ph.phi0, ph.t_ref
+    if ph.shape == "constant":
+        return lambda t: phi0
+    if ph.shape == "linear_chirp":
+        rate = ph.rate
+        return lambda t: phi0 + rate * (t - t_ref)
+    if ph.shape == "quadratic_chirp":
+        rate, curv = ph.rate, ph.curvature
+        return lambda t: phi0 + (rate + curv * (t - t_ref)) * (t - t_ref)
+    depth, nu = ph.depth, ph.mod_freq
+    return lambda t: phi0 + depth * math.sin(nu * (t - t_ref))
+
+
+def coupling_fn(system, field):
+    """K(t) = (mu E0(t)/2) exp(-i phi(t)) of one pulse at a scalar time."""
+    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
+    half_mu = 0.5 * system.mu
+    return lambda t: half_mu * env(t) * cmath.exp(-1j * phi(t))
+
+
+def real_coupling_fn(system, field):
+    """Real coupling mu E(t) = mu E0(t) cos(W t + phi(t)) of one pulse at a scalar time."""
+    env, phi = scalar_envelope_fn(field.envelope), scalar_phase_fn(field.phase)
+    mu, carrier = system.mu, field.carrier
+    return lambda t: mu * (env(t) * math.cos(carrier * t + phi(t)))
+
+
+def scalar_drive(system, field, engine):
+    """The scalar coupling and frame carrier of ``rwa_rhs`` for one pulse.
+
+    'rwa': K(t) on the carrier W.  'full': the real mu E(t) on carrier 0, in
+    the frame rotating at w_g.
+    """
+    _check_engine(engine)
+    if engine == "rwa":
+        return coupling_fn(system, field), field.carrier
+    return real_coupling_fn(system, field), 0.0
+
+
+# Dormand-Prince 5(4) tableau.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0,
+    -355.0 / 33.0,
+    46732.0 / 5247.0,
+    49.0 / 176.0,
+    -5103.0 / 18656.0,
+)
+_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+def rwa_rhs(coupling, detuning):
+    """Rotating-frame right-hand side with a_g, a_e referenced to w_g and w_g + w.
+
+    ``coupling`` is K(t) of ``scalar_drive``: (Omega(t)/2) exp(-i phi(t)), or
+    the real mu E(t) at w = 0.  The equations are da_g/dt = i conj(K) a_e
+    and da_e/dt = -i dw~ a_e + i K a_g with the full complex detuning
+    dw~ = dw - i gamma/2.
+    """
+    m_i_det = -1j * detuning
+
+    def rhs(t, a_g, a_e):
+        k = coupling(t)
+        return 1j * k.conjugate() * a_e, m_i_det * a_e + 1j * k * a_g
+
+    return rhs
+
+
+def dp5_pair(coupling, detuning, t_grid, y0, cfg):
+    """Adaptive DP5(4) integration of ``rwa_rhs`` over t_grid.
+
+    The state is kept in scalar complex variables; steps are clipped so every
+    requested sample time is hit exactly.
+    """
+    rhs = rwa_rhs(coupling, detuning)
+    n = t_grid.size
+    out_g = np.empty(n, dtype=complex)
+    out_e = np.empty(n, dtype=complex)
+    g, e = complex(y0[0]), complex(y0[1])
+    out_g[0] = g
+    out_e[0] = e
+
+    rel, abt, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    t = float(t_grid[0])
+    t_end = float(t_grid[-1])
+    span = t_end - t
+
+    k1g, k1e = rhs(t, g, e)
+    d0 = max(abs(g), abs(e), abt)
+    d1 = max(abs(k1g), abs(k1e), 1e-300)
+    h = min(max_step, span, 1e-2 * d0 / d1)
+    h_floor = 16.0 * np.finfo(float).eps
+
+    idx = 1
+    target = float(t_grid[idx])
+    while True:
+        if h < h_floor * max(abs(t), 1.0):
+            raise StepSizeUnderflowError(f"step-size underflow at t = {t!r}")
+        clipped = t + h >= target
+        h_used = target - t if clipped else h
+
+        k2g, k2e = rhs(t + _C2 * h_used, g + h_used * (_A21 * k1g), e + h_used * (_A21 * k1e))
+        k3g, k3e = rhs(
+            t + _C3 * h_used,
+            g + h_used * (_A31 * k1g + _A32 * k2g),
+            e + h_used * (_A31 * k1e + _A32 * k2e),
+        )
+        k4g, k4e = rhs(
+            t + _C4 * h_used,
+            g + h_used * (_A41 * k1g + _A42 * k2g + _A43 * k3g),
+            e + h_used * (_A41 * k1e + _A42 * k2e + _A43 * k3e),
+        )
+        k5g, k5e = rhs(
+            t + _C5 * h_used,
+            g + h_used * (_A51 * k1g + _A52 * k2g + _A53 * k3g + _A54 * k4g),
+            e + h_used * (_A51 * k1e + _A52 * k2e + _A53 * k3e + _A54 * k4e),
+        )
+        k6g, k6e = rhs(
+            t + h_used,
+            g + h_used * (_A61 * k1g + _A62 * k2g + _A63 * k3g + _A64 * k4g + _A65 * k5g),
+            e + h_used * (_A61 * k1e + _A62 * k2e + _A63 * k3e + _A64 * k4e + _A65 * k5e),
+        )
+        g_new = g + h_used * (_B1 * k1g + _B3 * k3g + _B4 * k4g + _B5 * k5g + _B6 * k6g)
+        e_new = e + h_used * (_B1 * k1e + _B3 * k3e + _B4 * k4e + _B5 * k5e + _B6 * k6e)
+        t_new = target if clipped else t + h_used
+        k7g, k7e = rhs(t_new, g_new, e_new)
+
+        err_g = h_used * (
+            _E1 * k1g + _E3 * k3g + _E4 * k4g + _E5 * k5g + _E6 * k6g + _E7 * k7g
+        )
+        err_e = h_used * (
+            _E1 * k1e + _E3 * k3e + _E4 * k4e + _E5 * k5e + _E6 * k6e + _E7 * k7e
+        )
+        scale_g = abt + rel * max(abs(g), abs(g_new))
+        scale_e = abt + rel * max(abs(e), abs(e_new))
+        err = math.sqrt(0.5 * ((abs(err_g) / scale_g) ** 2 + (abs(err_e) / scale_e) ** 2))
+
+        if err <= 1.0:
+            t, g, e = t_new, g_new, e_new
+            k1g, k1e = k7g, k7e
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h_next = min(max_step, h_used * factor)
+            if clipped:
+                # Do not let an output-clipped step shrink the natural step.
+                h_next = min(max_step, max(h_next, h))
+                out_g[idx] = g
+                out_e[idx] = e
+                idx += 1
+                if idx == n:
+                    break
+                target = float(t_grid[idx])
+            h = h_next
+        else:
+            h = h_used * max(0.2, 0.9 * err ** -0.2)
+
+    return out_g, out_e
+
+
 def dp5_propagate(system, coupling, carrier, initial, t_grid, cfg=IntegratorConfig(), frame="bare"):
     """``rwa_propagate_coupling`` on the adaptive Dormand-Prince 5(4) stepper.
 
     The same rotating-frame equation and frame conversions as the library's
-    rotating-wave propagators, with the scalar coupling K(t) on ``carrier``
-    evaluated at DP5's own stages, so it shares no stepper with the Magnus
+    propagators, with the scalar coupling K(t) on ``carrier`` evaluated at
+    DP5's own stages, so it shares no evaluator or stepper with the Magnus
     steps they run on.
     """
-    integrate = partial(propagator._integrate_pair, cfg=cfg)
+    integrate = partial(dp5_pair, cfg=cfg)
     return propagator._propagate(system, coupling, carrier, initial, t_grid, integrate, frame)
 
 
 def dp5_rwa_propagate(system, field, initial, t_grid, cfg=IntegratorConfig(), frame="bare"):
     """``rwa_propagate`` of one pulse on DP5 (see ``dp5_propagate``)."""
-    return dp5_propagate(system, *_drive(system, field, "rwa"), initial, t_grid, cfg, frame)
+    return dp5_propagate(system, *scalar_drive(system, field, "rwa"), initial, t_grid, cfg, frame)
+
+
+def dp5_full_propagate(system, field, initial, t_grid, cfg=IntegratorConfig()):
+    """``full_field_propagate`` of one pulse on DP5: the scalar real field on carrier 0."""
+    return dp5_propagate(system, *scalar_drive(system, field, "full"), initial, t_grid, cfg)
 
 
 def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):
@@ -200,7 +417,7 @@ def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rw
     populations = np.empty_like(deltas)
     for i, delta in enumerate(deltas):
         at_delta = replace(pair, rel_phase=float(delta))
-        (k1, carrier), (k2, _) = (_drive(system, p, engine) for p in (pair.base, at_delta.second))
+        (k1, carrier), (k2, _) = (scalar_drive(system, p, engine) for p in (pair.base, at_delta.second))
         traj = dp5_propagate(
             system, lambda t: k1(t) + k2(t), carrier, TwoLevelState(1.0, 0.0), pair.window(), capped
         )
