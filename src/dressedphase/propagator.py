@@ -17,9 +17,9 @@ Every trajectory of either engine, and the pulse pairs and fringe scans of
 ``interferometry``, run fourth-order Magnus steps evaluated as numpy arrays
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the constant complex
 detuning enters each step's exponent exactly, the 2x2 exponentials are
-closed-form, and ``_magnus_grid`` forms the propagator of every sample
-interval (a segment is one interval, often for many drives that differ in
-one phase).  The steps per interval are doubled until what is returned, the
+closed-form in real arithmetic (``_expm2``), and ``_magnus_grid`` forms the
+propagator of every sample interval (a segment is one interval, often for
+many drives that differ in one phase).  The steps per interval are doubled until what is returned, the
 sampled states or the segment propagators, changes by at most
 ``abs_tol + rel_tol * max``, or by no more than its rounding can reach.
 ``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
@@ -62,8 +62,14 @@ _MAGNUS_MAX_INTERVALS = 2**20  # Magnus steps per sample interval
 _MAGNUS_CHUNK = 2**11
 _MAGNUS_STACK = 2**15
 # Below this |s^2| the closed-form exponential sums cosh(s) and sinh(s)/s as
-# series; the first term left out is below s^10 / 10! < 3e-17.
+# series; the first term left out is below s^10 / 10! < 3e-17.  The test is
+# Re(s^2)^2 + Im(s^2)^2 < _SERIES_S2^2, in real arithmetic.  Each series is
+# summed in Horner form in s^2 over the reciprocal factorials below, so it
+# takes multiplications only; the series and the closed form each run only
+# on the steps in their range.
 _SERIES_S2 = 1e-2
+_COSH_SERIES = tuple(1.0 / math.factorial(n) for n in (2, 4, 6, 8))
+_SINHC_SERIES = tuple(1.0 / math.factorial(n) for n in (3, 5, 7, 9))
 
 
 @dataclass(frozen=True)
@@ -198,26 +204,74 @@ def _mat_mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple:
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, assembled without complex arithmetic."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _series(s2: np.ndarray) -> tuple:
+    """cosh(s) and sinh(s)/s for s^2 = s2 as series in s2, in Horner form."""
+    out = []
+    for coefficients in (_COSH_SERIES, _SINHC_SERIES):
+        acc = coefficients[-1] * s2
+        for c in coefficients[-2::-1]:
+            # Not in place: numpy's in-place complex product may take another
+            # loop, whose last bit depends on the array's length.
+            acc = (c + acc) * s2
+        out.append(1.0 + acc)
+    return tuple(out)
+
+
+def _cosh_sinhc(s2: np.ndarray) -> tuple:
+    """cosh(s) and sinh(s)/s for s^2 = s2 outside the series range (so s != 0).
+
+    With s = u + i v, cosh s = cosh u cos v + i sinh u sin v and sinh s =
+    sinh u cos v + i cosh u sin v, and sinh(s)/s = sinh(s) conj(s) / |s2|.
+    The root is formed from the larger of |u|, |v| as sqrt((|s2| + |Re s2|)/2),
+    the other as Im(s2) / 2 over it (no cancellation); either sign of s does.
+    """
+    x, y = s2.real, s2.imag
+    r = np.hypot(x, y)
+    a = np.sqrt(0.5 * (r + np.abs(x)))
+    b = 0.5 * y / a
+    positive = x >= 0.0
+    u, v = np.where(positive, a, b), np.where(positive, b, a)
+    ch, sh, cv, sv = np.cosh(u), np.sinh(u), np.cos(v), np.sin(v)
+    sinh_re, sinh_im = sh * cv, ch * sv
+    sinhc = _complex((sinh_re * u + sinh_im * v) / r, (sinh_im * u - sinh_re * v) / r)
+    return _complex(ch * cv, sh * sv), sinhc
+
+
 def _expm2(m: Sequence[np.ndarray]) -> tuple:
     """exp(M) of a stack of 2x2 matrices in closed form (entries (00, 01, 10, 11)).
 
     With tau = tr(M)/2 and B = M - tau I (traceless, so B^2 = s^2 I with
     s^2 = -det B), exp(M) = e^tau (cosh(s) I + sinh(s)/s B).  Both functions
     are even in s, so the root taken does not matter.  Below |s| = 0.1 they
-    are summed as series, which also covers s = 0: a multiple of the identity,
-    or a nilpotent B at an exceptional point.
+    are summed as multiply-only series in s^2 (``_series``), which also
+    covers s = 0: a multiple of the identity, or a nilpotent B at an
+    exceptional point.  Each branch is evaluated only on the matrices that
+    take it, and the closed form (``_cosh_sinhc``) not at all when every
+    matrix is in the series range.  e^tau, cosh s and sinh s come from real
+    exp, cos, sin, cosh and sinh of real and imaginary parts, so no complex
+    division or complex transcendental runs.
     """
     m00, m01, m10, m11 = m
     tau = 0.5 * (m00 + m11)
     d = 0.5 * (m00 - m11)
     s2 = d * d + m01 * m10
-    small = np.abs(s2) < _SERIES_S2
-    s = np.sqrt(np.where(small, 1.0, s2))
-    cosh_series = 1.0 + s2 / 2.0 * (1.0 + s2 / 12.0 * (1.0 + s2 / 30.0 * (1.0 + s2 / 56.0)))
-    sinhc_series = 1.0 + s2 / 6.0 * (1.0 + s2 / 20.0 * (1.0 + s2 / 42.0 * (1.0 + s2 / 72.0)))
-    cosh = np.where(small, cosh_series, np.cosh(s))
-    sinhc = np.where(small, sinhc_series, np.sinh(s) / s)
-    scale = np.exp(tau)
+    small = s2.real**2 + s2.imag**2 < _SERIES_S2**2
+    if small.all():
+        cosh, sinhc = _series(s2)
+    else:
+        cosh, sinhc = np.empty_like(s2), np.empty_like(s2)
+        cosh[small], sinhc[small] = _series(s2[small])
+        large = ~small
+        cosh[large], sinhc[large] = _cosh_sinhc(s2[large])
+    growth = np.exp(tau.real)
+    scale = _complex(growth * np.cos(tau.imag), growth * np.sin(tau.imag))
     c, k = scale * cosh, scale * sinhc
     return (c + k * d, k * m01, k * m10, c - k * d)
 
@@ -400,11 +454,15 @@ def _magnus_trajectory(
 
 
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:
-    """K(t) = (mu E0(t)/2) exp(-i phi(t)) on an array of times, for the Magnus steps."""
+    """K(t) = (mu E0(t)/2) exp(-i phi(t)) on an array of times, for the Magnus steps.
+
+    K is assembled from the real cos phi and sin phi, with no complex exponential.
+    """
     half_mu = 0.5 * system.mu
 
     def coupling(t: np.ndarray) -> np.ndarray:
-        return half_mu * field.envelope.value(t) * np.exp(-1j * field.phase.value(t))
+        amplitude, phi = half_mu * field.envelope.value(t), field.phase.value(t)
+        return _complex(amplitude * np.cos(phi), -(amplitude * np.sin(phi)))
 
     return coupling
 

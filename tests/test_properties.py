@@ -13,13 +13,16 @@ against the point-by-point loop there.  Without damping the propagators
 conserve the norm, the DP5 reference of both engines agrees with fixed-step
 RK4, and a common shift of both levels is a global phase of every engine and
 stepper, on random drives; so does the Magnus segment propagator, whose
-closed-form 2x2 exponential agrees with Taylor series, the Magnus
-trajectories of ``rwa_propagate`` agree with DP5 on uneven grids, and those
-of ``full_field_propagate`` with DP5 on damped and undamped pulses.  The
+closed-form 2x2 exponential agrees with Taylor series and, stacked, with
+each matrix's alone bit for bit, the array coupling agrees with the scalar
+one, the Magnus trajectories of ``rwa_propagate`` agree with DP5 on uneven
+grids, and those of ``full_field_propagate`` with DP5 on damped and
+undamped pulses.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -55,6 +58,7 @@ from dressedphase.propagator import (
 )
 from oracles import (
     continued_rabi_loop,
+    coupling_fn,
     cumulative_simpson_loop,
     dp5_full_propagate,
     dp5_rwa_propagate,
@@ -564,6 +568,51 @@ def test_closed_form_exponential_matches_taylor(m):
     assert np.max(np.abs(got - expm_taylor(m))) <= 64.0 * np.finfo(float).eps * math.exp(norm)
 
 
+# A stack of exponentials is its matrices' exponentials one by one, bit for
+# bit, whichever branch each matrix takes: the series and the closed form run
+# only on the matrices in their range, and every operation is elementwise.
+# tau I + B with B = [[d, b], [(s^2 - d^2)/b, -d]] has B^2 = s^2 I, so |s|
+# below 0.1 is the series range.  The examples sit 1e-9 below and above the
+# switch: with d = 0 and b = 1 the s^2 of ``_expm2`` is exactly s * s.
+def _with_root(tau, d, b, s):
+    return np.array([[tau + d, b], [(s * s - d * d) / b, tau - d]])
+
+
+def _roots(moduli):
+    return st.builds(cmath.rect, moduli, st.floats(-math.pi, math.pi))
+
+
+def _matrices(moduli):
+    return st.builds(
+        _with_root,
+        tau=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        d=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        b=_roots(st.floats(0.5, 2.0)),
+        s=_roots(moduli),
+    )
+
+
+series_range, closed_range = _matrices(st.floats(0.0, 0.09)), _matrices(st.floats(0.11, 3.0))
+stacks = st.one_of(
+    st.lists(series_range, min_size=1, max_size=12),
+    st.lists(closed_range, min_size=1, max_size=12),
+    st.lists(st.one_of(series_range, closed_range), min_size=2, max_size=12),
+)
+EDGE = [_with_root(0.5 - 1.0j, 0.0, 1.0, cmath.rect(0.1 * (1.0 + sign * 1e-9), 1.0)) for sign in (-1, 1)]
+
+
+@PROPERTY
+@given(stack=stacks)
+@example(stack=EDGE)
+@example(stack=EDGE[:1])
+@example(stack=EDGE[1:])
+def test_stacked_exponential_is_each_alone(stack):
+    m = np.stack([x.ravel() for x in stack], axis=1)
+    whole = np.array(_expm2(m))
+    alone = np.concatenate([np.array(_expm2(m[:, i : i + 1])) for i in range(len(stack))], axis=1)
+    assert_bits_equal(whole, alone)
+
+
 # The Magnus segment propagator applied to random states, on the random
 # drives above damped up to gamma' = 0.2, against DP5 and RK4.  Bounds fixed
 # from rel_tol before any run: the segment errs by at most DP5_GLOBAL in
@@ -619,6 +668,23 @@ smooth_pulses = st.builds(
     ),
     phase=chirps,
 )
+
+
+# The array coupling of the Magnus steps against the scalar coupling of the
+# DP5 reference (the form the traced benchmark replays ``rwa_propagate``
+# through) on Gaussian and sech pulses with constant and chirped phases.
+# Envelope and phase come from the array registries and from the scalar
+# closures, which agree to roundings of their largest terms (see above), so
+# K agrees to a few ulps of |K| per radian of phase.
+@PROPERTY
+@given(field=smooth_pulses, t=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=20))
+def test_array_coupling_matches_scalar(field, t):
+    system = TwoLevelSystem(0.0, 5.0)
+    t = np.array(t)
+    got = _array_coupling_fn(system, field)(t)
+    want = np.array([coupling_fn(system, field)(x) for x in t.tolist()])
+    phase = np.abs(field.phase.value(t))
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + phase) * np.abs(want) + TINY)
 
 
 @PROPAGATION
