@@ -174,7 +174,8 @@ def _section(spec: dict, build=dict):
     """Check an object against ``spec``, then construct ``build(**values)``.
 
     A ValidationError from ``build`` is reported at the first field its
-    message names, or at the section when it names none.
+    message names (of the section, or dotted, of a subsection), or at the
+    section when it names none.
     """
 
     def check(problems: _Problems, path: str, raw):
@@ -199,7 +200,9 @@ def _section(spec: dict, build=dict):
             return build(**values)
         except ValidationError as exc:
             message = str(exc).split(": ", 2)[-1]
-            name = next((w for w in re.findall(r"\w+", message) if w in spec), None)
+            # A dotted name (``packet.sigma``) names a field of a subsection.
+            words = re.findall(r"\w+(?:\.\w+)*", message)
+            name = next((w for w in words if w.split(".")[0] in spec), None)
             if name is None:
                 return problems.fail(path, message)
             return problems.fail(at + name, message.removeprefix(f"{name} "))
@@ -257,11 +260,56 @@ def _interfere(**values) -> dict:
     return values
 
 
+def _initial_state(p: dict) -> TwoLevelState:
+    """The initial state of the propagate block ``p``."""
+    return TwoLevelState(complex(*p["c_g"]), complex(*p["c_e"]))
+
+
+def _propagate(**values) -> dict:
+    """The propagate block as given, once TwoLevelState accepts its amplitudes."""
+    _initial_state(values)
+    return values
+
+
 def _hydro(**values) -> dict:
-    """The hydro block as given, once the grid and the time step pass the solver's own checks."""
+    """The hydro block as given, once the grid, the time step, the packet and the potential pass."""
     hydro_mod.GridWavefunction.check_grid(values["n_points"], values["dx"], values["mass"])
     hydro_mod.split_step_count(values["t_final"], values["dt"])
+    _hydro_start(values)
     return values
+
+
+def _hydro_start(p: dict) -> tuple:
+    """The initial GridWavefunction and the PotentialSpec of the hydro block ``p``.
+
+    ValidationError names the field at fault when the grid cannot hold
+    them: a packet that is not finite, vanishes on the grid or is not
+    negligible at its edges, or a potential that is not finite there.
+    """
+    mass, packet = p["mass"], p["packet"]
+    x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
+    sigma, center, k0 = packet["sigma"], packet["center"], packet.get("k0", 0.0)
+    potential = hydro_mod.PotentialSpec(mass=mass, **p["potential"])
+    with np.errstate(all="ignore"):
+        try:
+            psi = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(
+                -((x - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * (x - center)
+            )
+        except (OverflowError, ZeroDivisionError):  # sigma**2 overflows, or underflows to 0
+            raise ValidationError("packet.sigma must have a nonzero, finite square") from None
+        try:
+            v = potential.evaluate(x)
+        except OverflowError:  # omega0**2
+            v = np.inf
+    if not np.all(np.isfinite(psi.view(float))):
+        raise ValidationError("packet must be finite on the grid")
+    if not np.any(psi):
+        raise ValidationError("packet must not vanish everywhere on the grid")
+    if not hydro_mod._edge_safe(psi):
+        raise ValidationError("packet must be negligible at the grid edges")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("potential.omega0 must keep the potential finite on the grid")
+    return hydro_mod.GridWavefunction(p["x_min"], p["dx"], psi, mass=mass, t=0.0), potential
 
 
 _ORDER = _integer(0, dressed_mod.MAX_ADIABATIC_ORDER)
@@ -307,7 +355,8 @@ _KIND_BLOCKS = {
                 "engine": (_ENGINE, "rwa"),
                 "c_g": (_pair, [1.0, 0.0]),
                 "c_e": (_pair, [0.0, 0.0]),
-            }
+            },
+            _propagate,
         ),
     ),
     "interfere": (
@@ -509,7 +558,7 @@ def _run_adiabatic(config: ExperimentConfig):
 def _run_propagate(config: ExperimentConfig):
     p = config.params
     t = config.grid.array()
-    initial = TwoLevelState(complex(*p["c_g"]), complex(*p["c_e"]))
+    initial = _initial_state(p)
     prop = rwa_propagate if p["engine"] == "rwa" else full_field_propagate
     traj = prop(config.system, config.field, initial, t, config.integrator)
     table = {
@@ -545,14 +594,9 @@ def _run_interfere(config: ExperimentConfig):
 
 def _run_hydro(config: ExperimentConfig):
     p = config.params
-    mass, packet = p["mass"], p["packet"]
-    x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
-    sigma, center, k0 = packet["sigma"], packet["center"], packet.get("k0", 0.0)
-    psi = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(
-        -((x - center) ** 2) / (4.0 * sigma**2) + 1j * k0 * (x - center)
-    )
-    psi0 = hydro_mod.GridWavefunction(p["x_min"], p["dx"], psi, mass=mass, t=0.0)
-    potential = hydro_mod.PotentialSpec(mass=mass, **p["potential"])
+    mass = p["mass"]
+    psi0, potential = _hydro_start(p)
+    x = psi0.x
 
     frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
     hj = hydro_mod.hj_residual(frames, potential)

@@ -18,10 +18,10 @@ Every trajectory of either engine, and the pulse pairs and fringe scans of
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the constant complex
 detuning enters each step's exponent exactly, the 2x2 exponentials are
 closed-form in real arithmetic (``_expm2``), and ``_magnus_grid`` forms the
-propagator of every sample interval (a segment is one interval, often for
-many drives that differ in one phase).  The steps per interval are doubled until what is returned, the
-sampled states or the segment propagators, changes by at most
-``abs_tol + rel_tol * max``, or by no more than its rounding can reach.
+propagator of every sample interval.  The steps per interval are doubled
+until what is returned, the sampled states or the segment propagators,
+changes by at most ``abs_tol + rel_tol * max``, or by no more than its
+rounding can reach.
 ``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
 cross-check.  The tests keep an adaptive Dormand-Prince 5(4) stepper on
 scalar couplings as the reference for the Magnus steps.
@@ -81,6 +81,9 @@ class TwoLevelState:
 
     def __post_init__(self):
         _require_finite(self, ("c_g", "c_e"), cmath.isfinite)
+        # Products, not powers: a float power raises OverflowError.
+        if not math.isfinite(abs(self.c_g) * abs(self.c_g) + abs(self.c_e) * abs(self.c_e)):
+            raise ValidationError("TwoLevelState: |c_g|^2 + |c_e|^2 must be finite")
 
     def norm(self) -> float:
         return abs(self.c_g) ** 2 + abs(self.c_e) ** 2
@@ -324,45 +327,38 @@ def _magnus_grid(
     """Propagators over every interval of the sample grid ``t``, k Magnus steps each.
 
     Returns the entries (00, 01, 10, 11) for the m drives of ``weights`` over
-    the n = t.size - 1 intervals as a (4, m, n) array.  Time is taken in
-    chunks of at most ``_MAGNUS_CHUNK`` steps (whole intervals while k fits,
-    power-of-two blocks of one interval beyond) and the drives in batches
-    within each, so a stack holds at most ``_MAGNUS_STACK`` steps.  A
-    power-of-two block is an aligned block of ``_ordered_product``'s pairwise
-    tree, so multiplying the block products in order changes no bit.
+    the n = t.size - 1 intervals as a (4, m, n) array; a segment is n = 1.
+    One loop takes time in chunks of at most ``_MAGNUS_CHUNK`` steps (whole
+    intervals while k fits, power-of-two blocks of one interval beyond) and
+    the drives in batches within each, so a stack holds at most
+    ``_MAGNUS_STACK`` steps.  A power-of-two block is an aligned block of
+    ``_ordered_product``'s pairwise tree, so multiplying the block products
+    in order changes no bit, and each interval's propagator is, bit for bit,
+    the one-interval grid's over it.
     """
-    n = t.size - 1
+    m, n = weights.shape[1], t.size - 1
     span = min(k, _MAGNUS_CHUNK)
     per_chunk = min(n, _MAGNUS_CHUNK // span)
     drives = _MAGNUS_STACK // (per_chunk * span)
-    batches = [weights[:, d : d + drives] for d in range(0, weights.shape[1], drives)]
-    if n == 1:
-        # A segment: one step length, passed as a float (numpy's scalar path
-        # is the cheaper one), and no interval axis.
-        t0, h = float(t[0]), float(t[1] - t[0]) / k
-        blocks = []
-        for j in range(0, k, span):
-            mids = t0 + h * (np.arange(j, min(j + span, k)) + 0.5)
-            values = terms(np.concatenate((mids - _GAUSS_OFFSET * h, mids + _GAUSS_OFFSET * h)))
-            steps = (_magnus_steps(values, w, detuning, h) for w in batches)
-            blocks.append(np.concatenate([np.stack(_ordered_product(u)) for u in steps], axis=-1))
-        return np.stack(_ordered_product(np.stack(blocks, axis=-1)))[..., None]
-    h = np.diff(t)[:, None] / k
-    products = []
+    h = (t[1:] - t[:-1])[:, None] / k
+    out = np.empty((4, m, n), dtype=complex)
     for i in range(0, n, per_chunk):
         hi = h[i : i + per_chunk]
-        # A chunk of several intervals holds all k steps of each.
+        # A chunk of several intervals holds all k steps of each; one
+        # interval's steps take its length as a float (numpy's scalar path
+        # is the cheaper one).
         hs = np.repeat(hi, k) if hi.size > 1 else float(hi[0, 0])
-        blocks = []
-        for j in range(0, k, span):
+        blocks = np.empty((4, m, hi.size, -(-k // span)), dtype=complex)
+        for b, j in enumerate(range(0, k, span)):
             offsets = np.arange(j, min(j + span, k)) + 0.5
             mids = (t[i : i + hi.size, None] + hi * offsets).ravel()
             values = terms(np.concatenate((mids - _GAUSS_OFFSET * hs, mids + _GAUSS_OFFSET * hs)))
-            steps = (_magnus_steps(values, w, detuning, hs) for w in batches)
-            per_interval = [_ordered_product([x.reshape(x.shape[0], hi.size, -1) for x in u]) for u in steps]
-            blocks.append(np.concatenate([np.stack(u) for u in per_interval], axis=1))
-        products.append(np.stack(_ordered_product(np.stack(blocks, axis=-1))))
-    return np.concatenate(products, axis=-1)
+            for d in range(0, m, drives):
+                u = _magnus_steps(values, weights[:, d : d + drives], detuning, hs)
+                per_interval = [x.reshape(x.shape[0], hi.size, -1) for x in u]
+                blocks[:, d : d + drives, :, b] = _ordered_product(per_interval)
+        out[..., i : i + hi.size] = _ordered_product(blocks)
+    return out
 
 
 def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:

@@ -327,6 +327,14 @@ MALFORMED = {
     "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "dressed_integrator_without_compare": (dressed_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
+    # The initial packet and the potential are built on the grid at load.
+    "sigma_square_underflows": (hydro_config(), "hydro.packet.sigma", 1e-300, "hydro.packet.sigma"),
+    "sigma_square_overflows": (hydro_config(), "hydro.packet.sigma", 1e300, "hydro.packet.sigma"),
+    "packet_off_the_grid": (hydro_config(), "hydro.packet.center", 1e6, "hydro.packet"),
+    "packet_at_the_edge": (hydro_config(), "hydro.packet.sigma", 30.0, "hydro.packet"),
+    "packet_not_finite": (hydro_config(), "hydro.packet.k0", 1e308, "hydro.packet"),
+    "potential_overflows": (hydro_config(), "hydro.potential.omega0", 1e200, "hydro.potential.omega0"),
+    "c_g_norm_overflows": (propagate_config(), "propagate.c_g", [1e300, 0.0], "propagate.c_g"),
 }
 
 

@@ -228,6 +228,14 @@ def test_state_rejects_non_finite_amplitudes(c_g, c_e, name):
         TwoLevelState(c_g, c_e)
 
 
+@pytest.mark.parametrize("c_g,c_e", [(1e300, 0.0), (0.6, 1e200j), (1e154, 1e154)])
+def test_state_rejects_an_overflowing_norm(c_g, c_e):
+    """Finite amplitudes whose |c_g|^2 + |c_e|^2 overflows are rejected; 1e150 is not."""
+    with pytest.raises(ValidationError, match=r"TwoLevelState: \|c_g\|\^2 \+ \|c_e\|\^2 must be finite"):
+        TwoLevelState(c_g, c_e)
+    assert math.isfinite(TwoLevelState(1e150, 1e150j).norm())
+
+
 FRAME_CALLS = {
     "rwa_propagate": lambda frame: rwa_propagate(
         RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0.0, 1.0, 5), TIGHT, frame

@@ -17,7 +17,8 @@ closed-form 2x2 exponential agrees with Taylor series and, stacked, with
 each matrix's alone bit for bit, the array coupling agrees with the scalar
 one, the Magnus trajectories of ``rwa_propagate`` agree with DP5 on uneven
 grids, and those of ``full_field_propagate`` with DP5 on damped and
-undamped pulses.  The
+undamped pulses.  Every interval of a Magnus grid is, bit for bit, the
+one-interval grid over it.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
 """
@@ -25,12 +26,14 @@ fringe scans of both engines agree with the per-delta DP5 loop of
 import cmath
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dressedphase import propagator
 from dressedphase.dressed import _continued_rabi, generalized_rabi
 from dressedphase.interferometry import PulsePairConfig, fit_fringe, phase_scan
 from dressedphase.model import (
@@ -50,6 +53,7 @@ from dressedphase.propagator import (
     TwoLevelState,
     _array_coupling_fn,
     _expm2,
+    _magnus_grid,
     _magnus_propagator,
     compare_trajectories,
     full_field_propagate,
@@ -694,6 +698,64 @@ def test_magnus_trajectory_agrees_with_dp5(field, initial, gamma, t):
     magnus = rwa_propagate(system, field, initial, t, DP5)
     dp5 = dp5_rwa_propagate(system, field, initial, t, DP5)
     assert compare_trajectories(magnus, dp5).max_amplitude_error <= 2.0 * DP5_GLOBAL
+
+
+# The propagator of each interval of ``_magnus_grid`` is the one-interval
+# grid (a segment) over that interval at the same k, bit for bit: intervals
+# are independent until a trajectory chains them, however the grid falls
+# into chunks and the drives into batches.  The drives are pulse pairs of
+# random relative phase; 24 drives at k = 64 take more than one batch, and
+# with the chunk and stack sizes lowered to 16, k = 22 and 64 take the
+# per-interval blocks of a long interval.
+magnus_grids = st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=40, unique=True).map(
+    lambda points: np.array(sorted(points))
+)
+
+
+def _assert_intervals_are_segments(field, gamma, t, m, k, phases):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    coupling = _array_coupling_fn(system, field)
+    detuning = complex_detuning(system, field)
+    weights = np.stack((np.ones(m), np.exp(-1j * np.resize(phases, m))))
+
+    def terms(x):
+        return coupling(x), coupling(x - 2.0)
+
+    whole = _magnus_grid(terms, weights, detuning, t, k)
+    assert whole.shape == (4, m, t.size - 1)
+    for i in range(t.size - 1):
+        segment = _magnus_grid(terms, weights, detuning, t[i : i + 2], k)[..., 0]
+        assert_bits_equal(np.ascontiguousarray(whole[..., i]), segment)
+
+
+magnus_phases = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=24)
+
+
+@PROPERTY
+@given(
+    field=smooth_pulses,
+    gamma=st.floats(0.0, 0.2),
+    t=magnus_grids,
+    m=st.sampled_from([1, 3, 24]),
+    k=st.sampled_from([1, 3, 22, 64]),
+    phases=magnus_phases,
+)
+def test_magnus_grid_interval_is_its_segment(field, gamma, t, m, k, phases):
+    _assert_intervals_are_segments(field, gamma, t, m, k, phases)
+
+
+@PROPAGATION
+@given(
+    field=smooth_pulses,
+    gamma=st.floats(0.0, 0.2),
+    t=magnus_grids,
+    m=st.sampled_from([1, 3]),
+    k=st.sampled_from([22, 64]),
+    phases=magnus_phases,
+)
+def test_magnus_grid_interval_is_its_segment_in_small_chunks(field, gamma, t, m, k, phases):
+    with mock.patch.multiple(propagator, _MAGNUS_CHUNK=16, _MAGNUS_STACK=16):
+        _assert_intervals_are_segments(field, gamma, t, m, k, phases)
 
 
 # The full field on Magnus steps (``full_field_propagate``) against DP5 on
