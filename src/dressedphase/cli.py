@@ -284,7 +284,8 @@ def _hydro_start(p: dict) -> tuple:
 
     ValidationError names the field at fault when the grid cannot hold
     them: a packet that is not finite, vanishes on the grid or is not
-    negligible at its edges, or a potential that is not finite there.
+    negligible at its edges, or a potential that is not finite there or
+    whose half-step phase the time step cannot resolve.
     """
     mass, packet = p["mass"], p["packet"]
     x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
@@ -309,6 +310,7 @@ def _hydro_start(p: dict) -> tuple:
         raise ValidationError("packet must be negligible at the grid edges")
     if not np.all(np.isfinite(v)):
         raise ValidationError("potential.omega0 must keep the potential finite on the grid")
+    hydro_mod._check_half_step_phase(v, p["dt"], "potential.omega0")
     return hydro_mod.GridWavefunction(p["x_min"], p["dx"], psi, mass=mass, t=0.0), potential
 
 
@@ -593,23 +595,29 @@ def _run_interfere(config: ExperimentConfig):
 
 
 def _run_hydro(config: ExperimentConfig):
+    """Split-step frames, both residuals and every ``stride``-th frame's polar fields.
+
+    Each frame is decomposed once: both residuals share the list, bit for bit
+    what ``hj_residual`` and ``continuity_residual`` return, and the written
+    frames' fields are taken from it before it is dropped.
+    """
     p = config.params
     mass = p["mass"]
     psi0, potential = _hydro_start(p)
     x = psi0.x
 
     frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
-    hj = hydro_mod.hj_residual(frames, potential)
-    cont = hydro_mod.continuity_residual(frames, mass)
+    dt, times, polars = hydro_mod._polar_frames(frames)
+    hj = hydro_mod._residual_series(dt, times, polars, mass, potential.evaluate(x))
+    cont = hydro_mod._residual_series(dt, times, polars, mass)
 
     stride = p["csv_stride"] or max(1, len(frames) // 16)
-    written = frames[::stride]
-    polars = [hydro_mod.polar_decompose(f) for f in written]
+    polars = polars[::stride]  # the full list goes before the table is built
     table = {
-        "t": np.repeat([f.t for f in written], x.size),
-        "x": np.tile(x, len(written)),
+        "t": np.repeat(times[::stride], x.size),
+        "x": np.tile(x, len(polars)),
         "R": np.concatenate([polar.R for polar in polars]),
-        "S": np.concatenate([np.where(polar.valid, polar.S, np.nan) for polar in polars]),
+        "S": np.concatenate([polar.S for polar in polars]),
         "U": np.concatenate([hydro_mod.quantum_potential(polar, mass) for polar in polars]),
         "p": np.concatenate([hydro_mod.momentum_field(polar) for polar in polars]),
     }

@@ -392,14 +392,13 @@ def assemble_bare_state(
     return TwoLevelTrajectory(series.times, c_g, c_e, frame="bare")
 
 
-def _log_derivative_orders(system, field, t, n_max: int):
+def _log_derivative_orders(system, field, t, omega, n_max: int):
     """Derivatives of L = Omega^-1 dOmega/dt up to order n_max, exactly.
 
-    Uses the Leibniz recursion on dOmega = L * Omega, which needs envelope
-    derivatives up to order n_max + 1.
+    ``omega`` is the Rabi frequency at ``t``.  Uses the Leibniz recursion on
+    dOmega = L * Omega, which needs envelope derivatives up to order n_max + 1.
     """
-    derivs = [np.asarray(rabi_frequency(system, field, t, n), dtype=float) for n in range(n_max + 2)]
-    omega = derivs[0]
+    derivs = [omega] + [rabi_frequency(system, field, t, n) for n in range(1, n_max + 2)]
     ls = [derivs[1] / omega]
     for n in range(1, n_max + 1):
         acc = derivs[n + 1].copy()
@@ -430,7 +429,7 @@ def adiabatic_report(
     t = check_monotone_grid(t_grid)
     omega = _require_on_support(system, field, t, "adiabatic_report")
 
-    log_derivs = _log_derivative_orders(system, field, t, n_max)
+    log_derivs = _log_derivative_orders(system, field, t, omega, n_max)
     abs_dw = abs(complex_detuning(system, field))
 
     orders = {}

@@ -3,6 +3,9 @@
 A wavefunction on a periodic grid is split as psi = R exp(i S) (hbar = 1);
 the quantum Hamilton-Jacobi equation and the continuity equation are then
 checked as finite-difference residuals on numerically propagated frames.
+Each residual decomposes every frame once; a caller that needs both (and
+the polar fields) decomposes once and shares the list through
+``_polar_frames`` and ``_residual_series``.
 Nodes are handled by masking points with R below a floor instead of
 regularizing the diverging quantum potential; all derivative stencils are
 second-order central differences, so residuals converge at second order.
@@ -153,6 +156,21 @@ def _edge_safe(values: np.ndarray) -> bool:
     return max(float(dens[0]), float(dens[-1])) < EDGE_FRACTION * peak
 
 
+def _check_half_step_phase(v: np.ndarray, dt: float, name: str) -> None:
+    """Raise ValidationError unless the half-step phase 0.5*dt*max|V| is below 2**52 rad.
+
+    From 2**52 rad on, the rounding of the phase alone moves it by >= 1 rad,
+    so the split step would scramble the wavefunction.  ``name`` leads the
+    message and names the input at fault.
+    """
+    phase = 0.5 * dt * float(np.max(np.abs(v)))
+    if not phase < 2.0**52:
+        raise ValidationError(
+            f"{name} must keep the half-step phase 0.5*dt*max|V| below 2**52 rad"
+            f" on the grid; it is {phase:g}"
+        )
+
+
 def split_step_count(t_final: float, dt: float) -> int:
     """Steps of ``dt`` in ``t_final``; GridError unless both are > 0 and dt divides t_final."""
     if not dt > 0.0:
@@ -176,7 +194,8 @@ def split_step_solve(
     Half potential step, full spectral kinetic step, half potential step; the
     scheme is exactly unitary up to roundoff.  Raises ``EdgeLeakageError``
     when probability reaches the grid edge (the grid is periodic, so leakage
-    would wrap around).
+    would wrap around), and ``ValidationError`` before any step when the
+    potential's half-step phase cannot be resolved (``_check_half_step_phase``).
     """
     n_steps = split_step_count(t_final, dt)
     if not _edge_safe(psi0.values):
@@ -186,6 +205,7 @@ def split_step_solve(
 
     x = psi0.x
     v = potential.evaluate(x)
+    _check_half_step_phase(v, dt, "split_step_solve: potential")
     k = 2.0 * math.pi * np.fft.fftfreq(psi0.n_points, d=psi0.dx)
     exp_v_half = np.exp(-0.5j * dt * v)
     exp_kin = np.exp(-0.5j * dt * k**2 / psi0.mass)
@@ -299,25 +319,38 @@ def _frame_spacing(frames) -> float:
     return dt
 
 
-def _residual_series(frames, r_floor: float | None, residual) -> ResidualSeries:
-    """``residual(polars, i, dt)`` at every interior frame i, masked where not finite.
+def _polar_frames(frames, r_floor: float | None = None):
+    """(dt, times, polars): the checked frame spacing, the frame times and each frame decomposed once."""
+    dt = _frame_spacing(frames)
+    return dt, [f.t for f in frames], [polar_decompose(f, r_floor) for f in frames]
 
-    Every frame is decomposed with ``r_floor``; the summary is the L2 norm
+
+def _residual_series(dt, times, polars, mass: float, vx=None) -> ResidualSeries:
+    """Residual of already decomposed frames at every interior frame, masked where not finite.
+
+    The quantum Hamilton-Jacobi residual when ``vx`` (the potential on the
+    grid) is given, else the continuity residual; ``dt``, ``times`` and
+    ``polars`` come from ``_polar_frames``.  The summary is the L2 norm
     sqrt(sum residual^2 dx) per frame.
     """
-    dt = _frame_spacing(frames)
-    polars = [polar_decompose(f, r_floor) for f in frames]
-    times = []
     rows = []
     l2 = []
-    for i in range(1, len(frames) - 1):
-        res = residual(polars, i, dt)
+    for i in range(1, len(polars) - 1):
+        p = polars[i]
+        if vx is None:
+            drho_dt = (polars[i + 1].R ** 2 - polars[i - 1].R ** 2) / (2.0 * dt)
+            current = p.R**2 * _central_difference(p.S, p.dx) / mass
+            res = drho_dt + _central_difference(current, p.dx)
+        else:
+            s_prev, s_mid, s_next = _anchored_phase_triple(polars, i)
+            ds_dt = (s_next - s_prev) / (2.0 * dt)
+            grad = _central_difference(s_mid, p.dx)
+            res = ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(p, mass)
         ok = np.isfinite(res)
         res = np.where(ok, res, np.nan)
-        times.append(frames[i].t)
         rows.append(res)
-        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * polars[i].dx)))
-    return ResidualSeries(np.array(times), np.array(rows), np.array(l2))
+        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * p.dx)))
+    return ResidualSeries(np.array(times[1:-1]), np.array(rows), np.array(l2))
 
 
 def _anchored_phase_triple(polars, i):
@@ -355,14 +388,7 @@ def hj_residual(
     """
     mass = frames[0].mass
     vx = potential.evaluate(frames[0].x)
-
-    def residual(polars, i, dt):
-        s_prev, s_mid, s_next = _anchored_phase_triple(polars, i)
-        ds_dt = (s_next - s_prev) / (2.0 * dt)
-        grad = _central_difference(s_mid, polars[i].dx)
-        return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(polars[i], mass)
-
-    return _residual_series(frames, r_floor, residual)
+    return _residual_series(*_polar_frames(frames, r_floor), mass, vx)
 
 
 def continuity_residual(frames, mass: float, r_floor: float | None = None) -> ResidualSeries:
@@ -371,11 +397,4 @@ def continuity_residual(frames, mass: float, r_floor: float | None = None) -> Re
     Centered differences in t and x; the probability current needs the phase
     gradient, so points near the mask boundary drop out of the stencil.
     """
-
-    def residual(polars, i, dt):
-        p = polars[i]
-        drho_dt = (polars[i + 1].R ** 2 - polars[i - 1].R ** 2) / (2.0 * dt)
-        current = p.R**2 * _central_difference(p.S, p.dx) / mass
-        return drho_dt + _central_difference(current, p.dx)
-
-    return _residual_series(frames, r_floor, residual)
+    return _residual_series(*_polar_frames(frames, r_floor), mass)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dressedphase import cli
+from dressedphase import cli, hydro
 from dressedphase.cli import (
     ExperimentConfig,
     _write_csv,
@@ -334,6 +334,9 @@ MALFORMED = {
     "packet_at_the_edge": (hydro_config(), "hydro.packet.sigma", 30.0, "hydro.packet"),
     "packet_not_finite": (hydro_config(), "hydro.packet.k0", 1e308, "hydro.packet"),
     "potential_overflows": (hydro_config(), "hydro.potential.omega0", 1e200, "hydro.potential.omega0"),
+    # Finite, but the half-step phase 0.5*dt*max|V| ~ 2e300 rad is rounding noise.
+    "potential_phase_unresolved": (hydro_config(), "hydro.potential.omega0", 1e150,
+                                   "hydro.potential.omega0"),
     "c_g_norm_overflows": (propagate_config(), "propagate.c_g", [1e300, 0.0], "propagate.c_g"),
 }
 
@@ -428,6 +431,15 @@ def test_unknown_fields_rejected():
     cfg2["system"]["charge"] = 3
     with pytest.raises(ConfigError, match="system.charge"):
         load_config_dict(cfg2)
+
+
+def test_hydro_run_decomposes_each_frame_once(tmp_path):
+    # Both residuals and the written columns share one decomposition per frame.
+    config = load_config(DEMO_CONFIGS / "hydro.json")
+    with mock.patch.object(hydro, "polar_decompose", wraps=hydro.polar_decompose) as decompose:
+        summary = run(config, tmp_path / "o")
+    assert summary.metrics["frames"] == 101
+    assert decompose.call_count == 101
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

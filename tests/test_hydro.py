@@ -74,6 +74,19 @@ class TestSolver:
         with pytest.raises(EdgeLeakageError):
             split_step_solve(wide, PotentialSpec.free(), t_final=0.1, dt=0.01)
 
+    def test_potential_phase_must_be_resolved(self):
+        # From a half-step phase 0.5*dt*max|V| of 2**52 rad on, rounding alone
+        # moves the phase by >= 1 rad: the potential is named before any step.
+        x, dx = grid(256, 20.0, -10.0)
+        psi0 = wavefunction(free_gaussian(x, 0.0), -10.0, dx)
+        with pytest.raises(ValidationError, match="potential"):
+            split_step_solve(psi0, PotentialSpec.harmonic(1.0, 1e150), t_final=0.04, dt=0.02)
+        at_bound = PotentialSpec.tabulated(np.full(256, 2.0**54))
+        with pytest.raises(ValidationError, match="potential"):
+            split_step_solve(psi0, at_bound, t_final=1.0, dt=0.5)
+        below = PotentialSpec.tabulated(np.full(256, np.nextafter(2.0**54, 0.0)))
+        assert len(split_step_solve(psi0, below, t_final=1.0, dt=0.5)) == 3
+
     def test_dt_must_divide_t_final(self):
         x, dx = grid(256, 20.0, -10.0)
         psi0 = wavefunction(free_gaussian(x, 0.0), -10.0, dx)

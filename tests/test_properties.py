@@ -21,6 +21,8 @@ undamped pulses.  Every interval of a Magnus grid is, bit for bit, the
 one-interval grid over it.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
+The ``hydro`` run reports the residual norms and writes the polar fields that
+the public hydro functions give on its frames, bit for bit.
 """
 
 import cmath
@@ -33,8 +35,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase import propagator
+from dressedphase import cli, propagator
 from dressedphase.dressed import _continued_rabi, generalized_rabi
+from dressedphase.hydro import (
+    continuity_residual,
+    hj_residual,
+    momentum_field,
+    polar_decompose,
+    quantum_potential,
+    split_step_solve,
+)
 from dressedphase.interferometry import PulsePairConfig, fit_fringe, phase_scan
 from dressedphase.model import (
     ENVELOPE_SHAPES,
@@ -774,3 +784,47 @@ def test_full_field_agrees_with_dp5(field, initial, gamma):
     magnus = full_field_propagate(system, field, initial, WINDOW, FULL_TIGHT)
     dp5 = dp5_full_propagate(system, field, initial, WINDOW, FULL_TIGHT)
     assert compare_trajectories(magnus, dp5).max_amplitude_error <= 1e3 * FULL_TIGHT.rel_tol
+
+
+# Small hydro runs: 64 to 256 points on [-10, 10], a packet at least seven
+# widths from either edge, and 2 to 6 steps of 0.02, so no run leaks.
+hydro_blocks = st.fixed_dictionaries({
+    "n_points": st.sampled_from([64, 128, 256]),
+    "potential": st.one_of(
+        st.just({"shape": "free"}),
+        st.builds(lambda w: {"shape": "harmonic", "omega0": w}, st.floats(0.05, 1.0)),
+    ),
+    "packet": st.fixed_dictionaries({
+        "center": st.floats(-1.0, 1.0),
+        "sigma": st.floats(0.5, 1.2),
+        "k0": st.floats(-2.0, 2.0),
+    }),
+    "steps": st.integers(2, 6),
+    "csv_stride": st.integers(0, 3),
+})
+
+
+@settings(PROPERTY, max_examples=50)
+@given(block=hydro_blocks)
+def test_hydro_run_is_the_public_hydro_functions(block):
+    n, steps = block["n_points"], block["steps"]
+    raw = {"kind": "hydro", "hydro": {
+        "x_min": -10.0, "dx": 20.0 / n, "n_points": n, "potential": block["potential"],
+        "packet": block["packet"], "t_final": steps * 0.02, "dt": 0.02,
+        "csv_stride": block["csv_stride"],
+    }}
+    config = cli.load_config_dict(raw)
+    metrics, tables = cli._run_hydro(config)
+    p = config.params
+    psi0, potential = cli._hydro_start(p)
+    frames = split_step_solve(psi0, potential, p["t_final"], p["dt"])
+    assert_bits_equal(np.array(metrics["hj_residual_l2"]), hj_residual(frames, potential).l2)
+    assert_bits_equal(np.array(metrics["continuity_residual_l2"]),
+                      continuity_residual(frames, p["mass"]).l2)
+    stride = block["csv_stride"] or max(1, len(frames) // 16)
+    polars = [polar_decompose(f) for f in frames[::stride]]
+    table = tables["hydro"]
+    assert_bits_equal(table["R"], np.concatenate([f.R for f in polars]))
+    assert_bits_equal(table["S"], np.concatenate([f.S for f in polars]))
+    assert_bits_equal(table["U"], np.concatenate([quantum_potential(f, p["mass"]) for f in polars]))
+    assert_bits_equal(table["p"], np.concatenate([momentum_field(f) for f in polars]))
