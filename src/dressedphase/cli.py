@@ -429,6 +429,9 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
     takes_integrator = "integrator" in shared and (kind != "dressed" or params["compare"])
     if "integrator" in raw and not takes_integrator:
         problems.fail("integrator", "applies only when dressed.compare is true")
+    if kind == "dressed" and values["grid"].t0 != 0.0:
+        problems.fail("grid.t0", "must be 0: the dressed phases accumulate from t = 0")
+    if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
         kind=kind,

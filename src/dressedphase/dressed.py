@@ -200,8 +200,9 @@ def _frequencies(system: TwoLevelSystem, field: DrivingField, t, where=None) -> 
     """Omega, dOmega/dt and the auxiliary complex frequencies as arrays over ``t``.
 
     omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt).
-    With ``where`` set the field must be above the floor on all of ``t``;
-    without it omega_E_eff is not finite where Omega vanishes.
+    With ``where`` set the field must be above the floor and the generalized
+    Rabi frequency finite (dw~^2 overflows from |dw~| ~ 1.3e154) on all of
+    ``t``; without it omega_E_eff is not finite where Omega vanishes.
     """
     t = _as_times(t)
     if where is None:
@@ -211,6 +212,8 @@ def _frequencies(system: TwoLevelSystem, field: DrivingField, t, where=None) -> 
     d_omega = rabi_frequency(system, field, t, 1)
     dw = complex_detuning(system, field)
     gr = _continued_rabi(dw, omega)
+    if where is not None and not np.all(np.isfinite(gr)):
+        raise ValidationError(f"{where}: the generalized Rabi frequency is not finite (|dw~| = {abs(dw):g})")
     lam_m = 0.5 * (dw - gr)
     omega_E = system.omega_e - lam_m
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,7 +334,7 @@ def _phase_series(system, field, phases, branch, t_grid):
     _check_branch(branch)
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
-        raise GridError("non-monotone grid in dressed_phases: grid must start at t = 0")
+        raise GridError("dressed_phases: grid must start at t = 0")
     f = _frequencies(system, field, t, "dressed_phases")
     int_G = cumulative_simpson(f.omega_G, t)
     int_E = cumulative_simpson(f.omega_E_eff, t)
@@ -445,8 +448,10 @@ def adiabatic_report(
                 # an identically zero numerator satisfies it trivially.
                 ratios[k] = 0.0 if float(np.max(numer)) == 0.0 else math.inf
                 continue
-            denom = abs_dw**power * omega**k
-            ratios[k] = float(np.max(numer / denom))
+            with np.errstate(over="ignore"):
+                scale = np.float64(abs_dw) ** power
+            # Where |dw~|^power passes float64's range the ratio is 0.0, its limit.
+            ratios[k] = float(np.max(numer / (scale * omega**k))) if math.isfinite(scale) else 0.0
         margin = max(ratios.values())
         orders[n] = OrderEntry(ratios=ratios, margin=margin)
         overall = max(overall, margin)

@@ -5,21 +5,22 @@ its constant phase offset by a relative phase delta.  The final excited
 population versus delta is the fringe whose existence demonstrates that a
 constant phase shift of the driving is physically observable.
 
-The pair is propagated as one coherent drive, K(t) = K1(t) + K2(t) with
-K_j(t) = (Omega_j(t)/2) exp(-i phi_j(t)), so overlapping or even fully merged
-pulses (delay = 0) are handled exactly by linearity of the field.
+The pair is propagated as one coherent drive, the sum of the two pulses'
+drives of ``propagator._drive`` on either engine, so overlapping or even
+fully merged pulses (delay = 0) are handled exactly by linearity of the field.
 
 A relative phase delta on pulse 2 is exactly the conjugation
 D(delta) U2 D(delta)^dagger of the pulse's propagator, D = diag(1, e^{-i delta}),
 with or without damping, and pulse 2 is pulse 1 delayed.  So a rotating-wave
 scan of separated pulses needs one segment propagator, over pulse 1, and no
 propagation per delta: the phase enters the fringe only through D(delta).
-Otherwise the drives of different deltas differ only in the weights of
-pulse 2's terms, e^{-i delta} on K2 and, for the real field, its conjugate
-on the counter-rotating term, so one batched run covers every delta.  Both
-use the Magnus segments of ``propagator``; ``pulse_pair_population`` is the
-scan at the pair's own delta.  A scan of any engine warns once, at its
-caller.
+Otherwise pulse 2 at relative phase delta is cos d (pulse 2) - sin d (its
+quadrature, phi0 lowered by pi/2) with d = delta - rel_phase, on the real
+field and the rotating-wave coupling alike, so the drive of every delta is a
+weighted sum of the ``_drive`` couplings of pulse 1, pulse 2 and the
+quadrature, and one batched run covers every delta.  Both use the Magnus
+segments of ``propagator``; ``pulse_pair_population`` is the scan at the
+pair's own delta.  A scan of any engine warns once, at its caller.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .model import DrivingField, TwoLevelSystem, _complex_detuning
 from .numerics import _read_only
 from .propagator import (
     IntegratorConfig,
-    _array_coupling_fn,
     _check_engine,
     _check_resolved,
+    _drive,
     _magnus_propagator,
 )
 
@@ -167,17 +168,17 @@ def phase_scan(
     composed from one segment over pulse 1's support, and every delta
     follows from the D(delta) conjugation (see ``_composed_populations``).
     Overlapping or merged pulses, and every full-field pair, take one
-    segment over the whole window for all deltas at once (see
-    ``_summed_populations``).  The segments start from the step cap
-    (``max_step``, at most half the envelope width) and double their
-    interval count until the propagator changes by at most
-    ``abs_tol + rel_tol * max|U|`` between counts, or by no more than the
-    rounding of the product can reach.  A full-field scan whose carrier the
-    step cap cannot resolve over the window raises StepSizeUnderflowError
-    before any step.  Constant envelopes have no pulse window and are
-    rejected.  An unknown engine is rejected before anything else; every
-    engine warns at most once per scan.  ``delta_grid`` must be
-    a non-empty 1-D array of finite values on every path.
+    segment over the whole window for all deltas at once, on the drives of
+    pulse 1, pulse 2 and its quadrature (see ``_summed_populations``).  The
+    segments start from the step cap (``max_step``, at most half the
+    envelope width) and double their interval count until the propagator
+    changes by at most ``abs_tol + rel_tol * max|U|`` between counts, or by
+    no more than the rounding of the product can reach.  A full-field scan
+    whose carrier the step cap cannot resolve over the window raises
+    StepSizeUnderflowError before any step.  Constant envelopes have no
+    pulse window and are rejected.  An unknown engine is rejected before
+    anything else; every engine warns at most once per scan.  ``delta_grid``
+    must be a non-empty 1-D array of finite values on every path.
     """
     _check_engine(engine)
     deltas = np.asarray(delta_grid, dtype=float)
@@ -221,8 +222,8 @@ def _composed_populations(
     """
     env = pair.base.envelope
     half = env.support_halfwidth()
-    detuning = _complex_detuning(system, pair.base.carrier)
-    coupling = _array_coupling_fn(system, pair.base)
+    coupling, carrier = _drive(system, pair.base, "rwa")
+    detuning = _complex_detuning(system, carrier)
     u = _magnus_propagator(
         lambda t: (coupling(t),), np.ones((1, 1)), detuning, env.center - half, env.center + half, cfg
     )
@@ -237,30 +238,23 @@ def _composed_populations(
 def _summed_populations(system, pair, deltas, cfg, engine) -> np.ndarray:
     """P_e(delta) of the summed drive of the pair, every delta in one Magnus run.
 
-    Pulse 2 at relative phase delta is its coupling at the pair's own phase
-    times w = e^{-i (delta - rel_phase)}, so the drives differ only in
-    weights.  'rwa': the terms (K1, K2) with weights (1, w) on the carrier W.
-    'full': the real coupling mu E0_j cos(W t + phi_j) = K_j e^{-i W t} + c.c.
-    on carrier 0, so the terms are (K1 e^{-i W t}, c.c., K2 e^{-i W t}, c.c.)
-    with weights (1, 1, w, conj(w)); each K_j e^{-i W t} is evaluated once.
-    The window is one interval, so the carrier must be resolved over all of it.
+    With d = delta - rel_phase, pulse 2 at delta is cos d (pulse 2) - sin d
+    (its quadrature, phi0 lowered by pi/2), on the real field E0 cos(Phi + d)
+    and on the coupling K2 e^{-i d} alike; so the drive of each delta weights
+    the ``_drive`` couplings of pulse 1, pulse 2 and the quadrature by
+    (1, cos d, -sin d).  The window is one interval, so a full-field carrier
+    must be resolved over all of it.
     """
     start, end = pair.window()
-    k1, k2 = _array_coupling_fn(system, pair.base), _array_coupling_fn(system, pair.second)
-    ones, w = np.ones(deltas.size), np.exp(-1j * (deltas - pair.rel_phase))
-    carrier = pair.base.carrier
-    if engine == "rwa":
-        terms, weights, frame = lambda t: (k1(t), k2(t)), np.stack((ones, w)), carrier
-    else:
-        _check_resolved(carrier, end - start)
-
-        def terms(t):
-            turn = np.exp(-1j * carrier * t)
-            a, b = k1(t) * turn, k2(t) * turn
-            return a, np.conj(a), b, np.conj(b)
-        weights, frame = np.stack((ones, ones, w, np.conj(w))), 0.0
+    second = pair.second
+    quadrature = replace(second, phase=second.phase.shifted(0.0, extra_phi0=-0.5 * math.pi))
+    (k1, frame), (k2, _), (q2, _) = (_drive(system, f, engine) for f in (pair.base, second, quadrature))
+    if engine == "full":
+        _check_resolved(pair.base.carrier, end - start)
+    d = deltas - pair.rel_phase
+    weights = np.stack((np.ones(deltas.size), np.cos(d), -np.sin(d)))
     detuning = _complex_detuning(system, frame)
-    u_eg = _magnus_propagator(terms, weights, detuning, start, end, cfg)[2]
+    u_eg = _magnus_propagator(lambda t: (k1(t), k2(t), q2(t)), weights, detuning, start, end, cfg)[2]
     return u_eg.real**2 + u_eg.imag**2
 
 

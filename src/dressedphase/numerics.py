@@ -31,6 +31,23 @@ def _read_only(values, dtype=None) -> np.ndarray:
     return view
 
 
+def _triple_integrals(t0, t1, t2, f0, f1, f2) -> tuple:
+    """Integrals over [t0, t1] and [t1, t2] of the quadratic through the three points.
+
+    The quadratic is p(u) = a u^2 + b u + f1 with u = t - t1.
+    """
+    h0 = t1 - t0
+    h1 = t2 - t1
+    d0 = f0 - f1
+    d2 = f2 - f1
+    denom = h0 * h1 * (h0 + h1)
+    a = (d0 * h1 + d2 * h0) / denom
+    b = (d2 * h0 * h0 - d0 * h1 * h1) / denom
+    left = a * h0**3 / 3.0 - b * h0**2 / 2.0 + f1 * h0
+    right = a * h1**3 / 3.0 + b * h1**2 / 2.0 + f1 * h1
+    return left, right
+
+
 def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative integral of samples ``f`` over grid ``t`` with Simpson accuracy.
 
@@ -50,39 +67,16 @@ def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     out = np.zeros(n, dtype=np.result_type(f.dtype, np.float64))
 
-    # Quadratic through (t[i], f[i]), (t[i+1], f[i+1]), (t[i+2], f[i+2]) as
-    # p(u) = a u^2 + b u + c with u = t - t[i+1], for every even i < n - 2.
-    # For an odd interval count the final interval is left to the trailing
-    # block below.
-    t0, t1, t2 = t[0 : n - 2 : 2], t[1 : n - 1 : 2], t[2:n:2]
-    f0, f1, f2 = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
-    h0 = t1 - t0
-    h1 = t2 - t1
-    d0 = f0 - f1
-    d2 = f2 - f1
-    denom = h0 * h1 * (h0 + h1)
-    a = (d0 * h1 + d2 * h0) / denom
-    b = (d2 * h0 * h0 - d0 * h1 * h1) / denom
-    c = f1
-    left = a * h0**3 / 3.0 - b * h0**2 / 2.0 + c * h0
-    right = a * h1**3 / 3.0 + b * h1**2 / 2.0 + c * h1
-
+    # Every even i < n - 2 starts a triple; for an odd interval count the
+    # final interval comes from the last triple.
+    left, right = _triple_integrals(*(x[j : n - 2 + j : 2] for x in (t, f) for j in range(3)))
     increments = np.empty(n - 1, dtype=out.dtype)
     increments[0 : n - 2 : 2] = left
     increments[1 : n - 1 : 2] = right
-
     if (n - 1) % 2 == 1:
-        # Trailing interval (t[n-2], t[n-1]) from the quadratic through the
-        # last three points.
-        h0l = t[n - 2] - t[n - 3]
-        h1l = t[n - 1] - t[n - 2]
-        d0l = f[n - 3] - f[n - 2]
-        d2l = f[n - 1] - f[n - 2]
-        den = h0l * h1l * (h0l + h1l)
-        al = (d0l * h1l + d2l * h0l) / den
-        bl = (d2l * h0l * h0l - d0l * h1l * h1l) / den
-        cl = f[n - 2]
-        increments[n - 2] = al * h1l**3 / 3.0 + bl * h1l**2 / 2.0 + cl * h1l
+        # The trailing triple as numpy scalars, whose powers round apart
+        # from the array kernel's.
+        increments[n - 2] = _triple_integrals(*t[n - 3 :], *f[n - 3 :])[1]
 
     np.cumsum(increments, out=out[1:])
     return out

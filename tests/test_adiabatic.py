@@ -50,6 +50,24 @@ def test_gaussian_margin_against_dense_grid():
     assert dense.ratio(0, 0) == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+def test_detuning_power_past_float_range_gives_zero_ratio():
+    """|dw~|^(n+1-k) passes 1.8e308 from |dw~| ~ 1e62 at n = 3; at 1e160
+    every power from 2 up does, and each of those ratios is 0.0, its limit.
+    The k = n + 1 ratios do not depend on the detuning."""
+    field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0))
+    t = np.linspace(0.0, 1200.0, 241)
+    report = adiabatic_report(TwoLevelSystem(0.0, 1e160), field, t, 3)
+    moderate = adiabatic_report(TwoLevelSystem(0.0, 12.0), field, t, 3)
+    for n, entry in report.orders.items():
+        for k, ratio in entry.ratios.items():
+            if n + 1 - k >= 2:
+                assert ratio == 0.0
+        assert 0.0 < entry.ratios[n] < 1e-150
+        assert entry.ratios[n + 1] == moderate.ratio(n, n + 1)
+    assert report.margin == max(moderate.ratio(n, n + 1) for n in range(4))
+
+
 def test_exact_resonance_reports_infinite_margin_for_nonzero_numerator():
     system = TwoLevelSystem(0.0, 5.0)
     field = DrivingField(5.0, EnvelopeSpec.constant(1.0), PhaseSpec.linear_chirp(0.01))

@@ -327,6 +327,7 @@ MALFORMED = {
     "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "dressed_integrator_without_compare": (dressed_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
+    "dressed_t0_nonzero": (dressed_config(), "grid.t0", 1.0, "grid.t0"),
     # The initial packet and the potential are built on the grid at load.
     "sigma_square_underflows": (hydro_config(), "hydro.packet.sigma", 1e-300, "hydro.packet.sigma"),
     "sigma_square_overflows": (hydro_config(), "hydro.packet.sigma", 1e300, "hydro.packet.sigma"),

@@ -316,6 +316,17 @@ class TestDressedPhases:
         with pytest.raises(GridError, match="non-monotone"):
             dressed_phases(RESONANT, RES_FIELD, PHASES, "ground", np.array([0.0, 2.0, 1.0]))
 
+    def test_detuning_whose_square_overflows_is_rejected(self):
+        """From |dw~| ~ 1.3e154 dw~^2 overflows and the phases would be NaN."""
+        field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0))
+        t = np.linspace(0.0, 1200.0, 241)
+        series = dressed_phases(TwoLevelSystem(0.0, 1e154), field, PHASES, "ground", t)
+        for phase in (series.phi_G_r, series.phi_G_v, series.phi_E_r, series.phi_E_v):
+            assert np.all(np.isfinite(phase))
+        for evaluate in (dressed_phases, assemble_bare_state):
+            with pytest.raises(ValidationError, match="generalized Rabi frequency is not finite"):
+                evaluate(TwoLevelSystem(0.0, 1e160), field, PHASES, "ground", t)
+
     def test_field_below_floor(self):
         field = DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 0.1))
         with pytest.raises(FieldBelowFloorError):

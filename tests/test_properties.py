@@ -18,7 +18,9 @@ each matrix's alone bit for bit, the array coupling agrees with the scalar
 one, the Magnus trajectories of ``rwa_propagate`` agree with DP5 on uneven
 grids, and those of ``full_field_propagate`` with DP5 on damped and
 undamped pulses.  Every interval of a Magnus grid is, bit for bit, the
-one-interval grid over it.  The
+one-interval grid over it.  Pulse 2 with phi0 lowered by pi/2, the third
+drive of the summed scan, is i K on the rotating-wave coupling and
+mu E0 sin(Phi) on the real field.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
 The ``hydro`` run reports the residual norms and writes the polar fields that
@@ -470,6 +472,28 @@ overlapping_pairs = st.builds(
 damped = st.builds(lambda gamma: TwoLevelSystem(0.0, 5.0, gamma_re=gamma), st.floats(0.0, 0.05))
 STRONG = "ignore:pulse_pair_population. single-pulse excitation"
 OVERLAP = "ignore:PulsePairConfig. pulses overlap"
+
+
+# The premise of the summed scan: pulse 2 with phi0 lowered by pi/2 is its
+# quadrature on either engine, i K on the rotating-wave coupling and
+# mu E0(t) sin(W t + phi(t)) on the real field.  The shift moves the phase
+# by pi/2 up to a few roundings of the terms that make up W t + phi(t), and
+# cos and sin pass an argument error through at most unit slope, so each
+# drive agrees within a few eps (|W t| + |phi(t)| + pi) max|mu E0|.
+@PROPERTY
+@given(field=pulses, mu=st.floats(0.1, 10.0), t=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
+def test_quadrature_drive_is_the_pulse_turned_by_a_quarter(field, mu, t):
+    system = TwoLevelSystem(0.0, 5.0, mu=mu)
+    t = np.array(t)
+    quadrature = replace(field, phase=field.phase.shifted(0.0, extra_phi0=-0.5 * math.pi))
+    k, carrier = propagator._drive(system, field, "rwa")
+    k_quadrature, carrier_quadrature = propagator._drive(system, quadrature, "rwa")
+    real_quadrature, frame = propagator._drive(system, quadrature, "full")
+    assert (carrier_quadrature, frame) == (carrier, 0.0)
+    amplitude, wt, phi = mu * field.envelope.value(t), field.carrier * t, field.phase.value(t)
+    bound = 4.0 * np.finfo(float).eps * (np.abs(wt) + np.abs(phi) + math.pi) * np.max(amplitude) + TINY
+    assert np.all(np.abs(k_quadrature(t) - 1j * k(t)) <= bound)
+    assert np.all(np.abs(real_quadrature(t) - amplitude * np.sin(wt + phi)) <= bound)
 
 
 def magnus_scan(system, pair, deltas, engine="rwa"):
