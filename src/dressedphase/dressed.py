@@ -8,6 +8,11 @@ bare-basis state, and the generalized adiabatic condition, order by order.
 All dressed quantities are defined only where the pulse is on: operations
 raise ``FieldBelowFloorError`` when the Rabi frequency drops below
 ``OMEGA_FLOOR_FRACTION`` times its peak, instead of returning garbage.
+
+The grid-wide operations (``dressed_phases``, ``assemble_bare_state`` and
+``adiabatic_report``) run over blocks of samples (``numerics._BLOCK``), so their
+temporaries stay small; their results and errors are bit for bit those of
+one whole-grid evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +36,13 @@ from .model import (
     complex_detuning,
     rabi_frequency,
 )
-from .numerics import _read_only, check_monotone_grid, cumulative_simpson
+from .numerics import (
+    _blocks,
+    _read_only,
+    _simpson_blocks,
+    _simpson_increments,
+    check_monotone_grid,
+)
 from .propagator import TwoLevelTrajectory
 
 #: Rabi-frequency floor as a fraction of the peak Rabi frequency.
@@ -165,10 +176,13 @@ def _continued_rabi(dw: complex, omega: np.ndarray) -> np.ndarray:
     above the exceptional point Omega = |Im dw~| of a resonant, damped drive,
     and to rounding there when the real part of dw~ is a few ulps.
     """
-    w = np.sqrt((dw * dw + omega**2).astype(complex, copy=False))
-    # Multiplying by the sign, rather than choosing -w or w, turns a -0
-    # imaginary part into +0.
-    return np.where(w.real * dw.real + w.imag * dw.imag < 0.0, -1.0, 1.0) * w
+    # Past |dw~| ~ 1.3e154 dw~^2 overflows and the root is not finite; the
+    # callers that need it finite check, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt((dw * dw + omega**2).astype(complex, copy=False))
+        # Multiplying by the sign, rather than choosing -w or w, turns a -0
+        # imaginary part into +0.
+        return np.where(w.real * dw.real + w.imag * dw.imag < 0.0, -1.0, 1.0) * w
 
 
 def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
@@ -196,19 +210,15 @@ class _Frequencies(NamedTuple):
     omega_E_eff: np.ndarray
 
 
-def _frequencies(system: TwoLevelSystem, field: DrivingField, t, where=None) -> _Frequencies:
+def _frequencies(system: TwoLevelSystem, field: DrivingField, t, omega, where=None) -> _Frequencies:
     """Omega, dOmega/dt and the auxiliary complex frequencies as arrays over ``t``.
 
+    ``omega`` is the Rabi frequency at ``t``.
     omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt).
-    With ``where`` set the field must be above the floor and the generalized
-    Rabi frequency finite (dw~^2 overflows from |dw~| ~ 1.3e154) on all of
-    ``t``; without it omega_E_eff is not finite where Omega vanishes.
+    With ``where`` set the generalized Rabi frequency must be finite (dw~^2
+    overflows from |dw~| ~ 1.3e154) on all of ``t``; omega_E_eff is not
+    finite where Omega vanishes.
     """
-    t = _as_times(t)
-    if where is None:
-        omega = rabi_frequency(system, field, t, 0)
-    else:
-        omega = _require_on_support(system, field, t, where)
     d_omega = rabi_frequency(system, field, t, 1)
     dw = complex_detuning(system, field)
     gr = _continued_rabi(dw, omega)
@@ -254,7 +264,8 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
     """
     if np.ndim(t) != 0:
         raise ValidationError("level_shifts: t must be a scalar time")
-    f = _frequencies(system, field, t)
+    u = _as_times(t)
+    f = _frequencies(system, field, u, rabi_frequency(system, field, u, 0))
     lam_p = complex(0.5 * (complex_detuning(system, field) + f.gen_rabi[0]))
     lam_m = complex(f.lambda_minus[0])
     corr = complex(_lambda_tilde_correction(f)[0])
@@ -276,7 +287,10 @@ def effective_excited_frequency(system: TwoLevelSystem, field: DrivingField, t):
     omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt);
     requires the field to be above the floor because of the log-derivative term.
     """
-    out = _frequencies(system, field, t, "effective_excited_frequency").omega_E_eff
+    where = "effective_excited_frequency"
+    u = _as_times(t)
+    omega = _require_on_support(system, field, u, where)
+    out = _frequencies(system, field, u, omega, where).omega_E_eff
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -326,41 +340,63 @@ def dressed_phases(
     from their real partners by exactly +/- the full optical phase
     Phi(t) = carrier*t + phi(t).
     """
-    return _phase_series(system, field, phases, branch, t_grid)[0]
-
-
-def _phase_series(system, field, phases, branch, t_grid):
-    """:func:`dressed_phases`, plus the Omega and generalized Rabi frequency it used."""
     _check_branch(branch)
+    t, _, _, integrals = _phase_integrals(system, field, t_grid, ("G", "E"))
+    out = [np.empty(t.size, dtype=complex) for _ in range(4)]
+    for b in _blocks(t.size):
+        out[0][b], out[1][b] = _phase_pair(field, phases, branch, "G", t[b], integrals["G"][b])
+        out[2][b], out[3][b] = _phase_pair(field, phases, branch, "E", t[b], integrals["E"][b])
+    return DressedPhaseSeries(t, *out, branch)
+
+
+def _phase_integrals(system, field, t_grid, levels):
+    """Grid, Omega, generalized Rabi frequency and the phase integral of each of ``levels``.
+
+    Level "G" integrates omega_G and level "E" omega_E_eff, cumulatively from
+    t = 0.  One loop over the Simpson blocks evaluates the frequencies and
+    the increments; one running sum over the whole grid follows.
+    """
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
         raise GridError("dressed_phases: grid must start at t = 0")
-    f = _frequencies(system, field, t, "dressed_phases")
-    int_G = cumulative_simpson(f.omega_G, t)
-    int_E = cumulative_simpson(f.omega_E_eff, t)
+    omega = _require_on_support(system, field, t, "dressed_phases")
+    gen_rabi = np.empty(t.size, dtype=complex)
+    integrals = {level: np.zeros(t.size, dtype=complex) for level in levels}
+    for b in _simpson_blocks(t.size):
+        f = _frequencies(system, field, t[b], omega[b], "dressed_phases")
+        gen_rabi[b] = f.gen_rabi
+        for level, out in integrals.items():
+            rate = f.omega_G if level == "G" else f.omega_E_eff
+            _simpson_increments(rate, t[b], out[b.start + 1 : b.stop])
+    for out in integrals.values():
+        # In place, and over the whole grid: a running sum carried from
+        # block to block would round apart.
+        np.cumsum(out[1:], out=out[1:])
+    return t, omega, gen_rabi, integrals
+
+
+def _phase_pair(field, phases, branch, level, t, integral):
+    """Real and virtual phase of ``level`` ("G" or "E") in ``branch`` on the samples ``t``.
+
+    ``integral`` is the level's cumulative frequency integral there.
+    """
     phi_t = field.phase.value(t)
     wt = field.carrier * t
-
     if branch == "ground":
         base = phases.phi_g
-        phi_G_r = base + int_G
-        phi_G_v = base + phi_t + int_G + wt
-        phi_E_r = base + phi_t + int_E
-        phi_E_v = base + int_E - wt
-    else:
-        # The time-dependent part of phi enters through the accumulated
-        # chirp (phi(t) - phi(0)) so that each component keeps the same
-        # physical rate as in the ground branch while the t = 0 constants
-        # stay phi_e, phi_e - phi(0) as the two-column structure demands.
-        # For a constant phi this reduces to the plain bookkeeping.
-        base = phases.phi_e
-        acc = phi_t - field.phase.value(0.0)
-        phi_E_r = base + acc + int_E
-        phi_E_v = base - phi_t + acc + int_E - wt
-        phi_G_r = base - phi_t + acc + int_G
-        phi_G_v = base + acc + int_G + wt
-    series = DressedPhaseSeries(t, phi_G_r, phi_G_v, phi_E_r, phi_E_v, branch)
-    return series, f.omega, f.gen_rabi
+        if level == "G":
+            return base + integral, base + phi_t + integral + wt
+        return base + phi_t + integral, base + integral - wt
+    # The time-dependent part of phi enters through the accumulated chirp
+    # (phi(t) - phi(0)) so that each component keeps the same physical rate
+    # as in the ground branch while the t = 0 constants stay phi_e,
+    # phi_e - phi(0) as the two-column structure demands.  For a constant
+    # phi this reduces to the plain bookkeeping.
+    base = phases.phi_e
+    acc = phi_t - field.phase.value(0.0)
+    if level == "E":
+        return base + acc + integral, base - phi_t + acc + integral - wt
+    return base - phi_t + acc + integral, base + acc + integral + wt
 
 
 def assemble_bare_state(
@@ -383,16 +419,19 @@ def assemble_bare_state(
     norm.  The phases and the amplitudes share one Omega and one generalized
     Rabi frequency.
     """
-    series, omega, gen_rabi = _phase_series(system, field, phases, branch, t_grid)
+    _check_branch(branch)
+    level = "G" if branch == "ground" else "E"
+    t, omega, gen_rabi, integrals = _phase_integrals(system, field, t_grid, (level,))
     dw = complex_detuning(system, field)
-    real_amp, virt_amp = _mixing_amplitudes(dw, omega, gen_rabi, branch)
-    if branch == "ground":
-        c_g = real_amp * np.exp(-1j * series.phi_G_r)
-        c_e = virt_amp * np.exp(-1j * series.phi_G_v)
-    else:
-        c_e = real_amp * np.exp(-1j * series.phi_E_r)
-        c_g = virt_amp * np.exp(-1j * series.phi_E_v)
-    return TwoLevelTrajectory(series.times, c_g, c_e, frame="bare")
+    c_g = np.empty(t.size, dtype=complex)
+    c_e = np.empty(t.size, dtype=complex)
+    c_real, c_virt = (c_g, c_e) if branch == "ground" else (c_e, c_g)
+    for b in _blocks(t.size):
+        real_amp, virt_amp = _mixing_amplitudes(dw, omega[b], gen_rabi[b], branch)
+        phi_real, phi_virt = _phase_pair(field, phases, branch, level, t[b], integrals[level][b])
+        np.multiply(real_amp, np.exp(-1j * phi_real), out=c_real[b])
+        np.multiply(virt_amp, np.exp(-1j * phi_virt), out=c_virt[b])
+    return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
 
 
 def _log_derivative_orders(system, field, t, omega, n_max: int):
@@ -431,27 +470,39 @@ def adiabatic_report(
         )
     t = check_monotone_grid(t_grid)
     omega = _require_on_support(system, field, t, "adiabatic_report")
-
-    log_derivs = _log_derivative_orders(system, field, t, omega, n_max)
     abs_dw = abs(complex_detuning(system, field))
+    with np.errstate(over="ignore"):
+        scales = [np.float64(abs_dw) ** power for power in range(n_max + 2)]
+
+    # Per block, the maximum over the block of each ratio(n, k), in (n, k)
+    # order; np.max over the blocks is exact and keeps NaN.
+    block_maxima = []
+    for b in _blocks(t.size):
+        log_derivs = _log_derivative_orders(system, field, t[b], omega[b], n_max)
+        row = []
+        for n in range(n_max + 1):
+            numer = np.abs(field.phase.derivative(t[b], n + 1) - 1j * log_derivs[n])
+            for k in range(n + 2):
+                scale = scales[n + 1 - k]
+                if abs_dw == 0.0 and k < n + 1:
+                    # Exactly zero complex detuning: the bound's right side
+                    # vanishes, so any nonzero numerator violates it
+                    # infinitely; an identically zero numerator satisfies it
+                    # trivially.
+                    row.append(0.0 if np.max(numer) == 0.0 else math.inf)
+                elif math.isfinite(scale):
+                    row.append(np.max(numer / (scale * omega[b] ** k)))
+                else:
+                    # Where |dw~|^power passes float64's range the ratio is
+                    # 0.0, its limit.
+                    row.append(0.0)
+        block_maxima.append(row)
+    maxima = iter(np.max(block_maxima, axis=0).tolist())
 
     orders = {}
     overall = 0.0
     for n in range(n_max + 1):
-        numer = np.abs(field.phase.derivative(t, n + 1) - 1j * log_derivs[n])
-        ratios = {}
-        for k in range(n + 2):
-            power = n + 1 - k
-            if abs_dw == 0.0 and power > 0:
-                # Exactly zero complex detuning: the bound's right side
-                # vanishes, so any nonzero numerator violates it infinitely;
-                # an identically zero numerator satisfies it trivially.
-                ratios[k] = 0.0 if float(np.max(numer)) == 0.0 else math.inf
-                continue
-            with np.errstate(over="ignore"):
-                scale = np.float64(abs_dw) ** power
-            # Where |dw~|^power passes float64's range the ratio is 0.0, its limit.
-            ratios[k] = float(np.max(numer / (scale * omega**k))) if math.isfinite(scale) else 0.0
+        ratios = {k: next(maxima) for k in range(n + 2)}
         margin = max(ratios.values())
         orders[n] = OrderEntry(ratios=ratios, margin=margin)
         overall = max(overall, margin)

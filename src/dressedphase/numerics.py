@@ -2,7 +2,10 @@
 
 The quadrature works on the caller's (possibly nonuniform) monotone grid by
 fitting a quadratic through consecutive point triples, which reduces to the
-classic composite Simpson rule on uniform grids.
+classic composite Simpson rule on uniform grids.  It runs over blocks of
+``_BLOCK`` samples, so its temporaries stay small, and one cumulative sum
+over the whole grid follows: the result is bit for bit that of one
+whole-grid evaluation.
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridError
+
+#: Samples per block of the blocked closed-form loops; even, so every block
+#: starts a Simpson triple.
+_BLOCK = 2**14
 
 
 def check_monotone_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -48,6 +55,42 @@ def _triple_integrals(t0, t1, t2, f0, f1, f2) -> tuple:
     return left, right
 
 
+def _blocks(n: int):
+    """Slices of the consecutive blocks of ``_BLOCK`` samples of an n-point grid."""
+    for start in range(0, n, _BLOCK):
+        yield slice(start, start + _BLOCK)
+
+
+def _simpson_blocks(n: int):
+    """Slices of the blocks of an n-point grid, for the Simpson increments.
+
+    Each block starts at an even index and ends on the first sample of the
+    next, so no triple crosses a block; the last block takes the rest,
+    trailing odd interval included.  A grid of at most ``_BLOCK`` samples is
+    one block, and so is one too short for a triple.
+    """
+    for start in range(0, max(n - 2, 1), _BLOCK):
+        yield slice(start, start + _BLOCK + 1 if start + _BLOCK < n - 2 else n)
+
+
+def _simpson_increments(f: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the integral of the Simpson quadratic over each interval of ``t``.
+
+    Every even i < n - 2 starts a triple; for an odd interval count the final
+    interval comes from the last triple.
+    """
+    n = t.size
+    if n < 3:
+        raise GridError("cumulative_simpson: need at least 3 grid points")
+    left, right = _triple_integrals(*(x[j : n - 2 + j : 2] for x in (t, f) for j in range(3)))
+    out[0 : n - 2 : 2] = left
+    out[1 : n - 1 : 2] = right
+    if (n - 1) % 2 == 1:
+        # The trailing triple as numpy scalars, whose powers round apart
+        # from the array kernel's.
+        out[n - 2] = _triple_integrals(*t[n - 3 :], *f[n - 3 :])[1]
+
+
 def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative integral of samples ``f`` over grid ``t`` with Simpson accuracy.
 
@@ -61,22 +104,10 @@ def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != t.shape:
         raise GridError("cumulative_simpson: f and t must have identical shapes")
-    n = t.size
-    if n < 3:
-        raise GridError("cumulative_simpson: need at least 3 grid points")
-
-    out = np.zeros(n, dtype=np.result_type(f.dtype, np.float64))
-
-    # Every even i < n - 2 starts a triple; for an odd interval count the
-    # final interval comes from the last triple.
-    left, right = _triple_integrals(*(x[j : n - 2 + j : 2] for x in (t, f) for j in range(3)))
-    increments = np.empty(n - 1, dtype=out.dtype)
-    increments[0 : n - 2 : 2] = left
-    increments[1 : n - 1 : 2] = right
-    if (n - 1) % 2 == 1:
-        # The trailing triple as numpy scalars, whose powers round apart
-        # from the array kernel's.
-        increments[n - 2] = _triple_integrals(*t[n - 3 :], *f[n - 3 :])[1]
-
-    np.cumsum(increments, out=out[1:])
+    out = np.zeros(t.size, dtype=np.result_type(f.dtype, np.float64))
+    for b in _simpson_blocks(t.size):
+        _simpson_increments(f[b], t[b], out[b.start + 1 : b.stop])
+    # One running sum over the whole grid, in place: summing block by block
+    # with carries would round apart.
+    np.cumsum(out[1:], out=out[1:])
     return out

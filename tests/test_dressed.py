@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dressedphase import dressed, numerics
 from dressedphase.dressed import (
+    adiabatic_report,
     assemble_bare_state,
     dressed_amplitudes,
     dressed_phases,
@@ -14,7 +17,12 @@ from dressedphase.dressed import (
     generalized_rabi,
     level_shifts,
 )
-from dressedphase.errors import FieldBelowFloorError, GridError, ValidationError
+from dressedphase.errors import (
+    DegenerateRabiError,
+    FieldBelowFloorError,
+    GridError,
+    ValidationError,
+)
 from dressedphase.model import (
     DrivingField,
     EnvelopeSpec,
@@ -327,6 +335,15 @@ class TestDressedPhases:
             with pytest.raises(ValidationError, match="generalized Rabi frequency is not finite"):
                 evaluate(TwoLevelSystem(0.0, 1e160), field, PHASES, "ground", t)
 
+    @pytest.mark.filterwarnings("error")
+    def test_detuning_whose_square_overflows_is_rejected_without_a_warning(self):
+        """The rejection is the only report: numpy warns of nothing first."""
+        field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0))
+        t = np.linspace(0.0, 1200.0, 241)
+        for evaluate in (dressed_phases, assemble_bare_state):
+            with pytest.raises(ValidationError, match="generalized Rabi frequency is not finite"):
+                evaluate(TwoLevelSystem(0.0, 1e160), field, PHASES, "ground", t)
+
     def test_field_below_floor(self):
         field = DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 0.1))
         with pytest.raises(FieldBelowFloorError):
@@ -418,3 +435,77 @@ class TestAssembleBareState:
         traj = assemble_bare_state(system, field, phases, branch, t)
         for got, want in ((traj.times, series.times), (traj.c_g, c_g), (traj.c_e, c_e)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# The grid-wide calls run over blocks of numerics._BLOCK samples; a fault
+# that first shows in a later block raises what the whole-grid call raises.
+def _raised(evaluate):
+    """Type and message of the error ``evaluate()`` raises."""
+    with pytest.raises(Exception) as info:
+        evaluate()
+    return type(info.value), str(info.value)
+
+
+_nearer_root = dressed._continued_rabi
+
+
+def _far_root_on_the_tail(dw, omega):
+    """The generalized Rabi frequency on the far root where Omega < 1e-8.
+
+    There the root rounds to dw~, so the far root is -dw~ and the
+    half-angle cosine vanishes.
+    """
+    w = _nearer_root(dw, omega)
+    return np.where(omega < 1e-8, -w, w)
+
+
+def _grid_calls(system, field):
+    return {
+        "dressed_phases": lambda t: dressed_phases(system, field, PHASES, "ground", t),
+        "ground": lambda t: assemble_bare_state(system, field, PHASES, "ground", t),
+        "excited": lambda t: assemble_bare_state(system, field, PHASES, "excited", t),
+        "adiabatic_report": lambda t: adiabatic_report(system, field, t, 3),
+    }
+
+
+LATE_FAULTS = {
+    # Omega = e^-t^2 passes the 1e-9 floor at t = 4.55.
+    "below_floor": (
+        RESONANT,
+        DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)),
+        np.linspace(0.0, 10.0, 100),
+        _nearer_root,
+        FieldBelowFloorError,
+        ("dressed_phases", "ground", "excited", "adiabatic_report"),
+    ),
+    # Omega < 1e-8 from t = 4.29, on the far root there.
+    "degenerate_half_angle": (
+        DETUNED,
+        DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)),
+        np.linspace(0.0, 4.5, 100),
+        _far_root_on_the_tail,
+        DegenerateRabiError,
+        ("ground", "excited"),
+    ),
+    # Omega^2 overflows from Omega ~ 1.3e154, past t = 0.73.
+    "rabi_not_finite": (
+        RESONANT,
+        DrivingField(5.0, EnvelopeSpec.gaussian(1e160, 4.4, 1.0)),
+        np.linspace(0.0, 4.4, 100),
+        _nearer_root,
+        ValidationError,
+        ("dressed_phases", "ground", "excited"),
+    ),
+}
+
+
+@pytest.mark.parametrize("system,field,t,rabi,error,names", list(LATE_FAULTS.values()), ids=list(LATE_FAULTS))
+def test_late_fault_raises_as_on_the_whole_grid(system, field, t, rabi, error, names):
+    calls = _grid_calls(system, field)
+    with mock.patch.object(dressed, "_continued_rabi", rabi):
+        for name in names:
+            calls[name](t[:9])  # the first block of 8 alone is sound
+            whole = _raised(lambda: calls[name](t))
+            assert whole[0] is error
+            with mock.patch.object(numerics, "_BLOCK", 8):
+                assert _raised(lambda: calls[name](t)) == whole

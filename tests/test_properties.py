@@ -9,10 +9,11 @@ The generalized Rabi branch is chosen pointwise: every point equals a
 one-point call and is the root nearer to the detuning wherever the two roots
 are told apart; off resonance it also equals the sign-walk loop in
 ``oracles``.  The vectorised cumulative Simpson rule is checked bit for bit
-against the point-by-point loop there.  Without damping the propagators
-conserve the norm, the DP5 reference of both engines agrees with fixed-step
-RK4, and a common shift of both levels is a global phase of every engine and
-stepper, on random drives; so does the Magnus segment propagator, whose
+against the point-by-point loop there, and every grid-wide closed-form call
+run over blocks of 8 or 64 samples against its one-block result.  Without
+damping the propagators conserve the norm, the DP5 reference of both engines
+agrees with fixed-step RK4, and a common shift of both levels is a global
+phase of every engine and stepper, on random drives; so does the Magnus segment propagator, whose
 closed-form 2x2 exponential agrees with Taylor series and, stacked, with
 each matrix's alone bit for bit, the array coupling agrees with the scalar
 one, the Magnus trajectories of ``rwa_propagate`` agree with DP5 on uneven
@@ -30,6 +31,7 @@ the public hydro functions give on its frames, bit for bit.
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -37,8 +39,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase import cli, propagator
-from dressedphase.dressed import _continued_rabi, generalized_rabi
+from dressedphase import cli, numerics, propagator
+from dressedphase.dressed import (
+    BRANCHES,
+    MAX_ADIABATIC_ORDER,
+    _continued_rabi,
+    adiabatic_report,
+    assemble_bare_state,
+    dressed_phases,
+    generalized_rabi,
+)
 from dressedphase.hydro import (
     continuity_residual,
     hj_residual,
@@ -54,6 +64,7 @@ from dressedphase.model import (
     PHASE_SHAPES,
     DrivingField,
     EnvelopeSpec,
+    InitialPhases,
     PhaseSpec,
     TwoLevelSystem,
     complex_detuning,
@@ -319,6 +330,7 @@ def test_cumulative_simpson_equals_loop(steps, t0, seed, is_complex):
     assert_bits_equal(cumulative_simpson(f, t), cumulative_simpson_loop(f, t))
 
 
+
 # Propagation at gamma = 0, on random drives near resonance (omega_e = 5,
 # peak Rabi frequency <= 2).  Bounds fixed from the integrator settings before
 # any run: the adaptive DP5 engines keep the global error over this 8-unit
@@ -362,6 +374,82 @@ states = st.builds(
     st.floats(-math.pi, math.pi),
 )
 UNDAMPED = TwoLevelSystem(0.0, 5.0)
+
+
+# The closed-form layer runs in blocks of numerics._BLOCK samples.  With the
+# block lowered to 8 or 64, every grid-wide call must give its one-block
+# result bit for bit, or raise the same error, on random drives (damped and
+# undamped) and grids from t = 0, uniform or not.  The sample counts cover
+# odd and even ones and k blocks plus -2 to 2 samples; about one drive in
+# ten falls below the floor somewhere on the grid and raises.
+def _closed_form_outputs(system, field, phases, t, f):
+    """Output arrays of every grid-wide closed-form call, or the error it raised."""
+
+    def series(branch):
+        s = dressed_phases(system, field, phases, branch, t)
+        return s.phi_G_r, s.phi_G_v, s.phi_E_r, s.phi_E_v
+
+    def state(branch):
+        s = assemble_bare_state(system, field, phases, branch, t)
+        return s.c_g, s.c_e
+
+    def report():
+        r = adiabatic_report(system, field, t, MAX_ADIABATIC_ORDER)
+        return (np.array([x for e in r.orders.values() for x in (*e.ratios.values(), e.margin)]),)
+
+    def integrals():
+        return cumulative_simpson(f, t), cumulative_simpson(f.real, t)
+
+    outputs = []
+    calls = [partial(series, b) for b in BRANCHES] + [partial(state, b) for b in BRANCHES]
+    for call in [*calls, report, integrals]:
+        try:
+            outputs.append(call())
+        except Exception as exc:
+            outputs.append((type(exc), str(exc)))
+    return outputs
+
+
+block_counts = st.one_of(
+    st.integers(3, 300),
+    st.sampled_from(sorted({k * b + d for b in (8, 64) for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)})),
+)
+
+
+@st.composite
+def closed_form_grids(draw):
+    n = draw(block_counts)
+    span = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        return np.linspace(0.0, span, n)
+    steps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.1, 1.0, n - 1)
+    return np.concatenate(([0.0], np.cumsum(steps * (span / steps.sum()))))
+
+
+@PROPERTY
+@given(
+    field=drives,
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    phi=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+    t=closed_form_grids(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_blocks_equal_one_block(field, gamma, phi, t, seed):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    args = (system, field, InitialPhases(*phi), t, f)
+    whole = _closed_form_outputs(*args)
+    for block in (8, 64):
+        with mock.patch.object(numerics, "_BLOCK", block):
+            blocked = _closed_form_outputs(*args)
+        for got, want in zip(blocked, whole):
+            if isinstance(want[0], type):
+                assert got == want
+            else:
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_bits_equal(a, b)
 
 
 @pytest.mark.parametrize("engine", list(RK4_RUNS))
