@@ -272,9 +272,13 @@ def _propagate(**values) -> dict:
 
 
 def _hydro(**values) -> dict:
-    """The hydro block as given, once the grid, the time step, the packet and the potential pass."""
+    """The hydro block as given, once the grid, the time steps, the packet and the potential pass.
+
+    The residuals' centered time derivative needs 3 frames, so at least 2 steps.
+    """
     hydro_mod.GridWavefunction.check_grid(values["n_points"], values["dx"], values["mass"])
-    hydro_mod.split_step_count(values["t_final"], values["dt"])
+    if hydro_mod.split_step_count(values["t_final"], values["dt"]) < 2:
+        raise ValidationError("t_final must be at least 2*dt, so that the residuals get 3 frames")
     _hydro_start(values)
     return values
 
@@ -598,38 +602,48 @@ def _run_interfere(config: ExperimentConfig):
 
 
 def _run_hydro(config: ExperimentConfig):
-    """Split-step frames, both residuals and every ``stride``-th frame's polar fields.
+    """Split-step frames, both residuals' L2 norms and every ``stride``-th frame's polar fields.
 
-    Each frame is decomposed once: both residuals share the list, bit for bit
-    what ``hj_residual`` and ``continuity_residual`` return, and the written
-    frames' fields are taken from it before it is dropped.
+    One pass over the solver's frames decomposes each frame once and keeps
+    a window of the last three decompositions: on frames j-2, j-1 and j it
+    takes both residuals of frame j-1, bit for bit what ``hj_residual`` and
+    ``continuity_residual`` compute there, and keeps their L2 norms alone.
+    A decomposition outlives the window only when its frame is written.
+    The frames themselves stay alive for the norm drift.
     """
     p = config.params
-    mass = p["mass"]
+    mass, dt = p["mass"], p["dt"]
     psi0, potential = _hydro_start(p)
     x = psi0.x
+    vx = potential.evaluate(x)
 
-    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
-    dt, times, polars = hydro_mod._polar_frames(frames)
-    hj = hydro_mod._residual_series(dt, times, polars, mass, potential.evaluate(x))
-    cont = hydro_mod._residual_series(dt, times, polars, mass)
-
+    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], dt)
     stride = p["csv_stride"] or max(1, len(frames) // 16)
-    polars = polars[::stride]  # the full list goes before the table is built
+    window, written, hj_l2, cont_l2 = [], [], [], []
+    for j, frame in enumerate(frames):
+        polar = hydro_mod.polar_decompose(frame)
+        if j % stride == 0:
+            written.append(polar)
+        window = [*window[-2:], polar]
+        if len(window) == 3:
+            hj = hydro_mod._frame_residual(window, dt, mass, vx)
+            hj_l2.append(hydro_mod._residual_l2(hj, polar.dx))
+            cont = hydro_mod._frame_residual(window, dt, mass)
+            cont_l2.append(hydro_mod._residual_l2(cont, polar.dx))
     table = {
-        "t": np.repeat(times[::stride], x.size),
-        "x": np.tile(x, len(polars)),
-        "R": np.concatenate([polar.R for polar in polars]),
-        "S": np.concatenate([polar.S for polar in polars]),
-        "U": np.concatenate([hydro_mod.quantum_potential(polar, mass) for polar in polars]),
-        "p": np.concatenate([hydro_mod.momentum_field(polar) for polar in polars]),
+        "t": np.repeat([frame.t for frame in frames[::stride]], x.size),
+        "x": np.tile(x, len(written)),
+        "R": np.concatenate([polar.R for polar in written]),
+        "S": np.concatenate([polar.S for polar in written]),
+        "U": np.concatenate([hydro_mod.quantum_potential(polar, mass) for polar in written]),
+        "p": np.concatenate([hydro_mod.momentum_field(polar) for polar in written]),
     }
     metrics = {
         "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),
-        "hj_residual_l2": [float(v) for v in hj.l2],
-        "hj_residual_l2_max": float(np.max(hj.l2)),
-        "continuity_residual_l2": [float(v) for v in cont.l2],
-        "continuity_residual_l2_max": float(np.max(cont.l2)),
+        "hj_residual_l2": hj_l2,
+        "hj_residual_l2_max": max(hj_l2),
+        "continuity_residual_l2": cont_l2,
+        "continuity_residual_l2_max": max(cont_l2),
         "frames": len(frames),
     }
     return metrics, {"hydro": table}

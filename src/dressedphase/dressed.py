@@ -311,14 +311,19 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
 
 
 def _mixing_amplitudes(dw: complex, omega: np.ndarray, gen_rabi: np.ndarray, branch: str):
-    """(real, virtual) amplitudes of ``branch`` from Omega and the generalized Rabi frequency."""
+    """(real, virtual) amplitudes of ``branch`` from Omega and the generalized Rabi frequency.
+
+    On the weak-field branch |cos(theta~/2)| >= sqrt(0.5), so the mixing
+    angle is undefined only where the generalized Rabi frequency is exactly
+    0: at the exceptional point Omega = |Im dw~| of a resonant, damped drive.
+    """
+    if not np.all(gen_rabi):
+        raise DegenerateRabiError(
+            "degenerate generalized Rabi frequency: 0 at the exceptional point Omega = |Im dw~|"
+        )
     cos_theta = dw / gen_rabi
     sin_theta = omega / gen_rabi
     cos_half = np.sqrt(0.5 * (1.0 + cos_theta))
-    if np.any(np.abs(cos_half) < 1e-15):
-        raise DegenerateRabiError(
-            "degenerate generalized Rabi frequency: half-angle cosine vanished"
-        )
     sin_half = sin_theta / (2.0 * cos_half)
     if branch == "ground":
         return cos_half, sin_half

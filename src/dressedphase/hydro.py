@@ -3,9 +3,9 @@
 A wavefunction on a periodic grid is split as psi = R exp(i S) (hbar = 1);
 the quantum Hamilton-Jacobi equation and the continuity equation are then
 checked as finite-difference residuals on numerically propagated frames.
-Each residual decomposes every frame once; a caller that needs both (and
-the polar fields) decomposes once and shares the list through
-``_polar_frames`` and ``_residual_series``.
+Each residual decomposes every frame once; both are written once, per
+frame, in ``_frame_residual``, which a caller that needs both (and the
+polar fields) runs on its own window of decomposed frames.
 Nodes are handled by masking points with R below a floor instead of
 regularizing the diverging quantum potential; all derivative stencils are
 second-order central differences, so residuals converge at second order.
@@ -319,42 +319,45 @@ def _frame_spacing(frames) -> float:
     return dt
 
 
-def _polar_frames(frames, r_floor: float | None = None):
-    """(dt, times, polars): the checked frame spacing, the frame times and each frame decomposed once."""
-    dt = _frame_spacing(frames)
-    return dt, [f.t for f in frames], [polar_decompose(f, r_floor) for f in frames]
-
-
-def _residual_series(dt, times, polars, mass: float, vx=None) -> ResidualSeries:
-    """Residual of already decomposed frames at every interior frame, masked where not finite.
+def _frame_residual(window, dt: float, mass: float, vx=None) -> np.ndarray:
+    """Residual at the middle of ``window``, three consecutive decomposed frames ``dt`` apart.
 
     The quantum Hamilton-Jacobi residual when ``vx`` (the potential on the
-    grid) is given, else the continuity residual; ``dt``, ``times`` and
-    ``polars`` come from ``_polar_frames``.  The summary is the L2 norm
-    sqrt(sum residual^2 dx) per frame.
+    grid) is given, else the continuity residual.  Not finite where a
+    stencil leaves the validity mask.
     """
+    p_prev, p, p_next = window
+    if vx is None:
+        drho_dt = (p_next.R**2 - p_prev.R**2) / (2.0 * dt)
+        current = p.R**2 * _central_difference(p.S, p.dx) / mass
+        return drho_dt + _central_difference(current, p.dx)
+    s_prev, s_mid, s_next = _anchored_phase_triple(window)
+    ds_dt = (s_next - s_prev) / (2.0 * dt)
+    grad = _central_difference(s_mid, p.dx)
+    return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(p, mass)
+
+
+def _residual_l2(res: np.ndarray, dx: float) -> float:
+    """L2 norm sqrt(sum residual^2 dx) over the finite points of ``res``."""
+    kept = res[np.isfinite(res)]
+    return math.sqrt(float(np.sum(kept * kept) * dx))
+
+
+def _residual_series(frames, mass: float, r_floor: float | None, vx=None) -> ResidualSeries:
+    """``_frame_residual`` at every interior frame, masked with NaN where not finite, and its L2 norm."""
+    dt = _frame_spacing(frames)
+    polars = [polar_decompose(f, r_floor) for f in frames]
     rows = []
     l2 = []
     for i in range(1, len(polars) - 1):
-        p = polars[i]
-        if vx is None:
-            drho_dt = (polars[i + 1].R ** 2 - polars[i - 1].R ** 2) / (2.0 * dt)
-            current = p.R**2 * _central_difference(p.S, p.dx) / mass
-            res = drho_dt + _central_difference(current, p.dx)
-        else:
-            s_prev, s_mid, s_next = _anchored_phase_triple(polars, i)
-            ds_dt = (s_next - s_prev) / (2.0 * dt)
-            grad = _central_difference(s_mid, p.dx)
-            res = ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(p, mass)
-        ok = np.isfinite(res)
-        res = np.where(ok, res, np.nan)
-        rows.append(res)
-        l2.append(math.sqrt(float(np.nansum(res[ok] ** 2) * p.dx)))
-    return ResidualSeries(np.array(times[1:-1]), np.array(rows), np.array(l2))
+        res = _frame_residual(polars[i - 1 : i + 2], dt, mass, vx)
+        rows.append(np.where(np.isfinite(res), res, np.nan))
+        l2.append(_residual_l2(res, polars[i].dx))
+    return ResidualSeries(np.array([f.t for f in frames[1:-1]]), np.array(rows), np.array(l2))
 
 
-def _anchored_phase_triple(polars, i):
-    """S of frames i-1, i, i+1 with global 2*pi winding anchored at max-R of frame i.
+def _anchored_phase_triple(window):
+    """S of the three frames of ``window`` with global 2*pi winding anchored at max-R of the middle one.
 
     The spatial unwrap fixes phase structure within a frame only up to a
     global multiple of 2*pi; anchoring at the max-R point keeps the frame-to-
@@ -362,7 +365,7 @@ def _anchored_phase_triple(polars, i):
     clean.  Requires the phase at the anchor to advance by less than pi per
     frame, which the frame spacing must provide.
     """
-    p_prev, p_mid, p_next = polars[i - 1], polars[i], polars[i + 1]
+    p_prev, p_mid, p_next = window
     anchor = int(np.nanargmax(np.where(p_mid.valid, p_mid.R, -np.inf)))
     out = [p_prev.S, p_mid.S, p_next.S]
     for j, p in ((0, p_prev), (2, p_next)):
@@ -388,7 +391,7 @@ def hj_residual(
     """
     mass = frames[0].mass
     vx = potential.evaluate(frames[0].x)
-    return _residual_series(*_polar_frames(frames, r_floor), mass, vx)
+    return _residual_series(frames, mass, r_floor, vx)
 
 
 def continuity_residual(frames, mass: float, r_floor: float | None = None) -> ResidualSeries:
@@ -397,4 +400,4 @@ def continuity_residual(frames, mass: float, r_floor: float | None = None) -> Re
     Centered differences in t and x; the probability current needs the phase
     gradient, so points near the mask boundary drop out of the stencil.
     """
-    return _residual_series(*_polar_frames(frames, r_floor), mass)
+    return _residual_series(frames, mass, r_floor)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -323,6 +324,8 @@ MALFORMED = {
     "dt_zero": (hydro_config(), "hydro.dt", 0.0, "hydro.dt"),
     "t_final_negative": (hydro_config(), "hydro.t_final", -1.0, "hydro.t_final"),
     "dt_not_dividing": (hydro_config(), "hydro.dt", 0.03, "hydro.dt"),
+    # One step gives 2 frames; the residuals' centered time derivative needs 3.
+    "t_final_one_step": (hydro_config(), "hydro.t_final", 0.02, "hydro.t_final"),
     "sigma_negative": (hydro_config(), "hydro.packet.sigma", -1.5, "hydro.packet.sigma"),
     "hydro_with_integrator": (hydro_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
@@ -441,6 +444,27 @@ def test_hydro_run_decomposes_each_frame_once(tmp_path):
         summary = run(config, tmp_path / "o")
     assert summary.metrics["frames"] == 101
     assert decompose.call_count == 101
+
+
+def test_hydro_run_memory_grows_by_the_frame_list_alone():
+    # The solver's frame list is the one store that grows with the frame
+    # count (16 B per point and frame); decompositions and residual rows live
+    # only in the three-frame window, and both runs write 17 frames.
+    cfg = json.loads((DEMO_CONFIGS / "hydro.json").read_text())
+
+    def traced_peak(t_final):
+        cfg["hydro"]["t_final"] = t_final
+        config = load_config_dict(cfg)
+        cli._run_hydro(config)  # warm-up
+        tracemalloc.start()
+        try:
+            cli._run_hydro(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(4.0) - traced_peak(2.0)  # 201 frames against 101
+    assert growth <= 1.1 * 100 * 16 * cfg["hydro"]["n_points"]
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,9 @@ from test_properties import PROPERTY, phases
 RESONANT = TwoLevelSystem(0.0, 5.0)
 RES_FIELD = DrivingField(5.0, EnvelopeSpec.constant(2.0))
 DETUNED = TwoLevelSystem(0.0, 8.0)           # detuning 3 against carrier 5
+# Resonant with gamma' = 0.2: the exceptional point is Omega = 0.1, where
+# dw~^2 + Omega^2 rounds to exactly 0.
+EXCEPTIONAL = TwoLevelSystem(0.0, 5.0, gamma_re=0.2)
 DET_FIELD = DrivingField(5.0, EnvelopeSpec.constant(4.0))  # Omega 4
 
 
@@ -170,6 +174,16 @@ class TestDressedAmplitudes:
         real_amp, virt_amp = dressed_amplitudes(system, weak, 0.0, "ground")
         assert abs(real_amp - 1.0) < 1e-12
         assert abs(virt_amp) < 1e-6
+
+    def test_exceptional_point_raises_without_warning(self):
+        field = DrivingField(5.0, EnvelopeSpec.constant(0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRabiError, match="exceptional point"):
+                dressed_amplitudes(EXCEPTIONAL, field, 0.0)
+            for branch in dressed.BRANCHES:
+                with pytest.raises(DegenerateRabiError, match="exceptional point"):
+                    assemble_bare_state(EXCEPTIONAL, field, PHASES, branch, np.linspace(0, 1, 5))
 
     def test_resonant_equal_mixing(self):
         real_amp, virt_amp = dressed_amplitudes(RESONANT, RES_FIELD, 0.0, "ground")
@@ -449,16 +463,6 @@ def _raised(evaluate):
 _nearer_root = dressed._continued_rabi
 
 
-def _far_root_on_the_tail(dw, omega):
-    """The generalized Rabi frequency on the far root where Omega < 1e-8.
-
-    There the root rounds to dw~, so the far root is -dw~ and the
-    half-angle cosine vanishes.
-    """
-    w = _nearer_root(dw, omega)
-    return np.where(omega < 1e-8, -w, w)
-
-
 def _grid_calls(system, field):
     return {
         "dressed_phases": lambda t: dressed_phases(system, field, PHASES, "ground", t),
@@ -478,12 +482,12 @@ LATE_FAULTS = {
         FieldBelowFloorError,
         ("dressed_phases", "ground", "excited", "adiabatic_report"),
     ),
-    # Omega < 1e-8 from t = 4.29, on the far root there.
+    # Omega rises to the exceptional point 0.1 at the last sample, t = 4.5.
     "degenerate_half_angle": (
-        DETUNED,
-        DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)),
+        EXCEPTIONAL,
+        DrivingField(5.0, EnvelopeSpec.gaussian(0.1, 4.5, 3.0)),
         np.linspace(0.0, 4.5, 100),
-        _far_root_on_the_tail,
+        _nearer_root,
         DegenerateRabiError,
         ("ground", "excited"),
     ),
