@@ -445,7 +445,7 @@ def _log_derivative_orders(system, field, t, omega, n_max: int):
     ``omega`` is the Rabi frequency at ``t``.  Uses the Leibniz recursion on
     dOmega = L * Omega, which needs envelope derivatives up to order n_max + 1.
     """
-    derivs = [omega] + [rabi_frequency(system, field, t, n) for n in range(1, n_max + 2)]
+    derivs = [omega] + [system.mu * d for d in field.envelope._derivatives(t, n_max + 1)[1:]]
     ls = [derivs[1] / omega]
     for n in range(1, n_max + 1):
         acc = derivs[n + 1].copy()
@@ -469,9 +469,11 @@ def adiabatic_report(
     A vanishing denominator (exactly zero complex detuning with k < n+1) is
     reported as an infinite ratio rather than raised.
     """
-    if not 0 <= n_max <= MAX_ADIABATIC_ORDER:
+    integer = isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool)
+    if not (integer and 0 <= n_max <= MAX_ADIABATIC_ORDER):
         raise ValidationError(
-            f"adiabatic_report: n_max must be in [0, {MAX_ADIABATIC_ORDER}] (derivative registry limit)"
+            f"adiabatic_report: n_max must be an integer in [0, {MAX_ADIABATIC_ORDER}]"
+            " (derivative registry limit)"
         )
     t = check_monotone_grid(t_grid)
     omega = _require_on_support(system, field, t, "adiabatic_report")
@@ -484,9 +486,10 @@ def adiabatic_report(
     block_maxima = []
     for b in _blocks(t.size):
         log_derivs = _log_derivative_orders(system, field, t[b], omega[b], n_max)
+        phase_derivs = field.phase._derivatives(t[b], n_max + 1)
         row = []
         for n in range(n_max + 1):
-            numer = np.abs(field.phase.derivative(t[b], n + 1) - 1j * log_derivs[n])
+            numer = np.abs(phase_derivs[n + 1] - 1j * log_derivs[n])
             for k in range(n + 2):
                 scale = scales[n + 1 - k]
                 if abs_dw == 0.0 and k < n + 1:

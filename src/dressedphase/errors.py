@@ -34,7 +34,8 @@ class FieldBelowFloorError(DressedPhaseError):
 
 
 class DegenerateRabiError(DressedPhaseError):
-    """Generalized Rabi frequency too small for the derivative correction."""
+    """Generalized Rabi frequency too small for the derivative correction, or
+    exactly 0 at the exceptional point Omega = |Im dw~| of a resonant, damped drive."""
 
     module = "dressed"
 

@@ -45,24 +45,13 @@ def _build_sech_terms(max_order: int):
 _SECH_TERMS = _build_sech_terms(MAX_DERIVATIVE_ORDER)
 
 
-def _hermite_value(n: int, u: np.ndarray) -> np.ndarray:
-    """Physicists' Hermite polynomial H_n(u) by recurrence."""
-    h_prev = np.ones_like(u)
-    if n == 0:
-        return h_prev
-    h = 2.0 * u
-    for k in range(1, n):
-        h, h_prev = 2.0 * u * h - 2.0 * k * h_prev, h
-    return h
-
-
 def _as_float_array(t):
     arr = np.asarray(t, dtype=float)
     return arr, arr.ndim == 0
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or order < 0:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
         raise DerivativeOrderError("derivative order exceeded: order must be an integer >= 0")
     if order > MAX_DERIVATIVE_ORDER:
         raise DerivativeOrderError(
@@ -117,7 +106,8 @@ class TwoLevelSystem:
 
 
 class _TimeFunction:
-    """Scalar-or-array evaluation of a shape's ``_derivative_array``."""
+    """Scalar-or-array evaluation of one entry of a shape's ``_derivatives(t, n)``,
+    which returns orders 0..n from one evaluation; entry k does not depend on n."""
 
     def value(self, t):
         return self.derivative(t, 0)
@@ -126,7 +116,7 @@ class _TimeFunction:
         """Exact n-th time derivative at ``t`` (scalar or array)."""
         order = _check_order(order)
         u, scalar = _as_float_array(t)
-        out = self._derivative_array(u, order)
+        out = self._derivatives(u, order)[order]
         return float(out) if scalar else out
 
 
@@ -177,52 +167,59 @@ class EnvelopeSpec(_TimeFunction):
     def flat_top_cos2(cls, peak: float, center: float, width: float, plateau: float) -> "EnvelopeSpec":
         return cls("flat_top_cos2", peak, center, width, plateau)
 
-    def _derivative_array(self, t: np.ndarray, order: int) -> np.ndarray:
+    def _derivatives(self, t: np.ndarray, n: int) -> list:
         if self.shape == "constant":
-            if order == 0:
-                return np.full_like(t, self.peak)
-            return np.zeros_like(t)
+            return [np.full_like(t, self.peak)] + [np.zeros_like(t) for _ in range(n)]
 
+        if self.shape == "flat_top_cos2":
+            half = self.plateau / 2.0
+            a0 = self.center - half - self.width  # ramp-up start
+            a1 = self.center - half               # plateau start
+            b1 = self.center + half               # plateau end
+            b0 = b1 + self.width                  # ramp-down end
+            k = math.pi / self.width
+            up_arg = k * (t - a0)
+            down_arg = k * (t - b1)
+            pieces = [t < a0, t < a1, t <= b1, t <= b0]
+            zero = np.zeros_like(t)
+            up = 0.5 * self.peak * (1.0 - np.cos(up_arg))
+            down = 0.5 * self.peak * (1.0 + np.cos(down_arg))
+            stack = [np.select(pieces, [zero, up, np.full_like(t, self.peak), down], default=0.0)]
+            for order in range(1, n + 1):
+                shift = order * math.pi / 2.0
+                coeff = 0.5 * self.peak * k**order
+                up = -coeff * np.cos(up_arg + shift)
+                down = coeff * np.cos(down_arg + shift)
+                stack.append(np.select(pieces, [zero, up, zero, down], default=0.0))
+            return stack
+
+        u = (t - self.center) / self.width
         if self.shape == "gaussian":
-            u = (t - self.center) / self.width
-            value = self.peak * np.exp(-u * u)
-            sign = -1.0 if order % 2 else 1.0
-            return sign * _hermite_value(order, u) * value / self.width**order
-
-        if self.shape == "sech":
-            u = (t - self.center) / self.width
+            with np.errstate(over="ignore"):  # exp(-inf) = 0 far out in the tails
+                value = self.peak * np.exp(-u * u)
+            stack = [value]
+            if n:
+                # H_k(u) by the physicists' Hermite recurrence from H_0 = 1.
+                two_u = 2.0 * u
+                hermite = [1.0, two_u]
+                for k in range(1, n):
+                    hermite.append(two_u * hermite[k] - 2.0 * k * hermite[k - 1])
+                stack += [(-1.0 if k % 2 else 1.0) * hermite[k] * value for k in range(1, n + 1)]
+        else:  # sech
             with np.errstate(over="ignore"):  # 1/inf = 0 beyond |u| ~ 710
                 s = 1.0 / np.cosh(u)
             th = np.tanh(u)
-            acc = np.zeros_like(t)
-            for (a, b), coeff in _SECH_TERMS[order].items():
-                acc = acc + coeff * s**a * th**b
-            return self.peak * acc / self.width**order
-
-        # flat_top_cos2
-        half = self.plateau / 2.0
-        a0 = self.center - half - self.width  # ramp-up start
-        a1 = self.center - half               # plateau start
-        b1 = self.center + half               # plateau end
-        b0 = b1 + self.width                  # ramp-down end
-        k = math.pi / self.width
-        up_arg = k * (t - a0)
-        down_arg = k * (t - b1)
-        if order == 0:
-            up = 0.5 * self.peak * (1.0 - np.cos(up_arg))
-            flat = np.full_like(t, self.peak)
-            down = 0.5 * self.peak * (1.0 + np.cos(down_arg))
-        else:
-            shift = order * math.pi / 2.0
-            coeff = 0.5 * self.peak * k**order
-            up = -coeff * np.cos(up_arg + shift)
-            flat = np.zeros_like(t)
-            down = coeff * np.cos(down_arg + shift)
-        return np.select(
-            [t < a0, t < a1, t <= b1, t <= b0],
-            [np.zeros_like(t), up, flat, down],
-            default=0.0,
-        )
+            stack = [
+                self.peak * sum(coeff * s**a * th**b for (a, b), coeff in terms.items())
+                for terms in _SECH_TERMS[: n + 1]
+            ]
+        if not n:
+            return stack
+        # Order k scales as width**-k.  A power past the float range is inf
+        # and divides the derivative to 0, its limit.
+        with np.errstate(over="ignore"):
+            powers = [np.float64(self.width) ** k for k in range(1, n + 1)]
+        return stack[:1] + [d / p for d, p in zip(stack[1:], powers)]
 
     def area(self) -> float:
         """Integral of the envelope over all time (infinite for ``constant``)."""
@@ -287,32 +284,28 @@ class PhaseSpec(_TimeFunction):
     ) -> "PhaseSpec":
         return cls("sinusoidal", phi0=phi0, depth=depth, mod_freq=mod_freq, t_ref=t_ref)
 
-    def _derivative_array(self, t: np.ndarray, order: int) -> np.ndarray:
+    def _derivatives(self, t: np.ndarray, n: int) -> list:
         dt = t - self.t_ref
-        if self.shape == "constant":
-            if order == 0:
-                return np.full_like(t, self.phi0)
-            return np.zeros_like(t)
-        if self.shape == "linear_chirp":
-            if order == 0:
-                return self.phi0 + self.rate * dt
-            if order == 1:
-                return np.full_like(t, self.rate)
-            return np.zeros_like(t)
-        if self.shape == "quadratic_chirp":
-            if order == 0:
-                return self.phi0 + self.rate * dt + self.curvature * dt * dt
-            if order == 1:
-                return self.rate + 2.0 * self.curvature * dt
-            if order == 2:
-                return np.full_like(t, 2.0 * self.curvature)
-            return np.zeros_like(t)
-        # sinusoidal
-        arg = self.mod_freq * dt + order * math.pi / 2.0
-        out = self.depth * self.mod_freq**order * np.sin(arg)
-        if order == 0:
-            out = out + self.phi0
-        return out
+        if self.shape == "sinusoidal":
+            stack = [
+                self.depth * self.mod_freq**order * np.sin(self.mod_freq * dt + order * math.pi / 2.0)
+                for order in range(n + 1)
+            ]
+            stack[0] = stack[0] + self.phi0
+            return stack
+        # The chirps are phi0 + rate dt + curvature dt dt cut to the shape's
+        # degree (0 for constant); each order differentiates the coefficients.
+        coeffs = (self.phi0, self.rate, self.curvature)[: PHASE_SHAPES.index(self.shape) + 1]
+        stack = []
+        for _ in range(n + 1):
+            if len(coeffs) < 2:
+                stack.append(np.full_like(t, coeffs[0] if coeffs else 0.0))
+            elif len(coeffs) == 2:
+                stack.append(coeffs[0] + coeffs[1] * dt)
+            else:
+                stack.append(coeffs[0] + coeffs[1] * dt + coeffs[2] * dt * dt)
+            coeffs = [j * c for j, c in enumerate(coeffs)][1:]
+        return stack
 
     def shifted(self, delay: float, extra_phi0: float = 0.0) -> "PhaseSpec":
         """Replica delayed by ``delay`` with ``extra_phi0`` added to the constant."""
@@ -354,7 +347,7 @@ def optical_phase(field: DrivingField, t, order: int = 0):
     order = _check_order(order)
     if order == 0:
         u, scalar = _as_float_array(t)
-        out = field.carrier * u + field.phase._derivative_array(u, 0)
+        out = field.carrier * u + field.phase._derivatives(u, 0)[0]
         return float(out) if scalar else out
     out = field.phase.derivative(t, order)
     if order == 1:
@@ -380,5 +373,5 @@ def _complex_detuning(system: TwoLevelSystem, carrier: float) -> complex:
 def instantaneous_field(field: DrivingField, t):
     """Real driving field E(t) = E0(t) * cos(Phi(t))."""
     u, scalar = _as_float_array(t)
-    out = field.envelope._derivative_array(u, 0) * np.cos(optical_phase(field, u))
+    out = field.envelope._derivatives(u, 0)[0] * np.cos(optical_phase(field, u))
     return float(out) if scalar else out

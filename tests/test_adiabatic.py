@@ -86,8 +86,9 @@ def test_exact_resonance_constant_drive_is_trivially_adiabatic():
 
 def test_order_limit_and_floor():
     field = DrivingField(5.0, EnvelopeSpec.constant(1.0))
-    with pytest.raises(ValidationError):
-        adiabatic_report(DETUNED_ONE, field, np.linspace(0.0, 1.0, 11), 5)
+    for n_max in (5, True, 2.5, "2"):
+        with pytest.raises(ValidationError, match="n_max must be an integer"):
+            adiabatic_report(DETUNED_ONE, field, np.linspace(0.0, 1.0, 11), n_max)
     dead = DrivingField(5.0, EnvelopeSpec.constant(0.0))
     with pytest.raises(FieldBelowFloorError):
         adiabatic_report(DETUNED_ONE, dead, np.linspace(0.0, 1.0, 11), 1)

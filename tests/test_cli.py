@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -205,6 +206,35 @@ def test_cli_exit_codes(tmp_path):
     floor["field"] = {"carrier": 5.0, "envelope": {"shape": "constant", "peak": 0.0}}
     floor_path = write_config(tmp_path, floor, "floor.json")
     assert main(["run", "--config", str(floor_path), "--out", str(tmp_path / "o3"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "config,envelope,code",
+    [
+        ("adiabatic", {"width": 6e302}, 0),
+        ("dressed_compare", {"width": 6e302}, 0),
+        ("adiabatic", {"width": 6e-298}, 2),
+        ("adiabatic", {"center": 6e302}, 2),
+    ],
+    ids=["adiabatic_wide", "dressed_wide", "adiabatic_narrow", "adiabatic_far"],
+)
+def test_extreme_gaussian_runs_without_warnings(tmp_path, capsys, config, envelope, code):
+    # A width power past the float range divides each derivative to 0, its
+    # limit; a pulse that misses the grid is the documented below-floor error.
+    cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+    cfg["field"]["envelope"].update(envelope)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: dressed: field below floor") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        return
+    metrics = json.loads((tmp_path / "o" / "summary.json").read_text())["metrics"]
+    assert metrics["margin" if config == "adiabatic" else "adiabatic_margin"] == 0.0
+    assert all(math.isfinite(value) for value in metrics.values())
 
 
 def test_non_finite_literal_exits_1(tmp_path, capsys):

@@ -118,6 +118,9 @@ def test_derivative_order_limit():
         optical_phase(field, 0.0, 7)
     with pytest.raises(DerivativeOrderError):
         rabi_frequency(SYSTEM, field, 0.0, -1)
+    for order in (True, 2.5, "2"):
+        with pytest.raises(DerivativeOrderError, match="must be an integer"):
+            env.derivative(0.0, order)
 
 
 def test_vectorized_evaluation_matches_scalar():

@@ -159,6 +159,9 @@ def test_envelope_derivative_scalar_matches_array(env, t, order):
     assert isinstance(scalar, float)
     array = env.derivative(np.array([t]), order)[0]
     assert abs(scalar - array) <= REL * env.peak * (4.0 / env.width) ** order + TINY
+    # Entry k of a stack does not depend on its depth: derivative takes one entry.
+    stack = env._derivatives(np.array([t]), MAX_DERIVATIVE_ORDER)
+    assert stack[order].tobytes() == env.derivative(np.array([t]), order).tobytes()
 
 
 @PROPERTY
@@ -176,6 +179,8 @@ def test_phase_derivative_scalar_matches_array(ph, t, order):
         + abs(ph.depth) * max(1.0, abs(ph.mod_freq)) ** order
     )
     assert abs(scalar - array) <= REL * scale + TINY
+    stack = ph._derivatives(np.array([t]), MAX_DERIVATIVE_ORDER)
+    assert stack[order].tobytes() == ph.derivative(np.array([t]), order).tobytes()
 
 
 RABI_CASES = {
