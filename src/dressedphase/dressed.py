@@ -499,7 +499,10 @@ def adiabatic_report(
                     # trivially.
                     row.append(0.0 if np.max(numer) == 0.0 else math.inf)
                 elif math.isfinite(scale):
-                    row.append(np.max(numer / (scale * omega[b] ** k)))
+                    # Where |Omega|^k, or its product with the scale, passes
+                    # float64's range the ratio is 0.0, its limit.
+                    with np.errstate(over="ignore"):
+                        row.append(np.max(numer / (scale * omega[b] ** k)))
                 else:
                     # Where |dw~|^power passes float64's range the ratio is
                     # 0.0, its limit.

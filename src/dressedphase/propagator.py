@@ -21,7 +21,10 @@ closed-form in real arithmetic (``_expm2``), and ``_magnus_grid`` forms the
 propagator of every sample interval.  The steps per interval are doubled
 until what is returned, the sampled states or the segment propagators,
 changes by at most ``abs_tol + rel_tol * max``, or by no more than its
-rounding can reach.
+rounding can reach (``_tolerance``).  A trajectory runs each round on its
+first chunk of intervals first, and a round that already fails there is
+not run further; the returned steps and states are those of the ladder
+that runs every round whole.
 ``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
 cross-check.  The tests keep an adaptive Dormand-Prince 5(4) stepper on
 scalar couplings as the reference for the Magnus steps.
@@ -361,31 +364,53 @@ def _magnus_grid(
     return out
 
 
+def _first_steps(t: np.ndarray, cfg: IntegratorConfig) -> int:
+    """The Magnus steps per interval a ladder starts from: the count ``cfg.max_step`` asks for."""
+    return max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
+
+
+def _tolerance(cfg: IntegratorConfig, intervals: int, k: int, scale) -> float:
+    """The largest change a doubling to k steps per interval may make and stop.
+
+    ``abs_tol + rel_tol * scale``, with ``scale`` the largest entry of the
+    finer result, or ``intervals * k * eps * scale`` if larger, the rounding
+    a product of the finer grid's steps can reach.  It never falls as
+    ``scale`` grows, also in floating point.
+    """
+    return max(cfg.abs_tol + cfg.rel_tol * scale, intervals * k * np.finfo(float).eps * scale)
+
+
 def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """``grid(2k)`` at the first k whose doubling changes it by at most its tolerance.
 
     k, the Magnus steps per interval of the sample grid ``t``, starts at the
     count ``cfg.max_step`` asks for and is doubled until the largest entry
-    change between ``grid(k)`` and ``grid(2k)`` is at most
-    ``abs_tol + rel_tol * max|grid(2k)|``, or at most ``n * eps * max|grid(2k)|``,
-    the rounding a product of the finer grid's n steps can reach.  Past
+    change between ``grid(k)`` and ``grid(2k)`` is at most ``_tolerance`` of
+    ``max|grid(2k)|``.  Every round evaluates the whole grid; this is the
+    ladder of the segments, one interval each (``_magnus_trajectory`` runs
+    the same test, settling a failing round on its first chunk).  Past
     ``_MAGNUS_MAX_INTERVALS`` steps per interval StepSizeUnderflowError is
     raised.  The cap bounds k, not the steps of the whole grid, so only the
     drive limits a trajectory however many samples it has; ``_magnus_grid``
     chunks time and drives, so memory stays bounded.
     """
     intervals = t.size - 1
-    k = max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
+    k = _first_steps(t, cfg)
     coarse = None
     while k <= _MAGNUS_MAX_INTERVALS:
         fine = grid(k)
-        scale = np.max(np.abs(fine))
-        tol = max(cfg.abs_tol + cfg.rel_tol * scale, intervals * k * np.finfo(float).eps * scale)
-        if coarse is not None and np.max(np.abs(fine - coarse)) <= tol:
+        if coarse is not None and np.max(np.abs(fine - coarse)) <= _tolerance(
+            cfg, intervals, k, np.max(np.abs(fine))
+        ):
             return fine
         coarse = fine
         k *= 2
-    raise StepSizeUnderflowError(
+    raise _ladder_exhausted(t)
+
+
+def _ladder_exhausted(t: np.ndarray) -> StepSizeUnderflowError:
+    """The error of a step doubling over the grid ``t`` that passed the cap."""
+    return StepSizeUnderflowError(
         f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps per interval on [{t[0]!r}, {t[-1]!r}]"
     )
 
@@ -428,25 +453,72 @@ def _magnus_trajectory(
 
     ``coupling`` evaluates K(t) on an array of times.  Each sample
     interval's propagator of ``_magnus_grid`` is applied to the state in
-    order; the steps per interval are doubled (``_magnus_doubled``) until
-    the sampled states change by at most their tolerance.
-    """
+    order.  The steps per interval k are doubled until the sampled states
+    change by at most ``_tolerance`` of their largest entry, as in
+    ``_magnus_doubled``, and the same k and states are returned; but each
+    round first runs only its first chunk, the first max(1, _MAGNUS_CHUNK //
+    k) intervals.  If the states there already change by more than the
+    tolerance could be at any largest entry the round can reach, the round
+    fails without running the rest of the grid.  NaN fails, as in the full
+    test.  Otherwise this round and the last one are run to the end of the
+    grid, and the full test decides.
 
-    def states(k):
-        u = _magnus_grid(lambda x: (coupling(x),), np.ones((1, 1), dtype=complex), detuning, t, k)[:, 0]
-        out = np.empty((2, t.size), dtype=complex)
-        out[:, 0] = g, e = y0
+    The bound on the largest entry: without damping the exact propagators
+    are unitary, and so are the Magnus steps, up to rounding.  So no state's
+    norm passes |y0| (1 + delta), delta = 32 n k eps.  Each of the n
+    intervals takes 2k matrix operations (k closed-form exponentials, k - 1
+    products of two steps, one state update), each a handful of roundings;
+    delta allows every one 16 eps of norm, to first order.  With damping a
+    step is no contraction (the commutator term makes the Hermitian part of
+    its exponent indefinite), and a coarse round's norm can grow well past
+    |y0|: a damped round has no such bound, and only NaN settles it on its
+    first chunk.
+
+    A round is continued from its last state, and ``_magnus_grid`` gives
+    each interval's propagator bit for bit whatever grid it is part of, so
+    a round run in pieces equals the round run whole.
+    """
+    n = t.size - 1
+    weights = np.ones((1, 1), dtype=complex)
+
+    def run(x, k, start, stop):
+        """Fill the states x[:, start + 1 : stop + 1] on from x[:, start], k steps per interval."""
+        if stop == start:
+            return
+        u = _magnus_grid(lambda s: (coupling(s),), weights, detuning, t[start : stop + 1], k)[:, 0]
+        g, e = x[:, start].tolist()
         # Python complex arithmetic is the fast form of this sequential
         # loop; the intervals go through it in chunks to bound its lists.
-        for i in range(0, u.shape[1], _MAGNUS_CHUNK):
-            chunk = []
+        for i in range(0, stop - start, _MAGNUS_CHUNK):
+            gs, es = [], []
             for u00, u01, u10, u11 in zip(*u[:, i : i + _MAGNUS_CHUNK].tolist()):
                 g, e = u00 * g + u01 * e, u10 * g + u11 * e
-                chunk.append((g, e))
-            out[:, i + 1 : i + 1 + len(chunk)] = np.array(chunk, dtype=complex).T
-        return out
+                gs.append(g)
+                es.append(e)
+            j = start + 1 + i
+            x[0, j : j + len(gs)] = gs
+            x[1, j : j + len(es)] = es
 
-    return tuple(_magnus_doubled(states, t, cfg))
+    norm = math.hypot(abs(y0[0]), abs(y0[1])) if detuning.imag == 0.0 else math.inf
+    k = _first_steps(t, cfg)
+    coarse = None  # the last round: its states, the last sample run and its k
+    while k <= _MAGNUS_MAX_INTERVALS:
+        fine = np.empty((2, t.size), dtype=complex)
+        fine[:, 0] = y0
+        head = min(n, max(1, _MAGNUS_CHUNK // k))
+        run(fine, k, 0, head)
+        if coarse is not None:
+            states, done, k_coarse = coarse
+            reach = norm * (1.0 + 32.0 * n * k * np.finfo(float).eps)
+            if np.max(np.abs(fine[:, : head + 1] - states[:, : head + 1])) <= _tolerance(cfg, n, k, reach):
+                run(states, k_coarse, done, n)
+                run(fine, k, head, n)
+                head = n
+                if np.max(np.abs(fine - states)) <= _tolerance(cfg, n, k, np.max(np.abs(fine))):
+                    return fine[0], fine[1]
+        coarse = fine, head, k
+        k *= 2
+    raise _ladder_exhausted(t)
 
 
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,7 +5,8 @@ eigendecompositions, brute-force evaluations) so the library code they check
 cannot share a bug with the check itself.  The propagation reference is an
 adaptive Dormand-Prince 5(4) stepper driven by scalar evaluators of the
 envelope, the phase and the couplings, written apart from the array
-registries and the Magnus steps of the library.
+registries and the Magnus steps of the library.  The Magnus trajectory's
+reference is its step doubling run on the whole grid every round.
 """
 
 import cmath
@@ -400,6 +401,40 @@ def dp5_rwa_propagate(system, field, initial, t_grid, cfg=IntegratorConfig(), fr
 def dp5_full_propagate(system, field, initial, t_grid, cfg=IntegratorConfig()):
     """``full_field_propagate`` of one pulse on DP5: the scalar real field on carrier 0."""
     return dp5_propagate(system, *scalar_drive(system, field, "full"), initial, t_grid, cfg)
+
+
+def magnus_states_whole(coupling, detuning, t, y0, k):
+    """The rotating-frame states at the samples ``t`` from ``y0``, k Magnus steps per interval.
+
+    One ``_magnus_grid`` call over the whole grid, then the state loop in
+    chunks of tuples.
+    """
+    u = propagator._magnus_grid(lambda x: (coupling(x),), np.ones((1, 1), dtype=complex), detuning, t, k)[:, 0]
+    out = np.empty((2, t.size), dtype=complex)
+    out[:, 0] = g, e = y0
+    for i in range(0, u.shape[1], propagator._MAGNUS_CHUNK):
+        chunk = []
+        for u00, u01, u10, u11 in zip(*u[:, i : i + propagator._MAGNUS_CHUNK].tolist()):
+            g, e = u00 * g + u01 * e, u10 * g + u11 * e
+            chunk.append((g, e))
+        out[:, i + 1 : i + 1 + len(chunk)] = np.array(chunk, dtype=complex).T
+    return out
+
+
+def magnus_trajectory_whole(coupling, detuning, t, y0, cfg, rounds=None):
+    """``propagator._magnus_trajectory`` with every round run on the whole grid.
+
+    The doubling of ``_magnus_doubled`` over ``magnus_states_whole``; each
+    round's k and states are appended to ``rounds`` if it is a list.
+    """
+
+    def states(k):
+        out = magnus_states_whole(coupling, detuning, t, y0, k)
+        if rounds is not None:
+            rounds.append((k, out))
+        return out
+
+    return tuple(propagator._magnus_doubled(states, t, cfg))
 
 
 def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):

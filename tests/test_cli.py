@@ -215,12 +215,14 @@ def test_cli_exit_codes(tmp_path):
         ("dressed_compare", {"width": 6e302}, 0),
         ("adiabatic", {"width": 6e-298}, 2),
         ("adiabatic", {"center": 6e302}, 2),
+        ("adiabatic", {"peak": 1e300}, 0),
     ],
-    ids=["adiabatic_wide", "dressed_wide", "adiabatic_narrow", "adiabatic_far"],
+    ids=["adiabatic_wide", "dressed_wide", "adiabatic_narrow", "adiabatic_far", "adiabatic_strong"],
 )
 def test_extreme_gaussian_runs_without_warnings(tmp_path, capsys, config, envelope, code):
     # A width power past the float range divides each derivative to 0, its
-    # limit; a pulse that misses the grid is the documented below-floor error.
+    # limit, and so does a power of the Rabi frequency past it; a pulse that
+    # misses the grid is the documented below-floor error.
     cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
     cfg["field"]["envelope"].update(envelope)
     path = write_config(tmp_path, cfg)
@@ -233,8 +235,14 @@ def test_extreme_gaussian_runs_without_warnings(tmp_path, capsys, config, envelo
         assert not (tmp_path / "o").exists()
         return
     metrics = json.loads((tmp_path / "o" / "summary.json").read_text())["metrics"]
-    assert metrics["margin" if config == "adiabatic" else "adiabatic_margin"] == 0.0
     assert all(math.isfinite(value) for value in metrics.values())
+    if "peak" in envelope:
+        # |Omega|^k passes the float range from k = 2: those ratios are 0.0,
+        # and the ratios over |dw~| alone stay.
+        n, k, ratio = np.loadtxt(tmp_path / "o" / "adiabatic.csv", delimiter=",", skiprows=1).T
+        assert np.all(ratio[k >= 2] == 0.0) and np.all(ratio[k == 0] > 0.0)
+        return
+    assert metrics["margin" if config == "adiabatic" else "adiabatic_margin"] == 0.0
 
 
 def test_non_finite_literal_exits_1(tmp_path, capsys):

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dressedphase import propagator
+from dressedphase import cli, propagator
 from dressedphase.cli import load_config_dict
 from dressedphase.dressed import InitialPhases, adiabatic_report, assemble_bare_state
 
@@ -39,7 +39,7 @@ from dressedphase.propagator import (
     rwa_propagate_coupling,
 )
 from dressedphase.numerics import check_monotone_grid
-from oracles import coupling_fn, dp5_propagate, dp5_rwa_propagate, rabi_population
+from oracles import coupling_fn, dp5_propagate, dp5_rwa_propagate, magnus_states_whole, rabi_population
 
 RESONANT = TwoLevelSystem(0.0, 5.0)
 RES_FIELD = DrivingField(5.0, EnvelopeSpec.constant(1.0))
@@ -434,6 +434,64 @@ def _grid_steps(call):
     with mock.patch.object(propagator, "_magnus_grid", spy):
         call()
     return steps
+
+
+def test_oracle_ladder_settles_failing_rounds_on_their_first_chunk(tmp_path):
+    """The ``dressed_compare`` demo's oracle evaluates its coupling at
+    481,280 Magnus nodes, two per step.  The rounds k = 1 to 16 fail on their
+    first chunk of 2,048 steps (4,096 nodes each); k = 32 and 64 run all
+    2,400 intervals.  Every round on the whole grid took 2 * 2,400 * 127 =
+    609,600."""
+    config = load_config_dict(json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text()))
+    nodes = 0
+    make = propagator._array_coupling_fn
+
+    def counting(system, field):
+        coupling = make(system, field)
+
+        def counted(t):
+            nonlocal nodes
+            nodes += t.size
+            return coupling(t)
+
+        return counted
+
+    with mock.patch.object(propagator, "_array_coupling_fn", counting):
+        cli.run(config, tmp_path / "out")
+    assert nodes == 2 * 2400 * (32 + 64) + 5 * 4096 == 481_280
+
+
+def test_nan_round_fails_on_its_first_chunk():
+    """A NaN change fails the stop test, on the whole grid as on the first
+    chunk, so a NaN drive runs each round on its first chunk alone up to the
+    cap (here 16 steps per interval, with chunks of 4 steps)."""
+    t = np.linspace(0.0, 10.0, 101)
+    spans = []
+    grid = propagator._magnus_grid
+
+    def spy(terms, weights, detuning, t, k):
+        spans.append((k, t.size - 1))
+        return grid(terms, weights, detuning, t, k)
+
+    def nan(x):
+        return np.full(x.shape, np.nan, dtype=complex)
+
+    patched = mock.patch.multiple(propagator, _magnus_grid=spy, _MAGNUS_CHUNK=4, _MAGNUS_MAX_INTERVALS=16)
+    with patched, np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflowError, match="passed 16"):
+        propagator._magnus_trajectory(nan, 1.0 + 0j, t, (1 + 0j, 0j), TIGHT)
+    assert spans == [(1, 4), (2, 2), (4, 1), (8, 1), (16, 1)]
+
+
+def test_damped_coarse_round_passes_the_initial_norm():
+    """With damping a Magnus step is no contraction: one step per interval
+    of the full field of a strong, damped gaussian lifts |a_g| 4% above the
+    initial norm.  So a damped round's entries have no bound from |y0|, and
+    only NaN settles a damped round on its first chunk."""
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=1.0)
+    coupling, carrier = propagator._drive(system, DrivingField(5.0, EnvelopeSpec.gaussian(4.0, 0.0, 1.5)), "full")
+    t = np.linspace(-4.0, 4.0, 9)
+    states = magnus_states_whole(coupling, propagator._complex_detuning(system, carrier), t, (1 + 0j, 0j), 1)
+    assert np.max(np.abs(states)) > 1.04
 
 
 def test_trajectory_reach_under_the_step_cap():

@@ -19,7 +19,10 @@ each matrix's alone bit for bit, the array coupling agrees with the scalar
 one, the Magnus trajectories of ``rwa_propagate`` agree with DP5 on uneven
 grids, and those of ``full_field_propagate`` with DP5 on damped and
 undamped pulses.  Every interval of a Magnus grid is, bit for bit, the
-one-interval grid over it.  Pulse 2 with phi0 lowered by pi/2, the third
+one-interval grid over it, and a Magnus trajectory, whose doubling settles a
+failing round on its first chunk, is the ladder that runs every round on the
+whole grid; no undamped round passes the initial norm by more than its
+rounding.  Pulse 2 with phi0 lowered by pi/2, the third
 drive of the summed scan, is i K on the rotating-wave coupling and
 mu E0 sin(Phi) on the real field.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
@@ -90,6 +93,7 @@ from oracles import (
     dp5_full_propagate,
     dp5_rwa_propagate,
     expm_taylor,
+    magnus_trajectory_whole,
     phase_scan_loop,
     scalar_envelope_fn,
     scalar_phase_fn,
@@ -825,6 +829,78 @@ def test_magnus_trajectory_agrees_with_dp5(field, initial, gamma, t):
     magnus = rwa_propagate(system, field, initial, t, DP5)
     dp5 = dp5_rwa_propagate(system, field, initial, t, DP5)
     assert compare_trajectories(magnus, dp5).max_amplitude_error <= 2.0 * DP5_GLOBAL
+
+
+# The trajectory's doubling settles a failing round on its first chunk of
+# intervals; it returns, bit for bit, the states of the ladder that runs
+# every round on the whole grid (``oracles.magnus_trajectory_whole``).
+# Drawn: both engines, undamped and damped drives, random tolerances, step
+# caps that make the first k odd, a zero initial state, uniform grids over
+# WINDOW and chunks of 4 and 16 steps besides the library's, so that the
+# first chunk is often one interval and far from the whole grid.
+ladder_configs = st.builds(
+    IntegratorConfig,
+    rel_tol=st.floats(-12.0, -6.0).map(lambda x: 10.0**x),
+    abs_tol=st.floats(-15.0, -9.0).map(lambda x: 10.0**x),
+    max_step=st.one_of(st.just(math.inf), st.floats(0.03, 0.5)),
+)
+ladder_starts = st.one_of(states, st.just(TwoLevelState(0.0, 0.0)))
+
+
+def _ladder_inputs(field, engine, gamma, initial, samples):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    coupling, carrier = propagator._drive(system, field, engine)
+    t = np.linspace(WINDOW[0], WINDOW[-1], samples)
+    return coupling, propagator._complex_detuning(system, carrier), t, (complex(initial.c_g), complex(initial.c_e))
+
+
+LADDER = settings(PROPERTY, max_examples=60)
+
+
+@LADDER
+@given(
+    field=drives,
+    engine=st.sampled_from(["rwa", "full"]),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    initial=ladder_starts,
+    samples=st.integers(2, 120),
+    cfg=ladder_configs,
+    chunk=st.sampled_from([4, 16, propagator._MAGNUS_CHUNK]),
+)
+@example(  # max_step 0.07 on intervals of 0.2: the first k is 3
+    field=DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)), engine="rwa", gamma=0.0,
+    initial=TwoLevelState(1.0, 0.0), samples=41, cfg=IntegratorConfig(max_step=0.07), chunk=16,
+)
+@example(  # the zero state: every round's states are 0
+    field=DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)), engine="full", gamma=0.0,
+    initial=TwoLevelState(0.0, 0.0), samples=41, cfg=IntegratorConfig(), chunk=4,
+)
+def test_magnus_trajectory_is_the_whole_grid_ladder(field, engine, gamma, initial, samples, cfg, chunk):
+    inputs = _ladder_inputs(field, engine, gamma, initial, samples)
+    with mock.patch.object(propagator, "_MAGNUS_CHUNK", chunk):
+        got = propagator._magnus_trajectory(*inputs, cfg)
+        want = magnus_trajectory_whole(*inputs, cfg)
+    assert_bits_equal(np.array(got), np.array(want))
+
+
+# Without damping no state of any round of the ladder has a norm above
+# |y0| (1 + delta), delta = 32 n k eps, so no entry passes that bound either:
+# the bound that settles a round on its first chunk.
+@LADDER
+@given(field=drives, engine=st.sampled_from(["rwa", "full"]), initial=ladder_starts,
+       samples=st.integers(2, 120), cfg=ladder_configs)
+@example(  # |g> under a strong full field at a tight tolerance: k reaches 256
+    field=DrivingField(5.0, EnvelopeSpec.gaussian(2.0, 0.0, 1.0)), engine="full",
+    initial=TwoLevelState(1.0, 0.0), samples=120, cfg=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15),
+)
+def test_undamped_ladder_rounds_stay_within_the_initial_norm(field, engine, initial, samples, cfg):
+    coupling, detuning, t, y0 = _ladder_inputs(field, engine, 0.0, initial, samples)
+    rounds = []
+    magnus_trajectory_whole(coupling, detuning, t, y0, cfg, rounds)
+    norm = math.hypot(abs(y0[0]), abs(y0[1]))
+    for k, x in rounds:
+        bound = norm * (1.0 + 32.0 * (t.size - 1) * k * np.finfo(float).eps)
+        assert np.max(np.hypot(np.abs(x[0]), np.abs(x[1]))) <= bound
 
 
 # The propagator of each interval of ``_magnus_grid`` is the one-interval
