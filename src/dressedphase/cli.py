@@ -11,7 +11,9 @@ One entry point dispatches on the experiment ``kind``:
 
 Outputs are deterministic: identical configurations produce byte-identical
 CSV files (full 17-significant-digit round-trip formatting, comma separator,
-header row).  Environment variables are never consulted.
+header row).  Each CSV is ASCII bytes written to a file opened in binary
+mode, one bytes ``%`` per block of rows.  Environment variables are never
+consulted.
 """
 
 from __future__ import annotations
@@ -271,14 +273,25 @@ def _propagate(**values) -> dict:
     return values
 
 
+# The complex values split_step_solve may keep in its frames: 2**26 (1 GiB).
+_HYDRO_MAX_VALUES = 2**26
+
+
 def _hydro(**values) -> dict:
     """The hydro block as given, once the grid, the time steps, the packet and the potential pass.
 
-    The residuals' centered time derivative needs 3 frames, so at least 2 steps.
+    The residuals' centered time derivative needs 3 frames, so at least 2
+    steps; the frames are counted against ``_HYDRO_MAX_VALUES`` before any exist.
     """
     hydro_mod.GridWavefunction.check_grid(values["n_points"], values["dx"], values["mass"])
-    if hydro_mod.split_step_count(values["t_final"], values["dt"]) < 2:
+    steps = hydro_mod.split_step_count(values["t_final"], values["dt"])
+    if steps < 2:
         raise ValidationError("t_final must be at least 2*dt, so that the residuals get 3 frames")
+    if (steps + 1) * values["n_points"] > _HYDRO_MAX_VALUES:
+        raise ValidationError(
+            f"dt must keep (t_final/dt + 1) * n_points at most 2**26 values (1 GiB of frames);"
+            f" it gives {steps + 1} frames of {values['n_points']} points"
+        )
     _hydro_start(values)
     return values
 
@@ -451,15 +464,18 @@ _CSV_BLOCK_ROWS = 256
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
-    """Header row, then each row of the 2-D float ``table`` at 17 significant digits."""
+    """Header row, then each row of the 2-D float ``table`` at 17 significant digits.
+
+    One bytes ``%`` per block of rows, so only that block exists as Python
+    floats; ``b"%.17g" % v`` is ``("%.17g" % v).encode()`` for every float.
+    """
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # A block of rows at a time, so only that block exists as Python floats.
+    row = (",".join(["%.17g"] * len(header)) + "\n").encode()
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS].tolist()
-            fh.writelines(row % tuple(values) for values in block)
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def run(config: ExperimentConfig, out_dir) -> RunSummary:
@@ -493,8 +509,9 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
         duration_s=time.perf_counter() - started,
     )
     summary_path = out / "summary.json"
+    # The fields as they are: asdict would deep-copy the echo, metrics and outputs.
     summary_path.write_text(
-        json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(vars(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     summary.outputs.append(str(summary_path))
     return summary
@@ -626,9 +643,10 @@ def _run_hydro(config: ExperimentConfig):
             written.append(polar)
         window = [*window[-2:], polar]
         if len(window) == 3:
-            hj = hydro_mod._frame_residual(window, dt, mass, vx)
+            grad = hydro_mod._central_difference(window[1].S, polar.dx)
+            hj = hydro_mod._frame_residual(window, dt, mass, vx, grad=grad)
             hj_l2.append(hydro_mod._residual_l2(hj, polar.dx))
-            cont = hydro_mod._frame_residual(window, dt, mass)
+            cont = hydro_mod._frame_residual(window, dt, mass, grad=grad)
             cont_l2.append(hydro_mod._residual_l2(cont, polar.dx))
     table = {
         "t": np.repeat([frame.t for frame in frames[::stride]], x.size),

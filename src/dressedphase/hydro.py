@@ -5,7 +5,8 @@ the quantum Hamilton-Jacobi equation and the continuity equation are then
 checked as finite-difference residuals on numerically propagated frames.
 Each residual decomposes every frame once; both are written once, per
 frame, in ``_frame_residual``, which a caller that needs both (and the
-polar fields) runs on its own window of decomposed frames.
+polar fields) runs on its own window of decomposed frames, with one phase
+gradient shared by the two.
 Nodes are handled by masking points with R below a floor instead of
 regularizing the diverging quantum potential; all derivative stencils are
 second-order central differences, so residuals converge at second order.
@@ -177,6 +178,8 @@ def split_step_count(t_final: float, dt: float) -> int:
         raise GridError("split_step_solve: dt must be > 0")
     if not t_final > 0.0:
         raise GridError("split_step_solve: t_final must be > 0")
+    if not math.isfinite(t_final / dt):
+        raise GridError("split_step_solve: dt must keep t_final/dt finite")
     n_steps = int(round(t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(dt, abs(t_final)):
         raise GridError("split_step_solve: dt must divide t_final")
@@ -319,21 +322,23 @@ def _frame_spacing(frames) -> float:
     return dt
 
 
-def _frame_residual(window, dt: float, mass: float, vx=None) -> np.ndarray:
+def _frame_residual(window, dt: float, mass: float, vx=None, grad=None) -> np.ndarray:
     """Residual at the middle of ``window``, three consecutive decomposed frames ``dt`` apart.
 
     The quantum Hamilton-Jacobi residual when ``vx`` (the potential on the
     grid) is given, else the continuity residual.  Not finite where a
-    stencil leaves the validity mask.
+    stencil leaves the validity mask.  Both may share ``grad``, the central
+    difference of the middle frame's S, which anchoring never shifts.
     """
     p_prev, p, p_next = window
+    if grad is None:
+        grad = _central_difference(p.S, p.dx)
     if vx is None:
         drho_dt = (p_next.R**2 - p_prev.R**2) / (2.0 * dt)
-        current = p.R**2 * _central_difference(p.S, p.dx) / mass
+        current = p.R**2 * grad / mass
         return drho_dt + _central_difference(current, p.dx)
-    s_prev, s_mid, s_next = _anchored_phase_triple(window)
+    s_prev, _, s_next = _anchored_phase_triple(window)
     ds_dt = (s_next - s_prev) / (2.0 * dt)
-    grad = _central_difference(s_mid, p.dx)
     return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(p, mass)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,8 @@ import pytest
 
 from dressedphase import cli, hydro
 from dressedphase.cli import (
+    _CSV_BLOCK_ROWS,
+    KINDS,
     ExperimentConfig,
     _write_csv,
     compare,
@@ -362,6 +365,10 @@ MALFORMED = {
     "dt_zero": (hydro_config(), "hydro.dt", 0.0, "hydro.dt"),
     "t_final_negative": (hydro_config(), "hydro.t_final", -1.0, "hydro.t_final"),
     "dt_not_dividing": (hydro_config(), "hydro.dt", 0.03, "hydro.dt"),
+    # 5e13 frames of 512 points: far past the bound on the frames kept.
+    "dt_frames_unbounded": (hydro_config(), "hydro.dt", 2e-14, "hydro.dt"),
+    # t_final/dt overflows to inf.
+    "dt_subnormal": (hydro_config(), "hydro.dt", 1e-310, "hydro.dt"),
     # One step gives 2 frames; the residuals' centered time derivative needs 3.
     "t_final_one_step": (hydro_config(), "hydro.t_final", 0.02, "hydro.t_final"),
     "sigma_negative": (hydro_config(), "hydro.packet.sigma", -1.5, "hydro.packet.sigma"),
@@ -431,14 +438,21 @@ SPECIAL_VALUES = [
 
 
 @pytest.mark.parametrize("columns", [1, 9])
-@pytest.mark.parametrize("rows", [0, 1, len(SPECIAL_VALUES), 600])
+# A partial, an exact and a spilling last block of _CSV_BLOCK_ROWS rows.
+@pytest.mark.parametrize(
+    "rows",
+    [0, 1, len(SPECIAL_VALUES), 600, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+     2 * _CSV_BLOCK_ROWS + 1],
+)
 def test_csv_writer_matches_per_value_writer(tmp_path, columns, rows):
     values = np.resize(np.array(SPECIAL_VALUES), rows * columns)
     table = values.reshape(rows, columns)
     header = [f"c{j}" for j in range(columns)]
     _write_csv(tmp_path / "rows.csv", header, table)
     write_csv_loop(tmp_path / "values.csv", header, table)
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    written = (tmp_path / "rows.csv").read_bytes()
+    assert written == (tmp_path / "values.csv").read_bytes()
+    assert b"\r" not in written and written.endswith(b"\n")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -448,6 +462,20 @@ def test_determinism_byte_identical(tmp_path):
     assert (tmp_path / "a" / "dressed.csv").read_bytes() == (
         tmp_path / "b" / "dressed.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [dressed_config(), _adiabatic_config(2), propagate_config(), _interfere_config(16), hydro_config()],
+    ids=KINDS,
+)
+def test_summary_json_is_the_asdict_form(tmp_path, cfg):
+    summary = run(load_config_dict(cfg), tmp_path / "out")
+    expected = asdict(summary)
+    # summary.json is written before its own path joins the outputs.
+    assert expected["outputs"].pop() == str(tmp_path / "out" / "summary.json")
+    text = (tmp_path / "out" / "summary.json").read_text(encoding="utf-8")
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_summary_config_round_trip(tmp_path):
@@ -476,12 +504,16 @@ def test_unknown_fields_rejected():
 
 
 def test_hydro_run_decomposes_each_frame_once(tmp_path):
-    # Both residuals and the written columns share one decomposition per frame.
+    # Both residuals and the written columns share one decomposition per
+    # frame, and both residuals of a window share one gradient of S: per
+    # window that and the current's divergence, plus p on the 17 written frames.
     config = load_config(DEMO_CONFIGS / "hydro.json")
-    with mock.patch.object(hydro, "polar_decompose", wraps=hydro.polar_decompose) as decompose:
+    with mock.patch.object(hydro, "polar_decompose", wraps=hydro.polar_decompose) as decompose, \
+            mock.patch.object(hydro, "_central_difference", wraps=hydro._central_difference) as diff:
         summary = run(config, tmp_path / "o")
     assert summary.metrics["frames"] == 101
     assert decompose.call_count == 101
+    assert diff.call_count == 2 * 99 + 17
 
 
 def test_hydro_run_memory_grows_by_the_frame_list_alone():
