@@ -625,8 +625,10 @@ def _run_hydro(config: ExperimentConfig):
     a window of the last three decompositions: on frames j-2, j-1 and j it
     takes both residuals of frame j-1, bit for bit what ``hj_residual`` and
     ``continuity_residual`` compute there, and keeps their L2 norms alone.
-    A decomposition outlives the window only when its frame is written.
-    The frames themselves stay alive for the norm drift.
+    A decomposition outlives the window only when its frame is written, and
+    the U and p formed for a written frame's residuals go straight into the
+    table; frame 0, and a written last frame, form their own.  The frames
+    themselves stay alive for the norm drift.
     """
     p = config.params
     mass, dt = p["mass"], p["dt"]
@@ -637,6 +639,7 @@ def _run_hydro(config: ExperimentConfig):
     frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], dt)
     stride = p["csv_stride"] or max(1, len(frames) // 16)
     window, written, hj_l2, cont_l2 = [], [], [], []
+    u_p = np.empty((2, len(frames[::stride]), x.size))  # U and p of each written frame
     for j, frame in enumerate(frames):
         polar = hydro_mod.polar_decompose(frame)
         if j % stride == 0:
@@ -644,17 +647,24 @@ def _run_hydro(config: ExperimentConfig):
         window = [*window[-2:], polar]
         if len(window) == 3:
             grad = hydro_mod._central_difference(window[1].S, polar.dx)
-            hj = hydro_mod._frame_residual(window, dt, mass, vx, grad=grad)
+            u = hydro_mod.quantum_potential(window[1], mass)
+            hj = hydro_mod._frame_residual(window, dt, mass, vx, grad=grad, u=u)
             hj_l2.append(hydro_mod._residual_l2(hj, polar.dx))
             cont = hydro_mod._frame_residual(window, dt, mass, grad=grad)
             cont_l2.append(hydro_mod._residual_l2(cont, polar.dx))
+            if (j - 1) % stride == 0:
+                u_p[:, (j - 1) // stride] = u, hydro_mod._momentum(window[1], grad)
+    for j in (0, len(frames) - 1):
+        if j % stride == 0:
+            polar = written[j // stride]
+            u_p[:, j // stride] = hydro_mod.quantum_potential(polar, mass), hydro_mod.momentum_field(polar)
     table = {
         "t": np.repeat([frame.t for frame in frames[::stride]], x.size),
         "x": np.tile(x, len(written)),
         "R": np.concatenate([polar.R for polar in written]),
         "S": np.concatenate([polar.S for polar in written]),
-        "U": np.concatenate([hydro_mod.quantum_potential(polar, mass) for polar in written]),
-        "p": np.concatenate([hydro_mod.momentum_field(polar) for polar in written]),
+        "U": u_p[0].ravel(),
+        "p": u_p[1].ravel(),
     }
     metrics = {
         "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),

@@ -12,7 +12,9 @@ raise ``FieldBelowFloorError`` when the Rabi frequency drops below
 The grid-wide operations (``dressed_phases``, ``assemble_bare_state`` and
 ``adiabatic_report``) run over blocks of samples (``numerics._BLOCK``), so their
 temporaries stay small; their results and errors are bit for bit those of
-one whole-grid evaluation.
+one whole-grid evaluation.  The phases and the assembled state take one pass
+over the blocks: each block's running sum of phase increments continues
+from the last value of the block before, so no whole-grid integral is kept.
 """
 
 from __future__ import annotations
@@ -202,45 +204,52 @@ def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
 
 class _Frequencies(NamedTuple):
     omega: np.ndarray
-    d_omega: np.ndarray
     gen_rabi: np.ndarray
     lambda_minus: np.ndarray
     omega_G: np.ndarray
     omega_E: np.ndarray
-    omega_E_eff: np.ndarray
 
 
-def _frequencies(system: TwoLevelSystem, field: DrivingField, t, omega, where=None) -> _Frequencies:
-    """Omega, dOmega/dt and the auxiliary complex frequencies as arrays over ``t``.
+def _frequencies(system: TwoLevelSystem, field: DrivingField, omega) -> _Frequencies:
+    """Omega and the auxiliary complex frequencies, as arrays over the times of ``omega``.
 
-    ``omega`` is the Rabi frequency at ``t``.
-    omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt).
-    With ``where`` set the generalized Rabi frequency must be finite (dw~^2
-    overflows from |dw~| ~ 1.3e154) on all of ``t``; omega_E_eff is not
-    finite where Omega vanishes.
+    ``omega`` is the Rabi frequency there.
     """
-    d_omega = rabi_frequency(system, field, t, 1)
     dw = complex_detuning(system, field)
     gr = _continued_rabi(dw, omega)
-    if where is not None and not np.all(np.isfinite(gr)):
-        raise ValidationError(f"{where}: the generalized Rabi frequency is not finite (|dw~| = {abs(dw):g})")
     lam_m = 0.5 * (dw - gr)
-    omega_E = system.omega_e - lam_m
+    return _Frequencies(omega, gr, lam_m, system.omega_g + lam_m, system.omega_e - lam_m)
+
+
+def _require_finite_rabi(system: TwoLevelSystem, field: DrivingField, omega, where: str) -> None:
+    """ValidationError unless the generalized Rabi frequency is finite at every Omega in ``omega``.
+
+    dw~^2 overflows from |dw~| ~ 1.3e154, and Re(dw~^2) + Omega^2 grows with
+    Omega, so the largest Omega decides.
+    """
+    dw = complex_detuning(system, field)
+    if not np.all(np.isfinite(_continued_rabi(dw, np.max(omega, keepdims=True)))):
+        raise ValidationError(f"{where}: the generalized Rabi frequency is not finite (|dw~| = {abs(dw):g})")
+
+
+def _omega_E_eff(system: TwoLevelSystem, field: DrivingField, t, f: _Frequencies) -> np.ndarray:
+    """omega_E_eff = omega_E - dphi/dt - gamma''/2 - i(gamma'/2 - Omega^-1 dOmega/dt) over ``t``.
+
+    Not finite where Omega vanishes.
+    """
+    d_omega = rabi_frequency(system, field, t, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_E_eff = (
-            omega_E
+        return (
+            f.omega_E
             - field.phase.derivative(t, 1)
             - 0.5 * system.gamma_im
-            - 1j * (0.5 * system.gamma_re - d_omega / omega)
+            - 1j * (0.5 * system.gamma_re - d_omega / f.omega)
         )
-    return _Frequencies(
-        omega, d_omega, gr, lam_m, system.omega_g + lam_m, omega_E, omega_E_eff
-    )
 
 
-def _lambda_tilde_correction(f: _Frequencies) -> np.ndarray:
+def _lambda_tilde_correction(f: _Frequencies, d_omega) -> np.ndarray:
     """-(i/2) * d/dt ln(gen_rabi) = -(i/2) Omega dOmega / gen_rabi^2."""
-    numer = f.omega * f.d_omega
+    numer = f.omega * d_omega
     gr = f.gen_rabi
     degenerate = np.abs(gr) < DEGENERATE_RABI_FLOOR
     if np.any(degenerate & (numer != 0.0)):
@@ -265,10 +274,11 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
     if np.ndim(t) != 0:
         raise ValidationError("level_shifts: t must be a scalar time")
     u = _as_times(t)
-    f = _frequencies(system, field, u, rabi_frequency(system, field, u, 0))
+    f = _frequencies(system, field, rabi_frequency(system, field, u, 0))
     lam_p = complex(0.5 * (complex_detuning(system, field) + f.gen_rabi[0]))
     lam_m = complex(f.lambda_minus[0])
-    corr = complex(_lambda_tilde_correction(f)[0])
+    corr = complex(_lambda_tilde_correction(f, rabi_frequency(system, field, u, 1))[0])
+    eff = complex(_omega_E_eff(system, field, u, f)[0]) if _on_support(system, field, f.omega) else None
     return EffectiveFrequencies(
         gen_rabi=complex(f.gen_rabi[0]),
         lambda_plus=lam_p,
@@ -277,7 +287,7 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
         lambda_tilde_minus=lam_m + corr,
         omega_G=complex(f.omega_G[0]),
         omega_E=complex(f.omega_E[0]),
-        omega_E_eff=complex(f.omega_E_eff[0]) if _on_support(system, field, f.omega) else None,
+        omega_E_eff=eff,
     )
 
 
@@ -290,7 +300,8 @@ def effective_excited_frequency(system: TwoLevelSystem, field: DrivingField, t):
     where = "effective_excited_frequency"
     u = _as_times(t)
     omega = _require_on_support(system, field, u, where)
-    out = _frequencies(system, field, u, omega, where).omega_E_eff
+    _require_finite_rabi(system, field, omega, where)
+    out = _omega_E_eff(system, field, u, _frequencies(system, field, omega))
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -346,38 +357,51 @@ def dressed_phases(
     Phi(t) = carrier*t + phi(t).
     """
     _check_branch(branch)
-    t, _, _, integrals = _phase_integrals(system, field, t_grid, ("G", "E"))
+    t, _, blocks = _phase_blocks(system, field, t_grid, ("G", "E"))
     out = [np.empty(t.size, dtype=complex) for _ in range(4)]
-    for b in _blocks(t.size):
-        out[0][b], out[1][b] = _phase_pair(field, phases, branch, "G", t[b], integrals["G"][b])
-        out[2][b], out[3][b] = _phase_pair(field, phases, branch, "E", t[b], integrals["E"][b])
+    for b, _, integrals in blocks:
+        out[0][b], out[1][b] = _phase_pair(field, phases, branch, "G", t[b], integrals["G"])
+        out[2][b], out[3][b] = _phase_pair(field, phases, branch, "E", t[b], integrals["E"])
     return DressedPhaseSeries(t, *out, branch)
 
 
-def _phase_integrals(system, field, t_grid, levels):
-    """Grid, Omega, generalized Rabi frequency and the phase integral of each of ``levels``.
+def _phase_blocks(system, field, t_grid, levels):
+    """The checked grid, Omega on it and an iterator over its blocks.
 
-    Level "G" integrates omega_G and level "E" omega_E_eff, cumulatively from
-    t = 0.  One loop over the Simpson blocks evaluates the frequencies and
-    the increments; one running sum over the whole grid follows.
+    Each block gives its slice, the generalized Rabi frequency there and the
+    phase integral of each of ``levels``: level "G" integrates omega_G and
+    level "E" omega_E_eff, cumulatively from t = 0.  A block's running sum
+    starts from the last value of the block before, so every block continues
+    the one sequential sum over the whole grid, bit for bit; the first sum
+    starts at its first increment, which keeps the sign of a zero imaginary
+    part.  The generalized Rabi frequency is checked before any block runs.
     """
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
         raise GridError("dressed_phases: grid must start at t = 0")
     omega = _require_on_support(system, field, t, "dressed_phases")
-    gen_rabi = np.empty(t.size, dtype=complex)
-    integrals = {level: np.zeros(t.size, dtype=complex) for level in levels}
-    for b in _simpson_blocks(t.size):
-        f = _frequencies(system, field, t[b], omega[b], "dressed_phases")
-        gen_rabi[b] = f.gen_rabi
-        for level, out in integrals.items():
-            rate = f.omega_G if level == "G" else f.omega_E_eff
-            _simpson_increments(rate, t[b], out[b.start + 1 : b.stop])
-    for out in integrals.values():
-        # In place, and over the whole grid: a running sum carried from
-        # block to block would round apart.
-        np.cumsum(out[1:], out=out[1:])
-    return t, omega, gen_rabi, integrals
+    _require_finite_rabi(system, field, omega, "dressed_phases")
+
+    def blocks():
+        carry = {}
+        for s in _simpson_blocks(t.size):
+            # A Simpson block overlaps the next one by its last sample, which
+            # the next block writes.
+            b = slice(s.start, s.stop if s.stop == t.size else s.stop - 1)
+            f = _frequencies(system, field, omega[s])
+            integrals = {}
+            for level in levels:
+                rate = f.omega_G if level == "G" else _omega_E_eff(system, field, t[s], f)
+                out = np.empty(rate.size, dtype=complex)
+                out[0] = carry.get(level, 0.0)
+                _simpson_increments(rate, t[s], out[1:])
+                running = out[1:] if s.start == 0 else out
+                np.cumsum(running, out=running)
+                carry[level] = out[-1]
+                integrals[level] = out[: b.stop - b.start]
+            yield b, f.gen_rabi[: b.stop - b.start], integrals
+
+    return t, omega, blocks()
 
 
 def _phase_pair(field, phases, branch, level, t, integral):
@@ -426,16 +450,19 @@ def assemble_bare_state(
     """
     _check_branch(branch)
     level = "G" if branch == "ground" else "E"
-    t, omega, gen_rabi, integrals = _phase_integrals(system, field, t_grid, (level,))
+    t, omega, blocks = _phase_blocks(system, field, t_grid, (level,))
     dw = complex_detuning(system, field)
     c_g = np.empty(t.size, dtype=complex)
     c_e = np.empty(t.size, dtype=complex)
     c_real, c_virt = (c_g, c_e) if branch == "ground" else (c_e, c_g)
-    for b in _blocks(t.size):
-        real_amp, virt_amp = _mixing_amplitudes(dw, omega[b], gen_rabi[b], branch)
-        phi_real, phi_virt = _phase_pair(field, phases, branch, level, t[b], integrals[level][b])
-        np.multiply(real_amp, np.exp(-1j * phi_real), out=c_real[b])
-        np.multiply(virt_amp, np.exp(-1j * phi_virt), out=c_virt[b])
+    for b, gen_rabi, integrals in blocks:
+        amps = _mixing_amplitudes(dw, omega[b], gen_rabi, branch)
+        phis = _phase_pair(field, phases, branch, level, t[b], integrals[level])
+        for amp, phi, c in zip(amps, phis, (c_real, c_virt)):
+            wave = -1j * phi
+            np.exp(wave, out=wave)
+            # Out of place: see propagator._series on numpy's in-place complex product.
+            np.multiply(amp, wave, out=c[b])
     return TwoLevelTrajectory(t, c_g, c_e, frame="bare")
 
 
@@ -466,8 +493,9 @@ def adiabatic_report(
     ratio(n, k, t) = |d^n/dt^n (dphi/dt - i Omega^-1 dOmega/dt)|
                      / (|dw~|^(n+1-k) |Omega(t)|^k),   k = 0..n+1.
 
-    A vanishing denominator (exactly zero complex detuning with k < n+1) is
-    reported as an infinite ratio rather than raised.
+    A vanishing denominator (exactly zero complex detuning with k < n+1, or
+    |Omega|^k underflowing to 0) is reported as the ratio's limit rather
+    than raised: inf, or 0.0 over a zero numerator.
     """
     integer = isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool)
     if not (integer and 0 <= n_max <= MAX_ADIABATIC_ORDER):
@@ -487,6 +515,9 @@ def adiabatic_report(
     for b in _blocks(t.size):
         log_derivs = _log_derivative_orders(system, field, t[b], omega[b], n_max)
         phase_derivs = field.phase._derivatives(t[b], n_max + 1)
+        with np.errstate(over="ignore"):
+            powers = [omega[b] ** k for k in range(n_max + 2)]  # |Omega|^k, once per block
+        lowest = [np.min(power) for power in powers]
         row = []
         for n in range(n_max + 1):
             numer = np.abs(phase_derivs[n + 1] - 1j * log_derivs[n])
@@ -499,10 +530,16 @@ def adiabatic_report(
                     # trivially.
                     row.append(0.0 if np.max(numer) == 0.0 else math.inf)
                 elif math.isfinite(scale):
-                    # Where |Omega|^k, or its product with the scale, passes
-                    # float64's range the ratio is 0.0, its limit.
-                    with np.errstate(over="ignore"):
-                        row.append(np.max(numer / (scale * omega[b] ** k)))
+                    # Where the denominator passes float64's range, or
+                    # underflows to 0, the ratio is its limit: 0.0, or inf
+                    # (0.0 over a zero numerator).
+                    with np.errstate(over="ignore", divide="ignore"):
+                        denom = scale * powers[k]
+                        if scale * lowest[k] > 0.0:  # the block's smallest denominator
+                            row.append(np.max(numer / denom))
+                        else:
+                            zeros = np.zeros(numer.shape)
+                            row.append(np.max(np.divide(numer, denom, out=zeros, where=numer != 0.0)))
                 else:
                     # Where |dw~|^power passes float64's range the ratio is
                     # 0.0, its limit.

@@ -295,7 +295,12 @@ def momentum_field(fields: PolarFields) -> np.ndarray:
     """
     if not fields.valid.any():
         raise ValidationError("momentum_field: validity mask is empty")
-    return np.where(_stencil_valid(fields.valid), _central_difference(fields.S, fields.dx), np.nan)
+    return _momentum(fields, _central_difference(fields.S, fields.dx))
+
+
+def _momentum(fields: PolarFields, grad: np.ndarray) -> np.ndarray:
+    """``momentum_field`` from ``grad``, the central difference of the frame's S."""
+    return np.where(_stencil_valid(fields.valid), grad, np.nan)
 
 
 @dataclass(frozen=True)
@@ -322,13 +327,15 @@ def _frame_spacing(frames) -> float:
     return dt
 
 
-def _frame_residual(window, dt: float, mass: float, vx=None, grad=None) -> np.ndarray:
+def _frame_residual(window, dt: float, mass: float, vx=None, grad=None, u=None) -> np.ndarray:
     """Residual at the middle of ``window``, three consecutive decomposed frames ``dt`` apart.
 
     The quantum Hamilton-Jacobi residual when ``vx`` (the potential on the
     grid) is given, else the continuity residual.  Not finite where a
     stencil leaves the validity mask.  Both may share ``grad``, the central
-    difference of the middle frame's S, which anchoring never shifts.
+    difference of the middle frame's S, which anchoring never shifts; the
+    Hamilton-Jacobi residual may take ``u``, the middle frame's quantum
+    potential.
     """
     p_prev, p, p_next = window
     if grad is None:
@@ -339,7 +346,8 @@ def _frame_residual(window, dt: float, mass: float, vx=None, grad=None) -> np.nd
         return drho_dt + _central_difference(current, p.dx)
     s_prev, _, s_next = _anchored_phase_triple(window)
     ds_dt = (s_next - s_prev) / (2.0 * dt)
-    return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential(p, mass)
+    u = quantum_potential(p, mass) if u is None else u
+    return ds_dt + grad**2 / (2.0 * mass) + vx + u
 
 
 def _residual_l2(res: np.ndarray, dx: float) -> float:

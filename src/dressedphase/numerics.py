@@ -107,7 +107,7 @@ def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros(t.size, dtype=np.result_type(f.dtype, np.float64))
     for b in _simpson_blocks(t.size):
         _simpson_increments(f[b], t[b], out[b.start + 1 : b.stop])
-    # One running sum over the whole grid, in place: summing block by block
-    # with carries would round apart.
+    # One running sum over the whole grid, in place: adding a carry to each
+    # block's own sum would round apart.
     np.cumsum(out[1:], out=out[1:])
     return out

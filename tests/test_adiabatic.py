@@ -68,6 +68,28 @@ def test_detuning_power_past_float_range_gives_zero_ratio():
     assert report.margin == max(moderate.ratio(n, n + 1) for n in range(4))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu,peak", [(1.0, 1e-300), (1e-300, 1.0)], ids=["peak", "mu"])
+def test_tiny_field_ratio_takes_its_limit(mu, peak):
+    """|Omega|^k underflows to 0 from k = 2 at Omega ~ 1e-300: those ratios
+    take their limit, inf over the gaussian's nonzero numerators and 0.0 over
+    a constant field's zero ones, where 0/0 would be NaN.  The k = 0 ratios, over
+    |dw~| alone, match a field of moderate size, to the precision of the
+    subnormal envelope derivatives (~1e-312 at order 4)."""
+    t = np.linspace(0.0, 1200.0, 241)
+    system = TwoLevelSystem(0.0, 12.0, mu=mu)
+    report = adiabatic_report(system, DrivingField(2.0, EnvelopeSpec.gaussian(peak, 600.0, 600.0)), t, 3)
+    moderate = adiabatic_report(
+        TwoLevelSystem(0.0, 12.0), DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0)), t, 3
+    )
+    for n, entry in report.orders.items():
+        assert entry.ratios[0] == pytest.approx(moderate.ratio(n, 0), rel=1e-9)
+        assert all(entry.ratios[k] == math.inf for k in range(2, n + 2))
+    assert report.margin == math.inf
+    flat = adiabatic_report(system, DrivingField(2.0, EnvelopeSpec.constant(peak)), t, 3)
+    assert flat.margin == 0.0
+
+
 def test_exact_resonance_reports_infinite_margin_for_nonzero_numerator():
     system = TwoLevelSystem(0.0, 5.0)
     field = DrivingField(5.0, EnvelopeSpec.constant(1.0), PhaseSpec.linear_chirp(0.01))

@@ -503,17 +503,35 @@ def test_unknown_fields_rejected():
         load_config_dict(cfg2)
 
 
+@pytest.mark.parametrize("block,field", [("envelope", "peak"), ("system", "mu")])
+def test_tiny_field_runs_without_warnings(tmp_path, capsys, block, field):
+    # |Omega|^k underflows to 0 from k = 2: those adiabatic ratios take
+    # their limit, inf, with no RuntimeWarning.
+    cfg = json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text())
+    (cfg["field"] if block == "envelope" else cfg)[block][field] = 1e-300
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "o" / "summary.json").read_text())["metrics"]
+    assert metrics["adiabatic_margin"] == math.inf
+
+
 def test_hydro_run_decomposes_each_frame_once(tmp_path):
     # Both residuals and the written columns share one decomposition per
     # frame, and both residuals of a window share one gradient of S: per
-    # window that and the current's divergence, plus p on the 17 written frames.
+    # window that and the current's divergence.  The written frames keep the
+    # U and p of their residuals; only frame 0, which has none, forms its own.
     config = load_config(DEMO_CONFIGS / "hydro.json")
     with mock.patch.object(hydro, "polar_decompose", wraps=hydro.polar_decompose) as decompose, \
-            mock.patch.object(hydro, "_central_difference", wraps=hydro._central_difference) as diff:
+            mock.patch.object(hydro, "_central_difference", wraps=hydro._central_difference) as diff, \
+            mock.patch.object(hydro, "quantum_potential", wraps=hydro.quantum_potential) as potential:
         summary = run(config, tmp_path / "o")
     assert summary.metrics["frames"] == 101
     assert decompose.call_count == 101
-    assert diff.call_count == 2 * 99 + 17
+    assert diff.call_count == 2 * 99 + 1
+    assert potential.call_count == 99 + 1
 
 
 def test_hydro_run_memory_grows_by_the_frame_list_alone():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -472,6 +473,25 @@ def _grid_calls(system, field):
     }
 
 
+def _two_faults(system, field, t, zero, infinite):
+    """The nearer root, but 0 where Omega is in ``zero`` and inf from ``infinite`` on, by Omega on ``t``.
+
+    Omega rises along ``t``; like the true root, the fault that is not
+    finite sits at the largest Omega.
+    """
+    omega = rabi_frequency(system, field, t, 0)
+
+    def rabi(dw, om):
+        w = _nearer_root(dw, om)
+        w = np.where((om >= omega[zero.start]) & (om < omega[zero.stop]), 0.0, w)
+        return np.where(om >= omega[infinite], np.inf, w)
+
+    return rabi
+
+
+RISING = DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 4.4, 3.0))
+RISING_GRID = np.linspace(0.0, 4.4, 32)
+
 LATE_FAULTS = {
     # Omega = e^-t^2 passes the 1e-9 floor at t = 4.55.
     "below_floor": (
@@ -500,6 +520,16 @@ LATE_FAULTS = {
         ValidationError,
         ("dressed_phases", "ground", "excited"),
     ),
+    # A degenerate half-angle in block 1 and an infinite root in block 3 (of
+    # 8 samples each): the whole grid checks the root before any half-angle.
+    "degenerate_then_not_finite": (
+        RESONANT,
+        RISING,
+        RISING_GRID,
+        _two_faults(RESONANT, RISING, RISING_GRID, slice(10, 14), 24),
+        ValidationError,
+        ("dressed_phases", "ground", "excited"),
+    ),
 }
 
 
@@ -513,3 +543,22 @@ def test_late_fault_raises_as_on_the_whole_grid(system, field, t, rabi, error, n
             assert whole[0] is error
             with mock.patch.object(numerics, "_BLOCK", 8):
                 assert _raised(lambda: calls[name](t)) == whole
+
+
+@pytest.mark.parametrize("call,bound", [("ground", 66), ("excited", 66), ("dressed_phases", 100)])
+def test_closed_form_memory_per_sample(call, bound):
+    # Each block's phase integrals continue the running sum of the block
+    # before, so no whole-grid generalized Rabi frequency or phase integral
+    # is kept: the outputs, Omega and block temporaries stay under ``bound``
+    # bytes per sample.
+    t = np.linspace(0.0, 1200.0, 16 * numerics._BLOCK + 1)
+    field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0), PhaseSpec.linear_chirp(1e-3))
+    evaluate = _grid_calls(TwoLevelSystem(0.0, 12.0), field)[call]
+    evaluate(t)  # warm-up
+    tracemalloc.start()
+    try:
+        evaluate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * t.size
