@@ -16,15 +16,14 @@ through ``_propagate``, which checks the grid and the frame.
 Every trajectory of either engine, and the pulse pairs and fringe scans of
 ``interferometry``, run fourth-order Magnus steps evaluated as numpy arrays
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)): the constant complex
-detuning enters each step's exponent exactly, the 2x2 exponentials are
-closed-form in real arithmetic (``_expm2``), and ``_magnus_grid`` forms the
-propagator of every sample interval.  The steps per interval are doubled
-until what is returned, the sampled states or the segment propagators,
-changes by at most ``abs_tol + rel_tol * max``, or by no more than its
-rounding can reach (``_tolerance``).  A trajectory runs each round on its
-first chunk of intervals first, and a round that already fails there is
-not run further; the returned steps and states are those of the ladder
-that runs every round whole.
+detuning enters each step's exponent exactly, and ``_magnus_grid`` forms
+the propagator of every sample interval.  A stack of steps is one
+(2, 2, ...) complex array: the 2x2 exponentials are closed-form in real
+arithmetic (``_expm2``), and each round of the pairwise time-ordered
+product is two broadcast products and a sum.  The steps per interval are
+doubled until what is returned, the sampled states or the segment
+propagators, changes by at most its tolerance (``_tolerance``); a
+trajectory settles a failing round on its first chunk of intervals.
 ``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
 cross-check.  The tests keep an adaptive Dormand-Prince 5(4) stepper on
 scalar couplings as the reference for the Magnus steps.
@@ -40,18 +39,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    StepSizeUnderflowError,
-    ValidationError,
-)
-from .model import (
-    DrivingField,
-    TwoLevelSystem,
-    _complex_detuning,
-    _require_finite,
-    instantaneous_field,
-)
+from .errors import GridMismatchError, StepSizeUnderflowError, ValidationError
+from .model import DrivingField, TwoLevelSystem, _complex_detuning, _require_finite, instantaneous_field
 from .numerics import _read_only, check_monotone_grid
 
 # Fourth-order Magnus step: Gauss-Legendre nodes at the interval midpoint
@@ -203,13 +192,6 @@ def _rk4_pair(
     return out[0], out[1]
 
 
-def _mat_mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple:
-    """Products a @ b of stacks of 2x2 matrices, each held as its entries (00, 01, 10, 11)."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex array re + i im, assembled without complex arithmetic."""
     out = np.empty(np.shape(re), dtype=complex)
@@ -250,8 +232,8 @@ def _cosh_sinhc(s2: np.ndarray) -> tuple:
     return _complex(ch * cv, sh * sv), sinhc
 
 
-def _expm2(m: Sequence[np.ndarray]) -> tuple:
-    """exp(M) of a stack of 2x2 matrices in closed form (entries (00, 01, 10, 11)).
+def _expm2(m) -> np.ndarray:
+    """exp(M) of a (2, 2, ...) stack of 2x2 matrices in closed form, as a new (2, 2, ...) stack.
 
     With tau = tr(M)/2 and B = M - tau I (traceless, so B^2 = s^2 I with
     s^2 = -det B), exp(M) = e^tau (cosh(s) I + sinh(s)/s B).  Both functions
@@ -262,9 +244,9 @@ def _expm2(m: Sequence[np.ndarray]) -> tuple:
     take it, and the closed form (``_cosh_sinhc``) not at all when every
     matrix is in the series range.  e^tau, cosh s and sinh s come from real
     exp, cos, sin, cosh and sinh of real and imaginary parts, so no complex
-    division or complex transcendental runs.
+    division or complex transcendental runs.  ``m`` may be nested pairs of entries.
     """
-    m00, m01, m10, m11 = m
+    (m00, m01), (m10, m11) = m
     tau = 0.5 * (m00 + m11)
     d = 0.5 * (m00 - m11)
     s2 = d * d + m01 * m10
@@ -279,45 +261,53 @@ def _expm2(m: Sequence[np.ndarray]) -> tuple:
     growth = np.exp(tau.real)
     scale = _complex(growth * np.cos(tau.imag), growth * np.sin(tau.imag))
     c, k = scale * cosh, scale * sinhc
-    return (c + k * d, k * m01, k * m10, c - k * d)
+    kd = k * d
+    out = np.empty((2, 2, *s2.shape), dtype=complex)
+    np.add(c, kd, out=out[0, 0])
+    np.multiply(k, m01, out=out[0, 1])
+    np.multiply(k, m10, out=out[1, 0])
+    np.subtract(c, kd, out=out[1, 1])
+    return out
 
 
-def _ordered_product(m: Sequence[np.ndarray]) -> tuple:
-    """Time-ordered product M[n-1] ... M[1] M[0] over the last axis, in log2(n) pairwise rounds."""
-    while m[0].shape[-1] > 1:
-        n = m[0].shape[-1]
-        paired = _mat_mul([x[..., 1::2] for x in m], [x[..., 0 : n - 1 : 2] for x in m])
-        if n % 2:
-            paired = [np.concatenate((p, x[..., -1:]), axis=-1) for p, x in zip(paired, m)]
-        m = paired
-    return tuple(x[..., 0] for x in m)
+def _ordered_product(m: np.ndarray) -> np.ndarray:
+    """Time-ordered product M[n-1] ... M[1] M[0] of a (2, 2, ..., n) stack, in log2(n) pairwise rounds.
 
-
-def _magnus_steps(terms: Sequence[np.ndarray], weights: np.ndarray, detuning: complex, h) -> tuple:
-    """One-step propagators exp(Omega) of every interval, for every weight column.
-
-    ``terms[j]`` holds K_j at the two Gauss nodes of each interval (first the
-    n lower nodes, then the n upper ones), so the coupling at the nodes is
-    K = sum_j weights[j] K_j, with shape (n_drives, 2n); ``h`` is the
-    intervals' common length or an array of each one's.  For the generator
-    A = [[0, i conj K], [i K, -i dw~]] the fourth-order Magnus exponent is
-    Omega = (h/2)(A1 + A2) + (sqrt(3)/12) h^2 [A2, A1], written out entry by
-    entry; its trace -i dw~ h is exact.
+    A round forms (A B)[i, j] = A[i, 0] B[0, j] + A[i, 1] B[1, j] for every
+    pair at once, A's columns and B's rows broadcast: two products, one sum.
     """
-    k = sum(w[:, None] * term for w, term in zip(weights, terms))
-    n = k.shape[-1] // 2
-    k1, k2 = k[:, :n], k[:, n:]
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
+        a, b = m[..., 1::2], m[..., 0 : n - 1 : 2]
+        paired = a[:, 0:1] * b[0:1]
+        paired += a[:, 1:2] * b[1:2]
+        m = np.concatenate((paired, m[..., -1:]), axis=-1) if n % 2 else paired
+    return m[..., 0]
+
+
+def _magnus_steps(values: Sequence[np.ndarray], weights: np.ndarray, coefficients: tuple) -> np.ndarray:
+    """One-step propagators exp(Omega) of every step, as a (2, 2, drives, intervals, steps) stack.
+
+    ``values[j]`` is K_j at the (lower, upper) Gauss nodes, shape (2,
+    intervals, steps); K = sum_j weights[j] K_j starts from its first term,
+    and one unit-weight term is K itself.  ``coefficients`` are each
+    interval's c = (sqrt(3)/12) h^2, i h/2, c dw~ and -i dw~ h, as columns or
+    floats.  With A = [[0, i conj K], [i K, -i dw~]], Omega = (h/2)(A1 + A2)
+    + c [A2, A1], written out entry by entry; its trace -i dw~ h is exact.
+    """
+    if weights.shape == (1, 1) and weights[0, 0] == 1.0:
+        k = values[0][None]
+    else:
+        w = weights[..., None, None, None]
+        k = w[0] * values[0]
+        for w_j, term in zip(w[1:], values[1:]):
+            k += w_j * term
+    k1, k2 = k[:, 0], k[:, 1]
+    c, half_ih, c_detuning, trace = coefficients
     ksum = k1 + k2
-    c = _COMMUTATOR_WEIGHT * h * h
     z = c * (np.conj(k1) * k2 - np.conj(k2) * k1)
-    return _expm2(
-        (
-            z,
-            0.5j * h * np.conj(ksum) + c * detuning * np.conj(k2 - k1),
-            0.5j * h * ksum + c * detuning * (k1 - k2),
-            -1j * detuning * h - z,
-        )
-    )
+    m01 = half_ih * np.conj(ksum) + c_detuning * np.conj(k2 - k1)
+    return _expm2(((z, m01), (half_ih * ksum + c_detuning * (k1 - k2), trace - z)))
 
 
 def _magnus_grid(
@@ -334,10 +324,12 @@ def _magnus_grid(
     One loop takes time in chunks of at most ``_MAGNUS_CHUNK`` steps (whole
     intervals while k fits, power-of-two blocks of one interval beyond) and
     the drives in batches within each, so a stack holds at most
-    ``_MAGNUS_STACK`` steps.  A power-of-two block is an aligned block of
-    ``_ordered_product``'s pairwise tree, so multiplying the block products
-    in order changes no bit, and each interval's propagator is, bit for bit,
-    the one-interval grid's over it.
+    ``_MAGNUS_STACK`` steps.  A chunk's nodes are one (2, intervals, steps)
+    array, passed to ``terms`` flat, and each interval's step coefficients
+    a column broadcast over its steps.  A power-of-two block is an aligned
+    block of ``_ordered_product``'s pairwise tree, so multiplying the block
+    products in order changes no bit, and each interval's propagator is,
+    bit for bit, the one-interval grid's over it.
     """
     m, n = weights.shape[1], t.size - 1
     span = min(k, _MAGNUS_CHUNK)
@@ -345,22 +337,25 @@ def _magnus_grid(
     drives = _MAGNUS_STACK // (per_chunk * span)
     h = (t[1:] - t[:-1])[:, None] / k
     out = np.empty((4, m, n), dtype=complex)
+    product = out.reshape(2, 2, m, n)
     for i in range(0, n, per_chunk):
         hi = h[i : i + per_chunk]
-        # A chunk of several intervals holds all k steps of each; one
-        # interval's steps take its length as a float (numpy's scalar path
-        # is the cheaper one).
-        hs = np.repeat(hi, k) if hi.size > 1 else float(hi[0, 0])
-        blocks = np.empty((4, m, hi.size, -(-k // span)), dtype=complex)
+        per = hi.shape[0]
+        # One interval's coefficients are floats: numpy multiplies a size-1
+        # column and a size-1 stack in another loop, whose last bit differs.
+        hc = hi if per > 1 else float(hi[0, 0])
+        c = _COMMUTATOR_WEIGHT * hc * hc
+        coefficients = (c, 0.5j * hc, c * detuning, -1j * detuning * hc)
+        offset = _GAUSS_OFFSET * np.stack((-hi, hi))
+        blocks = np.empty((2, 2, m, per, -(-k // span)), dtype=complex)
         for b, j in enumerate(range(0, k, span)):
-            offsets = np.arange(j, min(j + span, k)) + 0.5
-            mids = (t[i : i + hi.size, None] + hi * offsets).ravel()
-            values = terms(np.concatenate((mids - _GAUSS_OFFSET * hs, mids + _GAUSS_OFFSET * hs)))
+            mids = t[i : i + per, None] + hi * (np.arange(j, min(j + span, k)) + 0.5)
+            nodes = mids + offset
+            values = [x.reshape(nodes.shape) for x in terms(nodes.reshape(-1))]
             for d in range(0, m, drives):
-                u = _magnus_steps(values, weights[:, d : d + drives], detuning, hs)
-                per_interval = [x.reshape(x.shape[0], hi.size, -1) for x in u]
-                blocks[:, d : d + drives, :, b] = _ordered_product(per_interval)
-        out[..., i : i + hi.size] = _ordered_product(blocks)
+                u = _magnus_steps(values, weights[:, d : d + drives], coefficients)
+                blocks[:, :, d : d + drives, :, b] = _ordered_product(u)
+        product[..., i : i + per] = _ordered_product(blocks)
     return out
 
 
@@ -428,12 +423,8 @@ def _magnus_propagator(
     ``terms`` evaluates every term K_j on an array of times at once and
     returns their arrays in order; ``weights`` has shape (number of terms,
     m).  Returns the entries (00, 01, 10, 11) of the m propagators as a
-    (4, m) array, in the rotating frame of ``_propagate``.
-
-    The steps are fourth-order Magnus steps (two Gauss-Legendre nodes, one
-    commutator) on a uniform grid, all evaluated at once; the 2x2
-    exponentials are closed-form and the time-ordered product is a pairwise
-    reduction.  The step count is doubled (``_magnus_doubled``) until the
+    (4, m) array, in the rotating frame of ``_propagate``.  The Magnus steps
+    on a uniform grid are doubled (``_magnus_doubled``) until the
     propagators, over all drives, change by at most their tolerance; the
     rounding floor binds below the cap only for rel_tol < 2.3e-10.
     """
@@ -464,21 +455,24 @@ def _magnus_trajectory(
     grid, and the full test decides.
 
     The bound on the largest entry: without damping the exact propagators
-    are unitary, and so are the Magnus steps, up to rounding.  So no state's
-    norm passes |y0| (1 + delta), delta = 32 n k eps.  Each of the n
-    intervals takes 2k matrix operations (k closed-form exponentials, k - 1
-    products of two steps, one state update), each a handful of roundings;
-    delta allows every one 16 eps of norm, to first order.  With damping a
-    step is no contraction (the commutator term makes the Hermitian part of
-    its exponent indefinite), and a coarse round's norm can grow well past
-    |y0|: a damped round has no such bound, and only NaN settles it on its
-    first chunk.
+    are unitary, and so are the Magnus steps, up to rounding, so no state's
+    norm passes |y0| (1 + delta), delta = 32 n k eps: each interval's 2k
+    matrix operations (k exponentials, k - 1 products, one state update)
+    are allowed 16 eps of norm each, to first order.  With damping a step is
+    no contraction (the commutator term makes the Hermitian part of its
+    exponent indefinite), so a damped round has no such bound, and only NaN
+    settles it on its first chunk.
 
     A round is continued from its last state, and ``_magnus_grid`` gives
     each interval's propagator bit for bit whatever grid it is part of, so
     a round run in pieces equals the round run whole.
+
+    Before any step ``_check_resolved`` rejects an interval i where
+    max(|K(t_i)|, |K(t_i+1)|) turns by pi or more per step at the cap.
     """
     n = t.size - 1
+    k_abs = np.abs(coupling(t))
+    _check_resolved(np.maximum(k_abs[:-1], k_abs[1:]), np.diff(t), "coupling |K|")
     weights = np.ones((1, 1), dtype=complex)
 
     def run(x, k, start, stop):
@@ -524,13 +518,17 @@ def _magnus_trajectory(
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:
     """K(t) = (mu E0(t)/2) exp(-i phi(t)) on an array of times, for the Magnus steps.
 
-    K is assembled from the real cos phi and sin phi, with no complex exponential.
+    K is assembled from the real cos phi and sin phi, with no complex
+    exponential; a constant phase's cos phi0 and sin phi0 are taken once.
     """
-    half_mu = 0.5 * system.mu
+    half_mu, phase = 0.5 * system.mu, field.phase
+    constant = (np.cos(phase.phi0), np.sin(phase.phi0)) if phase.shape == "constant" else None
 
     def coupling(t: np.ndarray) -> np.ndarray:
-        amplitude, phi = half_mu * field.envelope.value(t), field.phase.value(t)
-        return _complex(amplitude * np.cos(phi), -(amplitude * np.sin(phi)))
+        amplitude = half_mu * field.envelope.value(t)
+        phi = None if constant else phase.value(t)
+        cos, sin = constant or (np.cos(phi), np.sin(phi))
+        return _complex(amplitude * cos, -(amplitude * sin))
 
     return coupling
 
@@ -551,16 +549,21 @@ def _drive(system: TwoLevelSystem, field: DrivingField, engine: str) -> tuple:
     return (lambda t: mu * instantaneous_field(field, t)), 0.0
 
 
-def _check_resolved(carrier: float, span: float) -> None:
-    """StepSizeUnderflowError unless the step cap resolves the carrier over ``span``.
+def _check_resolved(rate, span, name: str = "carrier") -> None:
+    """StepSizeUnderflowError unless the step cap resolves ``rate`` (a float or array) over ``span``.
 
-    A Magnus step samples cos(W t) at two Gauss nodes, which tell nothing
+    A Magnus step samples its drive at two Gauss nodes, which tell nothing
     once the step turns it by pi or more; at ``_MAGNUS_MAX_INTERVALS`` steps
-    over an interval of length ``span`` that is W span / cap >= pi.
+    over an interval of length ``span`` that is rate span / cap >= pi, for
+    the carrier W or for |K|.  NaN passes (and fails the step doubling).
     """
-    if not carrier * span / _MAGNUS_MAX_INTERVALS < math.pi:
+    with np.errstate(over="ignore", invalid="ignore"):
+        turns = np.ravel(rate * span / _MAGNUS_MAX_INTERVALS >= math.pi)
+    if turns.any():
+        i = int(np.argmax(turns))
+        rate, span = (float(np.broadcast_to(x, turns.shape)[i]) for x in (rate, span))
         raise StepSizeUnderflowError(
-            f"step-size underflow: the carrier {carrier!r} turns by pi or more per Magnus step "
+            f"step-size underflow: the {name} {rate!r} turns by pi or more per Magnus step "
             f"at {_MAGNUS_MAX_INTERVALS} steps over an interval of {span!r}"
         )
 
@@ -704,10 +707,7 @@ def compare_trajectories(a: TwoLevelTrajectory, b: TwoLevelTrajectory) -> Trajec
     """Elementwise maxima of amplitude and population errors, final phase error per component."""
     if a.frame != b.frame or a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise GridMismatchError("grid mismatch: trajectories must share time grid and frame")
-    amp = max(
-        float(np.max(np.abs(a.c_g - b.c_g))),
-        float(np.max(np.abs(a.c_e - b.c_e))),
-    )
+    amp = max(float(np.max(np.abs(a.c_g - b.c_g))), float(np.max(np.abs(a.c_e - b.c_e))))
     pop = max(
         float(np.max(np.abs(a.population_g - b.population_g))),
         float(np.max(np.abs(a.population_e - b.population_e))),

@@ -6,7 +6,9 @@ cannot share a bug with the check itself.  The propagation reference is an
 adaptive Dormand-Prince 5(4) stepper driven by scalar evaluators of the
 envelope, the phase and the couplings, written apart from the array
 registries and the Magnus steps of the library.  The Magnus trajectory's
-reference is its step doubling run on the whole grid every round.
+reference is its step doubling run on the whole grid every round, and the
+Magnus grid's is its tuple form (``magnus_grid``): each 2x2 entry its own
+array, products entry by entry, every step's coefficients per step.
 """
 
 import cmath
@@ -401,6 +403,97 @@ def dp5_rwa_propagate(system, field, initial, t_grid, cfg=IntegratorConfig(), fr
 def dp5_full_propagate(system, field, initial, t_grid, cfg=IntegratorConfig()):
     """``full_field_propagate`` of one pulse on DP5: the scalar real field on carrier 0."""
     return dp5_propagate(system, *scalar_drive(system, field, "full"), initial, t_grid, cfg)
+
+
+def mat_mul(a, b):
+    """Products a @ b of stacks of 2x2 matrices, each held as its entries (00, 01, 10, 11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def expm2(m):
+    """``propagator._expm2`` on the entries (00, 01, 10, 11), returned as a tuple of four arrays."""
+    m00, m01, m10, m11 = m
+    tau = 0.5 * (m00 + m11)
+    d = 0.5 * (m00 - m11)
+    s2 = d * d + m01 * m10
+    small = s2.real**2 + s2.imag**2 < propagator._SERIES_S2**2
+    if small.all():
+        cosh, sinhc = propagator._series(s2)
+    else:
+        cosh, sinhc = np.empty_like(s2), np.empty_like(s2)
+        cosh[small], sinhc[small] = propagator._series(s2[small])
+        large = ~small
+        cosh[large], sinhc[large] = propagator._cosh_sinhc(s2[large])
+    growth = np.exp(tau.real)
+    scale = propagator._complex(growth * np.cos(tau.imag), growth * np.sin(tau.imag))
+    c, k = scale * cosh, scale * sinhc
+    return (c + k * d, k * m01, k * m10, c - k * d)
+
+
+def ordered_product(m):
+    """Time-ordered product M[n-1] ... M[1] M[0] over the last axis of the entries, pairwise."""
+    while m[0].shape[-1] > 1:
+        n = m[0].shape[-1]
+        paired = mat_mul([x[..., 1::2] for x in m], [x[..., 0 : n - 1 : 2] for x in m])
+        if n % 2:
+            paired = [np.concatenate((p, x[..., -1:]), axis=-1) for p, x in zip(paired, m)]
+        m = paired
+    return tuple(x[..., 0] for x in m)
+
+
+def magnus_steps(terms, weights, detuning, h):
+    """One-step propagators of every step for every weight column, entry by entry.
+
+    ``terms[j]`` holds K_j at the n lower Gauss nodes, then the n upper
+    ones; K = 0 + sum_j weights[j] K_j, and ``h`` is a float or one length
+    per step.
+    """
+    k = sum(w[:, None] * term for w, term in zip(weights, terms))
+    n = k.shape[-1] // 2
+    k1, k2 = k[:, :n], k[:, n:]
+    ksum = k1 + k2
+    c = propagator._COMMUTATOR_WEIGHT * h * h
+    z = c * (np.conj(k1) * k2 - np.conj(k2) * k1)
+    return expm2(
+        (
+            z,
+            0.5j * h * np.conj(ksum) + c * detuning * np.conj(k2 - k1),
+            0.5j * h * ksum + c * detuning * (k1 - k2),
+            -1j * detuning * h - z,
+        )
+    )
+
+
+def magnus_grid(terms, weights, detuning, t, k):
+    """``propagator._magnus_grid`` in tuple form, with the library's chunk and stack sizes.
+
+    A chunk's nodes are the concatenated lower and upper Gauss nodes; an
+    interval's steps take its length repeated per step, or as a float when
+    the chunk is one interval.
+    """
+    m, n = weights.shape[1], t.size - 1
+    span = min(k, propagator._MAGNUS_CHUNK)
+    per_chunk = min(n, propagator._MAGNUS_CHUNK // span)
+    drives = propagator._MAGNUS_STACK // (per_chunk * span)
+    h = (t[1:] - t[:-1])[:, None] / k
+    out = np.empty((4, m, n), dtype=complex)
+    for i in range(0, n, per_chunk):
+        hi = h[i : i + per_chunk]
+        hs = np.repeat(hi, k) if hi.size > 1 else float(hi[0, 0])
+        blocks = np.empty((4, m, hi.size, -(-k // span)), dtype=complex)
+        for b, j in enumerate(range(0, k, span)):
+            offsets = np.arange(j, min(j + span, k)) + 0.5
+            mids = (t[i : i + hi.size, None] + hi * offsets).ravel()
+            offset = propagator._GAUSS_OFFSET * hs
+            values = terms(np.concatenate((mids - offset, mids + offset)))
+            for d in range(0, m, drives):
+                u = magnus_steps(values, weights[:, d : d + drives], detuning, hs)
+                per_interval = [x.reshape(x.shape[0], hi.size, -1) for x in u]
+                blocks[:, d : d + drives, :, b] = ordered_product(per_interval)
+        out[..., i : i + hi.size] = ordered_product(blocks)
+    return out
 
 
 def magnus_states_whole(coupling, detuning, t, y0, k):

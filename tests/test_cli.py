@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dressedphase import cli, hydro
+from dressedphase import cli, hydro, propagator
 from dressedphase.cli import (
     _CSV_BLOCK_ROWS,
     KINDS,
@@ -564,3 +564,20 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "edge leakage" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_unresolvable_drive_exits_before_any_magnus_step(tmp_path, capsys):
+    # At peak 1e12 the oracle's coupling turns by pi or more per Magnus step
+    # even at the step cap: exit 2 with one line on stderr, no output
+    # directory, and no Magnus grid made (a grid made fails at once, where
+    # the step doubling would run some 79 million steps).
+    cfg = json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text())
+    cfg["field"]["envelope"]["peak"] = 1e12
+    path = write_config(tmp_path, cfg)
+    grid = mock.Mock(side_effect=AssertionError("a Magnus grid was made"))
+    with mock.patch.object(propagator, "_magnus_grid", grid):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "step-size underflow" in err
+    assert not (tmp_path / "o").exists()
+    grid.assert_not_called()

@@ -438,10 +438,10 @@ def _grid_steps(call):
 
 def test_oracle_ladder_settles_failing_rounds_on_their_first_chunk(tmp_path):
     """The ``dressed_compare`` demo's oracle evaluates its coupling at
-    481,280 Magnus nodes, two per step.  The rounds k = 1 to 16 fail on their
-    first chunk of 2,048 steps (4,096 nodes each); k = 32 and 64 run all
-    2,400 intervals.  Every round on the whole grid took 2 * 2,400 * 127 =
-    609,600."""
+    481,280 Magnus nodes, two per step, after its 2,401 samples (the reach
+    check).  The rounds k = 1 to 16 fail on their first chunk of 2,048 steps
+    (4,096 nodes each); k = 32 and 64 run all 2,400 intervals.  Every round
+    on the whole grid took 2 * 2,400 * 127 = 609,600 nodes."""
     config = load_config_dict(json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text()))
     nodes = 0
     make = propagator._array_coupling_fn
@@ -458,7 +458,7 @@ def test_oracle_ladder_settles_failing_rounds_on_their_first_chunk(tmp_path):
 
     with mock.patch.object(propagator, "_array_coupling_fn", counting):
         cli.run(config, tmp_path / "out")
-    assert nodes == 2 * 2400 * (32 + 64) + 5 * 4096 == 481_280
+    assert nodes == 2401 + 2 * 2400 * (32 + 64) + 5 * 4096 == 2401 + 481_280
 
 
 def test_nan_round_fails_on_its_first_chunk():
@@ -480,6 +480,32 @@ def test_nan_round_fails_on_its_first_chunk():
     with patched, np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflowError, match="passed 16"):
         propagator._magnus_trajectory(nan, 1.0 + 0j, t, (1 + 0j, 0j), TIGHT)
     assert spans == [(1, 4), (2, 2), (4, 1), (8, 1), (16, 1)]
+
+
+def test_unreachable_coupling_is_rejected_before_any_step():
+    """The ``dressed_compare`` demo at ``peak`` 1e12: |K| h / 2**20 >= pi on
+    every interval, so no step count up to the cap resolves the drive, and
+    StepSizeUnderflowError is raised before any Magnus grid is made; a grid
+    made fails at once, where the ladder would run some 79 million steps.
+    A coupling just inside the bound, and a NaN one, go on to the steps."""
+    config = load_config_dict(json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text()))
+    strong = DrivingField(config.field.carrier, EnvelopeSpec.gaussian(1e12, 600.0, 600.0), config.field.phase)
+    t = config.grid.array()
+    grid = mock.Mock(side_effect=AssertionError("a Magnus grid was made"))
+    with mock.patch.object(propagator, "_magnus_grid", grid):
+        with pytest.raises(StepSizeUnderflowError, match=r"coupling \|K\| 1842.* over an interval of 0\.5$"):
+            rwa_propagate(config.system, strong, TwoLevelState(1.0, 0.0), t, config.integrator)
+    grid.assert_not_called()
+    # Intervals of 0.5: |K| = pi * 2**21 is rejected, and just below it passes.
+    stepped = mock.Mock(side_effect=RuntimeError("stepped"))
+    for value, error in ((math.pi * 2.0**21, StepSizeUnderflowError),
+                         (np.nextafter(math.pi * 2.0**21, 0.0), RuntimeError), (np.nan, RuntimeError)):
+        def coupling(x):
+            return np.full(x.shape, value, dtype=complex)
+
+        with mock.patch.object(propagator, "_magnus_grid", stepped), pytest.raises(error):
+            propagator._magnus_trajectory(coupling, 0j, t[:3], (1 + 0j, 0j), TIGHT)
+    assert stepped.call_count == 2
 
 
 def test_damped_coarse_round_passes_the_initial_norm():

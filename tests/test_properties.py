@@ -93,6 +93,7 @@ from oracles import (
     dp5_full_propagate,
     dp5_rwa_propagate,
     expm_taylor,
+    magnus_grid,
     magnus_trajectory_whole,
     phase_scan_loop,
     scalar_envelope_fn,
@@ -698,7 +699,7 @@ EXCEPTIONAL = H_EP * np.array(
 @example(m=np.array([[1.5 - 2.0j, -0.3j], [0.0, 1.5 - 2.0j]]))
 @example(m=EXCEPTIONAL)
 def test_closed_form_exponential_matches_taylor(m):
-    got = np.array(_expm2(m.reshape(4, 1))).reshape(2, 2)
+    got = _expm2(m.reshape(2, 2, 1))[..., 0]
     norm = float(np.max(np.sum(np.abs(m), axis=1)))
     assert np.max(np.abs(got - expm_taylor(m))) <= 64.0 * np.finfo(float).eps * math.exp(norm)
 
@@ -742,9 +743,10 @@ EDGE = [_with_root(0.5 - 1.0j, 0.0, 1.0, cmath.rect(0.1 * (1.0 + sign * 1e-9), 1
 @example(stack=EDGE[:1])
 @example(stack=EDGE[1:])
 def test_stacked_exponential_is_each_alone(stack):
-    m = np.stack([x.ravel() for x in stack], axis=1)
-    whole = np.array(_expm2(m))
-    alone = np.concatenate([np.array(_expm2(m[:, i : i + 1])) for i in range(len(stack))], axis=1)
+    m = np.stack(stack, axis=-1)
+    whole = _expm2(m)
+    assert whole.shape == m.shape
+    alone = np.concatenate([_expm2(m[..., i : i + 1]) for i in range(len(stack))], axis=-1)
     assert_bits_equal(whole, alone)
 
 
@@ -959,6 +961,72 @@ def test_magnus_grid_interval_is_its_segment(field, gamma, t, m, k, phases):
 def test_magnus_grid_interval_is_its_segment_in_small_chunks(field, gamma, t, m, k, phases):
     with mock.patch.multiple(propagator, _MAGNUS_CHUNK=16, _MAGNUS_STACK=16):
         _assert_intervals_are_segments(field, gamma, t, m, k, phases)
+
+
+# The stacked Magnus kernel of ``_magnus_grid`` (one (2, 2, ...) array per
+# stack, a three-call product per round of the pairwise tree, per-interval
+# step coefficients, one unit-weight term used as K) against its tuple form
+# (``oracles.magnus_grid``), bit for bit, signed zeros included.  Drawn: both
+# engines, undamped and damped, one unit-weight drive (a trajectory's) or
+# one or three drives weighted (1, cos d, -sin d) over three terms (a summed
+# scan's), odd and even k, grids of one interval (a segment) or more, a zero
+# field, and chunk and stack sizes lowered to 16 so that k > _MAGNUS_CHUNK
+# splits an interval into blocks and the drives into batches.  One step of
+# one drive over one interval makes every array of size 1, where numpy
+# multiplies in another loop.
+ZERO_FIELD = DrivingField(5.0, EnvelopeSpec.constant(0.0), PhaseSpec.constant(-2.0))
+STACK = propagator._MAGNUS_STACK
+one_interval = st.tuples(st.floats(-6.0, 5.0), st.floats(0.05, 1.0)).map(lambda p: np.array([p[0], p[0] + p[1]]))
+
+
+@PROPERTY
+@given(
+    field=st.one_of(st.just(ZERO_FIELD), drives),
+    engine=st.sampled_from(["rwa", "full"]),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    t=st.one_of(one_interval, magnus_grids),
+    form=st.sampled_from([(1, "unit"), (1, "summed"), (3, "summed")]),
+    k=st.sampled_from([1, 2, 3, 22, 64]),
+    phases=magnus_phases,
+    sizes=st.sampled_from([(16, 16), (16, STACK), (propagator._MAGNUS_CHUNK, STACK)]),
+)
+@example(  # two blocks of one interval, 2,048 and 1,024 steps, at the library's sizes
+    field=DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 1.0)), engine="rwa", gamma=0.1,
+    t=np.array([-1.0, 0.5, 2.0]), form=(1, "unit"), k=3 * propagator._MAGNUS_CHUNK // 2, phases=[0.0],
+    sizes=(propagator._MAGNUS_CHUNK, STACK),
+)
+@example(  # one damped step over one interval: every array of size 1
+    field=DrivingField(5.3, EnvelopeSpec.gaussian(1.1, -0.4, 1.1), PhaseSpec.constant(2.0)), engine="rwa",
+    gamma=0.02, t=np.array([0.3, 1.1]), form=(1, "unit"), k=1, phases=[0.0], sizes=(16, 16),
+)
+@example(  # a zero field (signed zeros) in three drives over one interval, one step
+    field=ZERO_FIELD, engine="rwa", gamma=0.0, t=np.array([-1.0, 2.0]), form=(3, "summed"), k=1,
+    phases=[0.5, -2.0, 3.0], sizes=(16, 16),
+)
+def test_magnus_grid_is_its_tuple_form(field, engine, gamma, t, form, k, phases, sizes):
+    system = TwoLevelSystem(0.0, 5.0, gamma_re=gamma)
+    coupling, carrier = propagator._drive(system, field, engine)
+    detuning = propagator._complex_detuning(system, carrier)
+    m, weighting = form
+    if weighting == "unit":
+        weights = np.ones((1, 1), dtype=complex)
+
+        def terms(x):
+            return (coupling(x),)
+
+    else:
+        d = np.resize(phases, m)
+        weights = np.stack((np.ones(m), np.cos(d), -np.sin(d))).astype(complex)
+
+        def terms(x):
+            return coupling(x), coupling(x - 2.0), coupling(x + 1.0)
+
+    chunk, stack = sizes
+    with mock.patch.multiple(propagator, _MAGNUS_CHUNK=chunk, _MAGNUS_STACK=stack):
+        got = _magnus_grid(terms, weights, detuning, t, k)
+        want = magnus_grid(terms, weights, detuning, t, k)
+    assert got.shape == (4, m, t.size - 1)
+    assert_bits_equal(got, want)
 
 
 # The full field on Magnus steps (``full_field_propagate``) against DP5 on
