@@ -20,10 +20,11 @@ detuning enters each step's exponent exactly, and ``_magnus_grid`` forms
 the propagator of every sample interval.  A stack of steps is one
 (2, 2, ...) complex array: the 2x2 exponentials are closed-form in real
 arithmetic (``_expm2``), and each round of the pairwise time-ordered
-product is two broadcast products and a sum.  The steps per interval are
-doubled until what is returned, the sampled states or the segment
-propagators, changes by at most its tolerance (``_tolerance``); a
-trajectory settles a failing round on its first chunk of intervals.
+product is two broadcast products and a sum.  One ladder,
+``_magnus_doubled``, doubles the steps per interval until what is
+returned, the sampled states or the segment propagators, changes by at
+most its tolerance, and settles a failing round on its first chunk of
+intervals; a segment is one interval, so its first chunk is its round.
 ``rk4_propagate`` runs a fixed-step RK4 stepper as an independent
 cross-check.  The tests keep an adaptive Dormand-Prince 5(4) stepper on
 scalar couplings as the reference for the Magnus steps.
@@ -359,54 +360,64 @@ def _magnus_grid(
     return out
 
 
-def _first_steps(t: np.ndarray, cfg: IntegratorConfig) -> int:
-    """The Magnus steps per interval a ladder starts from: the count ``cfg.max_step`` asks for."""
-    return max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
+def _magnus_doubled(
+    run: Callable[[np.ndarray, int, int, int], None],
+    x: np.ndarray,
+    t: np.ndarray,
+    cfg: IntegratorConfig,
+    norm: float = math.inf,
+) -> np.ndarray:
+    """The results at the samples ``t`` at the first k whose doubling changes them within tolerance.
 
+    ``x`` has shape (..., n + 1) with x[..., 0] given, and ``run(x, k, i,
+    j)`` fills x[..., i + 1 : j + 1] on from x[..., i] at k Magnus steps per
+    interval.  k starts at the count ``cfg.max_step`` asks for and is
+    doubled until the results at 2k change from those at k by at most
+    abs_tol + rel_tol * max|x|, or n k eps max|x| if larger, the rounding a
+    product of the finer grid's steps can reach; the finer are returned.
 
-def _tolerance(cfg: IntegratorConfig, intervals: int, k: int, scale) -> float:
-    """The largest change a doubling to k steps per interval may make and stop.
-
-    ``abs_tol + rel_tol * scale``, with ``scale`` the largest entry of the
-    finer result, or ``intervals * k * eps * scale`` if larger, the rounding
-    a product of the finer grid's steps can reach.  It never falls as
-    ``scale`` grows, also in floating point.
-    """
-    return max(cfg.abs_tol + cfg.rel_tol * scale, intervals * k * np.finfo(float).eps * scale)
-
-
-def _magnus_doubled(grid: Callable[[int], np.ndarray], t: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """``grid(2k)`` at the first k whose doubling changes it by at most its tolerance.
-
-    k, the Magnus steps per interval of the sample grid ``t``, starts at the
-    count ``cfg.max_step`` asks for and is doubled until the largest entry
-    change between ``grid(k)`` and ``grid(2k)`` is at most ``_tolerance`` of
-    ``max|grid(2k)|``.  Every round evaluates the whole grid; this is the
-    ladder of the segments, one interval each (``_magnus_trajectory`` runs
-    the same test, settling a failing round on its first chunk).  Past
+    Each round first runs only its first chunk, the first max(1,
+    _MAGNUS_CHUNK // k) intervals.  The tolerance never falls as max|x|
+    grows, also in floating point, so if the chunk already changes by more
+    than the tolerance at ``norm`` (1 + 32 n k eps), a bound on every entry
+    of the round, the round fails without running the rest; NaN fails, as
+    in the full test.  Otherwise this round and the last are run to the
+    end, and the full test decides.  A segment is one interval, so its
+    first chunk is its whole round.  Past
     ``_MAGNUS_MAX_INTERVALS`` steps per interval StepSizeUnderflowError is
     raised.  The cap bounds k, not the steps of the whole grid, so only the
     drive limits a trajectory however many samples it has; ``_magnus_grid``
     chunks time and drives, so memory stays bounded.
     """
-    intervals = t.size - 1
-    k = _first_steps(t, cfg)
-    coarse = None
+    n, eps = t.size - 1, np.finfo(float).eps
+
+    def within(change, k, scale):
+        return change <= max(cfg.abs_tol + cfg.rel_tol * scale, n * k * eps * scale)
+
+    # Capped as a float first: below a subnormal max_step the count is inf.
+    k = max(1, math.ceil(min(float(np.max(np.diff(t))) / cfg.max_step, 2.0 * _MAGNUS_MAX_INTERVALS)))
+    coarse = None  # the last round: its results, the last sample run and its k
     while k <= _MAGNUS_MAX_INTERVALS:
-        fine = grid(k)
-        if coarse is not None and np.max(np.abs(fine - coarse)) <= _tolerance(
-            cfg, intervals, k, np.max(np.abs(fine))
-        ):
-            return fine
-        coarse = fine
+        fine = x.copy()
+        head = min(n, max(1, _MAGNUS_CHUNK // k))
+        run(fine, k, 0, head)
+        if coarse is not None:
+            last, done, k_last = coarse
+            change = np.max(np.abs(fine[..., : head + 1] - last[..., : head + 1]))
+            if within(change, k, norm * (1.0 + 32.0 * n * k * eps)):
+                if head < n:
+                    if done < n:
+                        run(last, k_last, done, n)
+                    run(fine, k, head, n)
+                    head = n
+                    change = np.max(np.abs(fine - last))
+                if within(change, k, np.max(np.abs(fine))):
+                    return fine
+        coarse = fine, head, k
         k *= 2
-    raise _ladder_exhausted(t)
-
-
-def _ladder_exhausted(t: np.ndarray) -> StepSizeUnderflowError:
-    """The error of a step doubling over the grid ``t`` that passed the cap."""
-    return StepSizeUnderflowError(
-        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps per interval on [{t[0]!r}, {t[-1]!r}]"
+    raise StepSizeUnderflowError(
+        f"Magnus step doubling passed {_MAGNUS_MAX_INTERVALS} steps per interval "
+        f"on [{float(t[0])!r}, {float(t[-1])!r}]"
     )
 
 
@@ -423,14 +434,18 @@ def _magnus_propagator(
     ``terms`` evaluates every term K_j on an array of times at once and
     returns their arrays in order; ``weights`` has shape (number of terms,
     m).  Returns the entries (00, 01, 10, 11) of the m propagators as a
-    (4, m) array, in the rotating frame of ``_propagate``.  The Magnus steps
-    on a uniform grid are doubled (``_magnus_doubled``) until the
-    propagators, over all drives, change by at most their tolerance; the
-    rounding floor binds below the cap only for rel_tol < 2.3e-10.
+    (4, m) array, in the rotating frame of ``_propagate``.  The segment is
+    the one interval of ``_magnus_doubled``, its results the propagators
+    after a zero start column, with no bound on their entries; the rounding
+    floor binds below the cap only for rel_tol < 2.3e-10.
     """
     weights = np.asarray(weights, dtype=complex)
     t = np.array([t0, t1], dtype=float)
-    return _magnus_doubled(lambda k: _magnus_grid(terms, weights, detuning, t, k)[..., 0], t, cfg)
+
+    def run(x, k, i, j):
+        x[..., 1] = _magnus_grid(terms, weights, detuning, t, k)[..., 0]
+
+    return _magnus_doubled(run, np.zeros((4, weights.shape[1], 2), dtype=complex), t, cfg)[..., 1]
 
 
 def _magnus_trajectory(
@@ -444,41 +459,30 @@ def _magnus_trajectory(
 
     ``coupling`` evaluates K(t) on an array of times.  Each sample
     interval's propagator of ``_magnus_grid`` is applied to the state in
-    order.  The steps per interval k are doubled until the sampled states
-    change by at most ``_tolerance`` of their largest entry, as in
-    ``_magnus_doubled``, and the same k and states are returned; but each
-    round first runs only its first chunk, the first max(1, _MAGNUS_CHUNK //
-    k) intervals.  If the states there already change by more than the
-    tolerance could be at any largest entry the round can reach, the round
-    fails without running the rest of the grid.  NaN fails, as in the full
-    test.  Otherwise this round and the last one are run to the end of the
-    grid, and the full test decides.
+    order, and ``_magnus_doubled`` doubles the steps until the sampled
+    states change by at most their tolerance.  A round is continued from
+    its last state, and ``_magnus_grid`` gives each interval's propagator
+    bit for bit whatever grid it is part of, so a round run in pieces
+    equals the round run whole.
 
-    The bound on the largest entry: without damping the exact propagators
-    are unitary, and so are the Magnus steps, up to rounding, so no state's
-    norm passes |y0| (1 + delta), delta = 32 n k eps: each interval's 2k
-    matrix operations (k exponentials, k - 1 products, one state update)
-    are allowed 16 eps of norm each, to first order.  With damping a step is
-    no contraction (the commutator term makes the Hermitian part of its
-    exponent indefinite), so a damped round has no such bound, and only NaN
-    settles it on its first chunk.
-
-    A round is continued from its last state, and ``_magnus_grid`` gives
-    each interval's propagator bit for bit whatever grid it is part of, so
-    a round run in pieces equals the round run whole.
+    Without damping the exact propagators are unitary, and so are the Magnus
+    steps, up to rounding, so no state's norm passes |y0| (1 + delta),
+    delta = 32 n k eps: each interval's 2k matrix operations (k
+    exponentials, k - 1 products, one state update) are allowed 16 eps of
+    norm each, to first order; |y0| is the ladder's ``norm``.  With damping
+    a step is no contraction (the commutator term makes the Hermitian part
+    of its exponent indefinite), so a damped round has no such bound, and
+    only NaN settles it on its first chunk.
 
     Before any step ``_check_resolved`` rejects an interval i where
     max(|K(t_i)|, |K(t_i+1)|) turns by pi or more per step at the cap.
     """
-    n = t.size - 1
     k_abs = np.abs(coupling(t))
     _check_resolved(np.maximum(k_abs[:-1], k_abs[1:]), np.diff(t), "coupling |K|")
     weights = np.ones((1, 1), dtype=complex)
 
     def run(x, k, start, stop):
         """Fill the states x[:, start + 1 : stop + 1] on from x[:, start], k steps per interval."""
-        if stop == start:
-            return
         u = _magnus_grid(lambda s: (coupling(s),), weights, detuning, t[start : stop + 1], k)[:, 0]
         g, e = x[:, start].tolist()
         # Python complex arithmetic is the fast form of this sequential
@@ -493,26 +497,11 @@ def _magnus_trajectory(
             x[0, j : j + len(gs)] = gs
             x[1, j : j + len(es)] = es
 
+    x = np.empty((2, t.size), dtype=complex)
+    x[:, 0] = y0
     norm = math.hypot(abs(y0[0]), abs(y0[1])) if detuning.imag == 0.0 else math.inf
-    k = _first_steps(t, cfg)
-    coarse = None  # the last round: its states, the last sample run and its k
-    while k <= _MAGNUS_MAX_INTERVALS:
-        fine = np.empty((2, t.size), dtype=complex)
-        fine[:, 0] = y0
-        head = min(n, max(1, _MAGNUS_CHUNK // k))
-        run(fine, k, 0, head)
-        if coarse is not None:
-            states, done, k_coarse = coarse
-            reach = norm * (1.0 + 32.0 * n * k * np.finfo(float).eps)
-            if np.max(np.abs(fine[:, : head + 1] - states[:, : head + 1])) <= _tolerance(cfg, n, k, reach):
-                run(states, k_coarse, done, n)
-                run(fine, k, head, n)
-                head = n
-                if np.max(np.abs(fine - states)) <= _tolerance(cfg, n, k, np.max(np.abs(fine))):
-                    return fine[0], fine[1]
-        coarse = fine, head, k
-        k *= 2
-    raise _ladder_exhausted(t)
+    fine = _magnus_doubled(run, x, t, cfg, norm)
+    return fine[0], fine[1]
 
 
 def _array_coupling_fn(system: TwoLevelSystem, field: DrivingField) -> Callable[[np.ndarray], np.ndarray]:

@@ -517,17 +517,26 @@ def magnus_states_whole(coupling, detuning, t, y0, k):
 def magnus_trajectory_whole(coupling, detuning, t, y0, cfg, rounds=None):
     """``propagator._magnus_trajectory`` with every round run on the whole grid.
 
-    The doubling of ``_magnus_doubled`` over ``magnus_states_whole``; each
-    round's k and states are appended to ``rounds`` if it is a list.
+    k starts at the count ``cfg.max_step`` asks for and doubles until the
+    states of ``magnus_states_whole`` at 2k change from those at k by at
+    most abs_tol + rel_tol max|x|, or n k eps max|x| if larger; the finer
+    are returned.  Each round's k and states are appended to ``rounds`` if
+    it is a list.
     """
-
-    def states(k):
-        out = magnus_states_whole(coupling, detuning, t, y0, k)
+    n = t.size - 1
+    k = max(1, math.ceil(float(np.max(np.diff(t))) / cfg.max_step))
+    coarse = None
+    while k <= propagator._MAGNUS_MAX_INTERVALS:
+        fine = magnus_states_whole(coupling, detuning, t, y0, k)
         if rounds is not None:
-            rounds.append((k, out))
-        return out
-
-    return tuple(propagator._magnus_doubled(states, t, cfg))
+            rounds.append((k, fine))
+        scale = np.max(np.abs(fine))
+        tol = max(cfg.abs_tol + cfg.rel_tol * scale, n * k * np.finfo(float).eps * scale)
+        if coarse is not None and np.max(np.abs(fine - coarse)) <= tol:
+            return fine[0], fine[1]
+        coarse = fine
+        k *= 2
+    raise StepSizeUnderflowError("Magnus step doubling passed the cap")
 
 
 def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rwa"):

@@ -581,3 +581,16 @@ def test_unresolvable_drive_exits_before_any_magnus_step(tmp_path, capsys):
     assert err.count("\n") == 1 and "step-size underflow" in err
     assert not (tmp_path / "o").exists()
     grid.assert_not_called()
+
+
+def test_subnormal_max_step_exits_with_one_line(tmp_path, capsys):
+    # A max_step of 5e-324 asks for an infinite first Magnus step count:
+    # past the cap, so exit 2 with one line on stderr naming the grid's ends
+    # as plain floats, and no output directory.
+    cfg = json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text())
+    cfg["integrator"]["max_step"] = 5e-324
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("steps per interval on [0.0, 1200.0]\n")
+    assert not (tmp_path / "o").exists()

@@ -18,6 +18,7 @@ from dressedphase.errors import (
     StepSizeUnderflowError,
     ValidationError,
 )
+from dressedphase.interferometry import PulsePairConfig, phase_scan
 from dressedphase.model import (
     DrivingField,
     EnvelopeSpec,
@@ -357,6 +358,24 @@ def test_magnus_interval_limit():
             _magnus(np.ones((2, 1)), IntegratorConfig(max_step=1e-4))
 
 
+def test_subnormal_max_step_exhausts_the_ladder():
+    """A max_step of 5e-324 asks for an infinite first step count, which is
+    past the cap like any count above it: StepSizeUnderflowError, on a
+    trajectory as on the segments of a fringe scan, and no Magnus grid."""
+    cfg = IntegratorConfig(max_step=5e-324)
+    weak = DrivingField(5.0, EnvelopeSpec.gaussian(0.05, 0.0, 1.0))
+    with pytest.warns(UserWarning, match="overlap"):
+        overlapping = PulsePairConfig(weak, delay=1.0, rel_phase=0.0)
+    grid = mock.Mock(side_effect=AssertionError("a Magnus grid was made"))
+    with mock.patch.object(propagator, "_magnus_grid", grid):
+        with pytest.raises(StepSizeUnderflowError, match=r"passed 1048576 steps per interval on \[0\.0, 1\.0\]$"):
+            rwa_propagate(RESONANT, RES_FIELD, TwoLevelState(1.0, 0.0), np.linspace(0.0, 1.0, 5), cfg)
+        for pair in (PulsePairConfig(weak, delay=30.0, rel_phase=0.0), overlapping):  # composed and summed
+            with pytest.raises(StepSizeUnderflowError, match="Magnus step doubling passed"):
+                phase_scan(RESONANT, pair, np.linspace(0.0, 1.0, 3), cfg)
+    grid.assert_not_called()
+
+
 def test_magnus_stops_at_the_rounding_floor():
     """Tolerances no rounding can meet stop the doubling once the change is
     within n * eps * max|U| (n the finer count), and what is returned is
@@ -464,7 +483,9 @@ def test_oracle_ladder_settles_failing_rounds_on_their_first_chunk(tmp_path):
 def test_nan_round_fails_on_its_first_chunk():
     """A NaN change fails the stop test, on the whole grid as on the first
     chunk, so a NaN drive runs each round on its first chunk alone up to the
-    cap (here 16 steps per interval, with chunks of 4 steps)."""
+    cap (here 16 steps per interval, with chunks of 4 steps).  A segment is
+    one interval, so its first chunk is its whole round: one Magnus grid per
+    round.  The error names the grid's ends as plain floats."""
     t = np.linspace(0.0, 10.0, 101)
     spans = []
     grid = propagator._magnus_grid
@@ -477,9 +498,14 @@ def test_nan_round_fails_on_its_first_chunk():
         return np.full(x.shape, np.nan, dtype=complex)
 
     patched = mock.patch.multiple(propagator, _magnus_grid=spy, _MAGNUS_CHUNK=4, _MAGNUS_MAX_INTERVALS=16)
-    with patched, np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflowError, match="passed 16"):
+    exhausted = pytest.raises(StepSizeUnderflowError, match=r"passed 16 .* on \[0\.0, 10\.0\]$")
+    with patched, np.errstate(invalid="ignore"), exhausted:
         propagator._magnus_trajectory(nan, 1.0 + 0j, t, (1 + 0j, 0j), TIGHT)
     assert spans == [(1, 4), (2, 2), (4, 1), (8, 1), (16, 1)]
+    spans.clear()
+    with patched, np.errstate(invalid="ignore"), exhausted:
+        _magnus_propagator(lambda x: (nan(x),), np.ones((1, 1)), 1.0 + 0j, 0.0, 10.0, TIGHT)
+    assert spans == [(1, 1), (2, 1), (4, 1), (8, 1), (16, 1)]
 
 
 def test_unreachable_coupling_is_rejected_before_any_step():
