@@ -12,8 +12,9 @@ One entry point dispatches on the experiment ``kind``:
 Outputs are deterministic: identical configurations produce byte-identical
 CSV files (full 17-significant-digit round-trip formatting, comma separator,
 header row).  Each CSV is ASCII bytes written to a file opened in binary
-mode, one bytes ``%`` per block of rows.  Environment variables are never
-consulted.
+mode, block by block, every value exactly as ``b"%.17g" % v`` writes it
+(see ``_write_csv``).  ``summary.json`` is strict JSON: a metric that is not
+finite is written as null.  Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -460,22 +461,43 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-_CSV_BLOCK_ROWS = 256
+# CSV values.  ``_write_csv`` writes every value as ``b"%.17g" % v`` would,
+# in blocks of about _CSV_BLOCK_VALUES values (whole rows).  Blocks of at
+# least _CSV_VECTOR_MIN values go through ``csvformat``; a smaller block is
+# cheaper through one bytes ``%``, and so is every block where ``longdouble``
+# has fewer than 63 mantissa bits.
+_CSV_BLOCK_VALUES = 4096
+_CSV_VECTOR_MIN = 512
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
     """Header row, then each row of the 2-D float ``table`` at 17 significant digits.
 
-    One bytes ``%`` per block of rows, so only that block exists as Python
-    floats; ``b"%.17g" % v`` is ``("%.17g" % v).encode()`` for every float.
+    Every value is written as ``b"%.17g" % v`` would (so as
+    ``("%.17g" % v).encode()``), one block of rows at a time: blocks of
+    _CSV_VECTOR_MIN values or more through ``csvformat``, smaller ones (and
+    all of them where ``longdouble`` is too short) through one bytes ``%``
+    per block.
     """
     table = np.asarray(table, dtype=float)
-    row = (",".join(["%.17g"] * len(header)) + "\n").encode()
+    columns = len(header)
+    block_rows = max(1, _CSV_BLOCK_VALUES // columns)
+    row = (",".join(["%.17g"] * columns) + "\n").encode()
+    formatter = None
+    if table.size >= _CSV_VECTOR_MIN:
+        # Imported here, so that a process writing no large table never
+        # compiles or loads the kernel.
+        from . import csvformat
+
+        formatter = csvformat.block_formatter(columns, block_rows * columns)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, len(table), block_rows):
+            block = table[start : start + block_rows]
+            if formatter is None or block.size < _CSV_VECTOR_MIN:
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            else:
+                fh.write(formatter(block.ravel()))
 
 
 def run(config: ExperimentConfig, out_dir) -> RunSummary:
@@ -509,12 +531,25 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
         duration_s=time.perf_counter() - started,
     )
     summary_path = out / "summary.json"
-    # The fields as they are: asdict would deep-copy the echo, metrics and outputs.
+    # The fields as they are (asdict would deep-copy the echo, metrics and
+    # outputs), but strict JSON: a metric that is not finite is written null.
+    written = {**vars(summary), "metrics": _finite_or_null(summary.metrics)}
     summary_path.write_text(
-        json.dumps(vars(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(written, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     summary.outputs.append(str(summary_path))
     return summary
+
+
+def _finite_or_null(value):
+    """``value`` with every float that is not finite, in it or in its lists and dicts, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def compare(config: ExperimentConfig, out_dir) -> RunSummary:

@@ -175,10 +175,14 @@ def phase_scan(
     changes by at most ``abs_tol + rel_tol * max|U|`` between counts, or by
     no more than the rounding of the product can reach.  A full-field scan
     whose carrier the step cap cannot resolve over the window raises
-    StepSizeUnderflowError before any step.  Constant envelopes have no
-    pulse window and are rejected.  An unknown engine is rejected before
-    anything else; every engine warns at most once per scan.  ``delta_grid``
-    must be a non-empty 1-D array of finite values on every path.
+    StepSizeUnderflowError before any step, and so does a scan whose
+    coupling bound the cap cannot resolve over its segment (|mu| peak / 2
+    over pulse 1's support when composed; over the window, twice one
+    pulse's bound when summed): a step turned by pi or more could not pass
+    the doubling's test.  Constant envelopes have no pulse window and are
+    rejected.  An unknown engine is rejected before anything else; every
+    engine warns at most once per scan.  ``delta_grid`` must be a non-empty
+    1-D array of finite values on every path.
     """
     _check_engine(engine)
     deltas = np.asarray(delta_grid, dtype=float)
@@ -222,6 +226,7 @@ def _composed_populations(
     """
     env = pair.base.envelope
     half = env.support_halfwidth()
+    _check_resolved(0.5 * abs(system.mu) * env.peak, 2.0 * half, "coupling |K|")
     coupling, carrier = _drive(system, pair.base, "rwa")
     detuning = _complex_detuning(system, carrier)
     u = _magnus_propagator(
@@ -251,6 +256,10 @@ def _summed_populations(system, pair, deltas, cfg, engine) -> np.ndarray:
     (k1, frame), (k2, _), (q2, _) = (_drive(system, f, engine) for f in (pair.base, second, quadrature))
     if engine == "full":
         _check_resolved(pair.base.carrier, end - start)
+    # The summed drive is at most twice one pulse's: |mu| peak on the real
+    # field, half that as |K|.
+    bound = (2.0 if engine == "full" else 1.0) * abs(system.mu) * pair.base.envelope.peak
+    _check_resolved(bound, end - start, "coupling |K|")
     d = deltas - pair.rel_phase
     weights = np.stack((np.ones(deltas.size), np.cos(d), -np.sin(d)))
     detuning = _complex_detuning(system, frame)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dressedphase import interferometry, propagator
-from dressedphase.errors import ValidationError
+from dressedphase.errors import StepSizeUnderflowError, ValidationError
 from dressedphase.interferometry import (
     FringeRecord,
     PulsePairConfig,
@@ -187,6 +187,24 @@ def test_pair_population_is_the_scan_at_its_own_phase(delay, engine):
     population = pulse_pair_population(SYSTEM, pair, CFG, engine)
     record = phase_scan(SYSTEM, pair, [pair.rel_phase], CFG, engine)
     assert population == record.populations[0]
+
+
+@pytest.mark.parametrize("engine", ["rwa", "full"])
+@pytest.mark.parametrize("delay", [30.0, 10.0], ids=["separated", "overlapping"])
+def test_unresolvable_coupling_is_rejected_before_any_segment(delay, engine):
+    """At mu 1e12 the coupling turns by pi or more per Magnus step even at the
+    cap over the segment (pulse 1's support, or the whole window), so the
+    scan raises before any segment, where the doubling would run to the cap.
+    At mu 1e3 the bound passes and the segment is stepped."""
+    stepped = mock.Mock(side_effect=RuntimeError("stepped"))
+    with warnings.catch_warnings(), mock.patch.object(interferometry, "_magnus_propagator", stepped):
+        warnings.simplefilter("ignore")  # the overlapping pair's warning
+        pair = make_pair(delay)
+        with pytest.raises(StepSizeUnderflowError, match=r"coupling \|K\| .* steps over an interval of"):
+            phase_scan(TwoLevelSystem(0.0, 5.0, mu=1e12), pair, [0.0, 1.0], CFG, engine)
+        stepped.assert_not_called()
+        with pytest.raises(RuntimeError, match="stepped"):
+            phase_scan(TwoLevelSystem(0.0, 5.0, mu=1e3), pair, [0.0, 1.0], CFG, engine)
 
 
 def test_unknown_engine_is_rejected_before_any_work():
