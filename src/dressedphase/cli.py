@@ -11,9 +11,8 @@ One entry point dispatches on the experiment ``kind``:
 
 Outputs are deterministic: identical configurations produce byte-identical
 CSV files (full 17-significant-digit round-trip formatting, comma separator,
-header row).  Each CSV is ASCII bytes written to a file opened in binary
-mode, block by block, every value exactly as ``b"%.17g" % v`` writes it
-(see ``_write_csv``).  ``summary.json`` is strict JSON: a metric that is not
+header row), every value exactly as ``b"%.17g" % v`` writes it, by
+``csvformat.write_csv``.  ``summary.json`` is strict JSON: a metric that is not
 finite is written as null.  Environment variables are never consulted.
 """
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import dressed as dressed_mod
 from . import hydro as hydro_mod
-from .errors import ConfigError, DressedPhaseError, ValidationError
+from .errors import ConfigError, DressedPhaseError, GridError, ValidationError
 from .interferometry import PulsePairConfig, fit_fringe, phase_scan
 from .model import (
     DrivingField,
@@ -41,6 +40,7 @@ from .model import (
     PhaseSpec,
     TwoLevelSystem,
 )
+from .numerics import cumulative_simpson
 from .propagator import (
     IntegratorConfig,
     TwoLevelState,
@@ -449,6 +449,13 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
         problems.fail("integrator", "applies only when dressed.compare is true")
     if kind == "dressed" and values["grid"].t0 != 0.0:
         problems.fail("grid.t0", "must be 0: the dressed phases accumulate from t = 0")
+    elif kind == "dressed":
+        # The phases' quadrature rejects a spacing its Simpson triples cannot divide by.
+        t = values["grid"].array()
+        try:
+            cumulative_simpson(np.zeros(t.size), t)
+        except GridError as exc:
+            problems.fail("grid", exc.args[0].removeprefix("invalid grid: "))
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
@@ -459,45 +466,6 @@ def load_config_dict(raw: dict) -> ExperimentConfig:
         integrator=values["integrator"] if takes_integrator else None,
         params=params,
     )
-
-
-# CSV values.  ``_write_csv`` writes every value as ``b"%.17g" % v`` would,
-# in blocks of about _CSV_BLOCK_VALUES values (whole rows).  Blocks of at
-# least _CSV_VECTOR_MIN values go through ``csvformat``; a smaller block is
-# cheaper through one bytes ``%``, and so is every block where ``longdouble``
-# has fewer than 63 mantissa bits.
-_CSV_BLOCK_VALUES = 4096
-_CSV_VECTOR_MIN = 512
-
-
-def _write_csv(path: Path, header: list[str], table) -> None:
-    """Header row, then each row of the 2-D float ``table`` at 17 significant digits.
-
-    Every value is written as ``b"%.17g" % v`` would (so as
-    ``("%.17g" % v).encode()``), one block of rows at a time: blocks of
-    _CSV_VECTOR_MIN values or more through ``csvformat``, smaller ones (and
-    all of them where ``longdouble`` is too short) through one bytes ``%``
-    per block.
-    """
-    table = np.asarray(table, dtype=float)
-    columns = len(header)
-    block_rows = max(1, _CSV_BLOCK_VALUES // columns)
-    row = (",".join(["%.17g"] * columns) + "\n").encode()
-    formatter = None
-    if table.size >= _CSV_VECTOR_MIN:
-        # Imported here, so that a process writing no large table never
-        # compiles or loads the kernel.
-        from . import csvformat
-
-        formatter = csvformat.block_formatter(columns, block_rows * columns)
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), block_rows):
-            block = table[start : start + block_rows]
-            if formatter is None or block.size < _CSV_VECTOR_MIN:
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-            else:
-                fh.write(formatter(block.ravel()))
 
 
 def run(config: ExperimentConfig, out_dir) -> RunSummary:
@@ -519,10 +487,13 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
     }[config.kind]
     metrics, tables = runner(config)
     out.mkdir(parents=True, exist_ok=True)
+    # Imported here, so that loading a config never compiles or loads the writer.
+    from . import csvformat
+
     outputs = []
     for stem, columns in tables.items():
         path = out / f"{stem}.csv"
-        _write_csv(path, list(columns), np.column_stack(list(columns.values())))
+        csvformat.write_csv(path, list(columns), np.column_stack(list(columns.values())))
         outputs.append(str(path))
     summary = RunSummary(
         config=config.to_dict(),

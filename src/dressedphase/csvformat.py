@@ -1,14 +1,18 @@
-"""Exact ``%.17g`` CSV text of float64 blocks, in numpy.
+"""The command line's CSV writer: exact ``%.17g`` text of float64 tables, in numpy.
 
-``block_formatter`` gives the function that turns a flat block of values
-(whole rows) into the bytes ``b"%.17g" % v`` writes for each, comma
-separated, a newline ending each row.  The command line's CSV writer
-imports this module on its first block large enough to use it.
+``write_csv`` writes a header row, then every value of a 2-D float table as
+``b"%.17g" % v`` writes it, comma separated, a newline ending each row, as
+ASCII bytes to a file opened in binary mode.  It cuts the table into blocks
+of about 4,096 values (whole rows).  A block of 512 values or more is
+formatted by the numpy kernel ``_format_block``; a smaller block is cheaper
+through one bytes ``%``, and so is every block where ``longdouble`` has
+fewer than 63 mantissa bits.  The kernel's tables are built on the first
+block that takes it.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -91,13 +95,14 @@ def _tables():
     return scale, rho, exponent, last, ascii4, zeros4, templates, widths
 
 
-def _source_rows(columns: int, values: int):
-    """Source rows for blocks of ``values`` values, constants and separators in place, and their offsets."""
-    rows = np.zeros((values, 32), dtype=np.uint8)
+def _source_rows(columns: int, rows: int):
+    """Source rows for blocks of ``rows`` rows of ``columns``, constants and separators set, and their offsets."""
+    values = rows * columns
+    source = np.zeros((values, 32), dtype=np.uint8)
     for at, text in _SOURCE_CONSTANTS.items():
-        rows[:, at : at + len(text)] = np.frombuffer(text, dtype=np.uint8)
-    rows[:, 25] = np.resize(np.frombuffer(b"," * (columns - 1) + b"\n", dtype=np.uint8), values)
-    return rows, np.arange(0, 32 * values, 32, dtype=np.intp)[:, None]
+        source[:, at : at + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    source[:, 25] = np.tile(np.frombuffer(b"," * (columns - 1) + b"\n", dtype=np.uint8), rows)
+    return source, np.arange(0, 32 * values, 32, dtype=np.intp)[:, None]
 
 
 def _digits(x, scale, rho) -> tuple:
@@ -179,13 +184,25 @@ def _format_block(x, tables, rows, offsets):
     return text[text != 0]
 
 
-def block_formatter(columns: int, values: int):
-    """A function from a flat block of at most ``values`` values, in rows of ``columns``, to its bytes.
+def write_csv(path, header: list[str], table) -> None:
+    """Write ``header``, then each row of the 2-D float ``table``, each value as ``b"%.17g" % v`` writes it.
 
-    None where ``longdouble`` has fewer than 63 mantissa bits.
+    512 values is the crossover measured between one bytes ``%`` and the kernel.
     """
-    tables = _tables()
-    if tables is None:
-        return None
-    rows, offsets = _source_rows(columns, values)
-    return partial(_format_block, tables=tables, rows=rows, offsets=offsets)
+    table = np.asarray(table, dtype=float)
+    columns = len(header)
+    block_rows = max(1, 4096 // columns)
+    row = (",".join(["%.17g"] * columns) + "\n").encode()
+    kernel = None  # (tables, source rows, offsets) from the first large block; False without tables
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(table), block_rows):
+            block = table[start : start + block_rows]
+            large = block.size >= 512
+            if large and kernel is None:
+                tables = _tables()
+                kernel = tables is not None and (tables, *_source_rows(columns, block_rows))
+            if large and kernel:
+                fh.write(_format_block(block.ravel(), *kernel))
+            else:
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -2,7 +2,8 @@
 
 The quadrature works on the caller's (possibly nonuniform) monotone grid by
 fitting a quadratic through consecutive point triples, which reduces to the
-classic composite Simpson rule on uniform grids.  It runs over blocks of
+classic composite Simpson rule on uniform grids; a triple too fine or too
+coarse for its quadratic in floats is a GridError.  It runs over blocks of
 ``_BLOCK`` samples, so its temporaries stay small, and one cumulative sum
 over the whole grid follows: the result is bit for bit that of one
 whole-grid evaluation.
@@ -41,13 +42,23 @@ def _read_only(values, dtype=None) -> np.ndarray:
 def _triple_integrals(t0, t1, t2, f0, f1, f2) -> tuple:
     """Integrals over [t0, t1] and [t1, t2] of the quadratic through the three points.
 
-    The quadratic is p(u) = a u^2 + b u + f1 with u = t - t1.
+    The quadratic is p(u) = a u^2 + b u + f1 with u = t - t1.  GridError
+    where a denominator h0 h1 (h0 + h1) of a and b is not a normal float:
+    subnormal on a very fine grid, or inf on a very coarse one, it leaves
+    them NaN or without their digits.
     """
     h0 = t1 - t0
     h1 = t2 - t1
     d0 = f0 - f1
     d2 = f2 - f1
-    denom = h0 * h1 * (h0 + h1)
+    with np.errstate(over="ignore"):  # an inf is rejected below, not warned of
+        denom = h0 * h1 * (h0 + h1)
+    smallest, largest = float(np.min(denom)), float(np.max(denom))
+    if not (np.finfo(float).tiny <= smallest and largest < np.inf):
+        raise GridError(
+            "invalid grid: the spacing must keep the Simpson denominator h0*h1*(h0 + h1)"
+            f" a normal float; it reaches {largest if largest == np.inf else smallest!r}"
+        )
     a = (d0 * h1 + d2 * h0) / denom
     b = (d2 * h0 * h0 - d0 * h1 * h1) / denom
     left = a * h0**3 / 3.0 - b * h0**2 / 2.0 + f1 * h0

@@ -311,6 +311,9 @@ def _magnus_steps(values: Sequence[np.ndarray], weights: np.ndarray, coefficient
     return _expm2(((z, m01), (half_ih * ksum + c_detuning * (k1 - k2), trace - z)))
 
 
+# A step past the float range gives inf or NaN, which fails the doubling (an
+# inf is never small in ``_expm2``), so numpy need not warn of it.
+@np.errstate(over="ignore", invalid="ignore")
 def _magnus_grid(
     terms: Callable[[np.ndarray], Sequence[np.ndarray]],
     weights: np.ndarray,
@@ -437,10 +440,12 @@ def _magnus_propagator(
     (4, m) array, in the rotating frame of ``_propagate``.  The segment is
     the one interval of ``_magnus_doubled``, its results the propagators
     after a zero start column, with no bound on their entries; the rounding
-    floor binds below the cap only for rel_tol < 2.3e-10.
+    floor binds below the cap only for rel_tol < 2.3e-10.  A detuning whose
+    square overflows a step at the cap is rejected first (``_check_detuning``).
     """
     weights = np.asarray(weights, dtype=complex)
     t = np.array([t0, t1], dtype=float)
+    _check_detuning(detuning, float(t[1] - t[0]))
 
     def run(x, k, i, j):
         x[..., 1] = _magnus_grid(terms, weights, detuning, t, k)[..., 0]
@@ -475,10 +480,12 @@ def _magnus_trajectory(
     only NaN settles it on its first chunk.
 
     Before any step ``_check_resolved`` rejects an interval i where
-    max(|K(t_i)|, |K(t_i+1)|) turns by pi or more per step at the cap.
+    max(|K(t_i)|, |K(t_i+1)|) turns by pi or more per step at the cap, and
+    ``_check_detuning`` a detuning whose square overflows a step there.
     """
-    k_abs = np.abs(coupling(t))
-    _check_resolved(np.maximum(k_abs[:-1], k_abs[1:]), np.diff(t), "coupling |K|")
+    k_abs, h = np.abs(coupling(t)), np.diff(t)
+    _check_resolved(np.maximum(k_abs[:-1], k_abs[1:]), h, "coupling |K|")
+    _check_detuning(detuning, float(h.max()))
     weights = np.ones((1, 1), dtype=complex)
 
     def run(x, k, start, stop):
@@ -553,6 +560,23 @@ def _check_resolved(rate, span, name: str = "carrier") -> None:
         rate, span = (float(np.broadcast_to(x, turns.shape)[i]) for x in (rate, span))
         raise StepSizeUnderflowError(
             f"step-size underflow: the {name} {rate!r} turns by pi or more per Magnus step "
+            f"at {_MAGNUS_MAX_INTERVALS} steps over an interval of {span!r}"
+        )
+
+
+def _check_detuning(detuning: complex, span: float) -> None:
+    """StepSizeUnderflowError unless a Magnus step at the cap keeps the detuning's square finite.
+
+    The detuning enters each step's exponent exactly, so it needs no
+    resolving; but ``_expm2`` squares the exponent's traceless part d, with
+    |d| about |dw~| h / 2, which overflows from |d| = sqrt(max float) on.
+    At ``_MAGNUS_MAX_INTERVALS`` steps over an interval of length ``span``
+    no step count is then left that does not.
+    """
+    d = math.hypot(detuning.real, detuning.imag) * span / (2.0 * _MAGNUS_MAX_INTERVALS)
+    if d >= math.sqrt(np.finfo(float).max):
+        raise StepSizeUnderflowError(
+            f"step-size underflow: the detuning {detuning!r} overflows a Magnus step "
             f"at {_MAGNUS_MAX_INTERVALS} steps over an interval of {span!r}"
         )
 

@@ -124,6 +124,10 @@ def test_usual_and_born_fock_examples():
     flat = DrivingField(5.0, EnvelopeSpec.constant(1.0))
     assert usual_adiabatic_value(DETUNED_ONE, flat, 3.0) == 0.0
     assert born_fock_value(DETUNED_ONE, flat, 3.0) == 0.0
+    # At zero detuning the ratio is its limit: 0 where the field is
+    # stationary (the gaussian's peak), inf where it changes.
+    resonant = TwoLevelSystem(0.0, 5.0)
+    np.testing.assert_array_equal(usual_adiabatic_value(resonant, field, np.array([0.0, tau])), [0.0, math.inf])
 
 
 def test_reductions_match_report_for_constant_phase():

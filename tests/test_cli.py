@@ -17,14 +17,13 @@ from dressedphase import cli, csvformat, hydro, propagator
 from dressedphase.cli import (
     KINDS,
     ExperimentConfig,
-    _write_csv,
     compare,
     load_config,
     load_config_dict,
     main,
     run,
 )
-from dressedphase.errors import ConfigError
+from dressedphase.errors import ConfigError, ValidationError
 from oracles import write_csv_loop
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -378,6 +377,8 @@ MALFORMED = {
     "adiabatic_with_integrator": (_adiabatic_config(2), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "dressed_integrator_without_compare": (dressed_config(), "integrator", {"rel_tol": 1e-3}, "integrator"),
     "dressed_t0_nonzero": (dressed_config(), "grid.t0", 1.0, "grid.t0"),
+    "t1_not_above_t0": (dressed_config(), "grid.t1", 0.0, "grid.t1"),
+    "samples_two": (dressed_config(), "grid.samples", 2, "grid.samples"),
     # The initial packet and the potential are built on the grid at load.
     "sigma_square_underflows": (hydro_config(), "hydro.packet.sigma", 1e-300, "hydro.packet.sigma"),
     "sigma_square_overflows": (hydro_config(), "hydro.packet.sigma", 1e300, "hydro.packet.sigma"),
@@ -401,6 +402,81 @@ def test_malformed_config_exits_1_at_load(tmp_path, capsys, base, path, value, f
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert f"error: cli: validation: {field_name}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "raw,problem",
+    [
+        ([dressed_config()], "validation: config: must be a JSON object"),
+        ("dressed", "validation: config: must be a JSON object"),
+        (dressed_config(kind="bogus"), f"validation: kind: must be one of {KINDS}"),
+        ({"dressed": {}}, f"validation: kind: must be one of {KINDS}"),
+    ],
+    ids=["list", "string", "unknown_kind", "no_kind"],
+)
+def test_config_must_be_an_object_of_a_known_kind(tmp_path, capsys, raw, problem):
+    path = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [problem]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: cli: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_build_problem_naming_no_field_is_reported_at_the_section():
+    # No builder of the config schema raises such a message today; a new one
+    # would be reported at its section.
+    def build(**values):
+        raise ValidationError("Builder: the values do not fit together")
+
+    problems = cli._Problems()
+    check = cli._section({"a": (cli._number, cli._REQUIRED)}, build)
+    assert check(problems, "block", {"a": 1.0}) is cli._BAD
+    assert problems == ["validation: block: the values do not fit together"]
+
+
+def test_dressed_demo_on_a_subnormal_spacing_exits_1_at_load(tmp_path, capsys):
+    # At t1 = 1e-100 the demo's 2,400 intervals are 4.2e-104 long, and each
+    # Simpson denominator h0*h1*(h0 + h1) is subnormal, which would make the
+    # phases NaN: rejected at load, with no warning and no run.  At
+    # t1 = 1e-99 the denominators are normal and the config loads.
+    cfg = json.loads((DEMO_CONFIGS / "dressed_compare.json").read_text())
+    cfg["grid"]["t1"] = 1e-100
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(), mock.patch.object(cli, "_run_dressed", side_effect=AssertionError("ran")):
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: cli: validation: grid: the spacing must keep the Simpson denominator"
+        " h0*h1*(h0 + h1) a normal float; it reaches 1.4"
+    )
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    cfg["grid"]["t1"] = 1e-99
+    assert load_config_dict(cfg).grid.t1 == 1e-99
+
+
+def test_validation_error_in_run_exits_1(tmp_path, capsys):
+    # mu 1e300 passes load, but the generalized Rabi frequency overflows on
+    # the grid: dressed_phases raises ValidationError, exit 1, one line.
+    cfg = dressed_config(system={"omega_g": 0.0, "omega_e": 5.0, "mu": 1e300})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dressedphase: dressed_phases: the generalized Rabi frequency is not finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_without_quiet_prints_outputs_and_metrics(tmp_path, capsys):
+    path = write_config(tmp_path, dressed_config())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o"
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'dressed.csv'}\nwrote {out / 'summary.json'}\n  adiabatic_margin = 0.0\n"
+    )
 
 
 def _missing(tmp_path):
@@ -441,7 +517,7 @@ SPECIAL_VALUES = [
 
 def _assert_csv_matches_per_value_writer(directory, table):
     header = [f"c{j}" for j in range(table.shape[1])]
-    _write_csv(directory / "rows.csv", header, table)
+    csvformat.write_csv(directory / "rows.csv", header, table)
     write_csv_loop(directory / "values.csv", header, table)
     written = (directory / "rows.csv").read_bytes()
     assert written == (directory / "values.csv").read_bytes()
@@ -449,9 +525,9 @@ def _assert_csv_matches_per_value_writer(directory, table):
 
 
 @pytest.mark.parametrize("columns", [1, 9])
-# Tables on either side of _CSV_VECTOR_MIN values (bytes % or csvformat),
-# and of one block and a last block at that crossover: 512 values and
-# 4,096-value blocks are 512 and 4,096 rows of one column, 57 and 455 of nine.
+# Tables on either side of the writer's 512-value crossover (bytes % or the
+# kernel), and of one block and a last block at that crossover: 512 values
+# and 4,096-value blocks are 512 and 4,096 rows of one column, 57 and 455 of nine.
 @pytest.mark.parametrize(
     "rows",
     [0, 1, len(SPECIAL_VALUES), 600, 255, 256, 257, 513,
@@ -550,6 +626,25 @@ def test_csv_writer_without_long_double(tmp_path, monkeypatch):
         assert csvformat._tables() is None
     finally:
         csvformat._tables.cache_clear()
+
+
+def test_csv_writer_formats_a_small_last_block_with_percent(tmp_path):
+    # 4,196 rows of one column: one 4,096-value block through the kernel,
+    # then a last block of 100 values through the bytes %.
+    table = np.resize(np.array(SPECIAL_VALUES + POWER_ERROR_DECIDES), (4196, 1))
+    with mock.patch.object(csvformat, "_format_block", wraps=csvformat._format_block) as kernel:
+        _assert_csv_matches_per_value_writer(tmp_path, table)
+    assert [call.args[0].size for call in kernel.call_args_list] == [4096]
+
+
+def test_csv_writer_of_a_small_table_never_builds_the_kernel(tmp_path):
+    # 511 values (73 rows of 7) is one block under the crossover: bytes %
+    # only, with no tables or source rows built.
+    table = np.resize(np.array(SPECIAL_VALUES), (73, 7))
+    built = AssertionError("kernel built")
+    with mock.patch.object(csvformat, "_tables", side_effect=built), \
+            mock.patch.object(csvformat, "_source_rows", side_effect=built):
+        _assert_csv_matches_per_value_writer(tmp_path, table)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -684,6 +779,49 @@ def test_unresolvable_drive_exits_before_any_magnus_step(tmp_path, capsys):
     assert err.count("\n") == 1 and "step-size underflow" in err
     assert not (tmp_path / "o").exists()
     grid.assert_not_called()
+
+
+@pytest.mark.parametrize(
+    "config,block,key,value,span",
+    [
+        ("propagate", "system", "omega_e", 1e200, "0.005026548245743889"),
+        ("propagate", "field", "carrier", 5e300, "0.005026548245743889"),
+        ("interfere", "system", "omega_e", 5e300, "22.0"),
+    ],
+    ids=["propagate_omega_e", "propagate_carrier", "interfere_omega_e"],
+)
+def test_overflowing_detuning_exits_before_any_magnus_step(tmp_path, capsys, config, block, key, value, span):
+    # The detuning's square overflows a Magnus step even at the step cap:
+    # exit 2 with one line on stderr and no warning, no output directory,
+    # and no Magnus grid made, where the step doubling ran to the cap.
+    cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+    cfg[block][key] = value
+    path = write_config(tmp_path, cfg)
+    grid = mock.Mock(side_effect=AssertionError("a Magnus grid was made"))
+    with warnings.catch_warnings(), mock.patch.object(propagator, "_magnus_grid", grid):
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagator: step-size underflow: the detuning (")
+    assert err.endswith(f"overflows a Magnus step at 1048576 steps over an interval of {span}\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    grid.assert_not_called()
+
+
+def test_large_detuning_runs_without_warnings(tmp_path, capsys):
+    # At omega_e 1e100 the series test of each Magnus exponential squares
+    # past the float range; an inf is never small, so the closed form runs,
+    # with no RuntimeWarning.
+    cfg = json.loads((DEMO_CONFIGS / "propagate.json").read_text())
+    cfg["system"]["omega_e"] = 1e100
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "o" / "summary.json").read_text())["metrics"]
+    assert metrics["final_P_g"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subnormal_max_step_exits_with_one_line(tmp_path, capsys):

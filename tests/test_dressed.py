@@ -113,6 +113,15 @@ class TestLevelShifts:
         with pytest.raises(ValidationError, match="level_shifts: t must be a scalar time"):
             level_shifts(RESONANT, RES_FIELD, np.array([0.0, 1.0]))
 
+    def test_degenerate_derivative_correction_raises(self):
+        """At t = 0 the gaussian's Omega is exp(-1) and changing; at gamma' =
+        2 exp(-1) the generalized Rabi frequency rounds to 0 there, so the
+        correction -(i/2) Omega dOmega / gen_rabi^2 has no value."""
+        field = DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 1.0, 1.0))
+        system = TwoLevelSystem(0.0, 5.0, gamma_re=2.0 * rabi_frequency(RESONANT, field, 0.0))
+        with pytest.raises(DegenerateRabiError, match=r"in level_shifts: \|gen_rabi\| < 1e-12$"):
+            level_shifts(system, field, 0.0)
+
     def test_static_tilde_equals_plain(self):
         eff = level_shifts(DETUNED, DET_FIELD, 1.0)
         assert eff.lambda_tilde_plus == eff.lambda_plus
@@ -338,6 +347,22 @@ class TestDressedPhases:
             dressed_phases(RESONANT, RES_FIELD, PHASES, "ground", np.array([1.0, 2.0, 3.0]))
         with pytest.raises(GridError, match="non-monotone"):
             dressed_phases(RESONANT, RES_FIELD, PHASES, "ground", np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_spacing_is_rejected_without_a_warning(self):
+        """Intervals of 1e-104 make each Simpson denominator h0*h1*(h0 + h1)
+        about 2e-312, subnormal: the phases came out NaN, with numpy's
+        divide warnings."""
+        t = np.linspace(0.0, 1e-102, 101)
+        for evaluate in (dressed_phases, assemble_bare_state):
+            with pytest.raises(GridError, match=r"Simpson denominator h0\*h1\*\(h0 \+ h1\) a normal float"):
+                evaluate(DETUNED, DET_FIELD, PHASES, "ground", t)
+
+    def test_series_is_a_sequence_of_phase_sets(self):
+        series = dressed_phases(DETUNED, DET_FIELD, PHASES, "ground", np.linspace(0.0, 1.0, 5))
+        assert len(series) == 5
+        assert list(series) == [series[i] for i in range(5)]
+        assert series[4].phi_G_r == series.phi_G_r[4]
 
     def test_detuning_whose_square_overflows_is_rejected(self):
         """From |dw~| ~ 1.3e154 dw~^2 overflows and the phases would be NaN."""

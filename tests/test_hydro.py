@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dressedphase import hydro
 from dressedphase.errors import (
     EdgeLeakageError,
     GridError,
@@ -313,3 +314,48 @@ def test_grid_wavefunction_validation():
         PotentialSpec.harmonic(1.0, -1.0)
     with pytest.raises(ValidationError):
         PotentialSpec.tabulated([np.nan, 0.0])
+    with pytest.raises(ValidationError, match="GridWavefunction: values must be 1-D"):
+        GridWavefunction(0.0, 0.1, np.ones((4, 4), dtype=complex))
+    with pytest.raises(ValidationError, match="GridWavefunction: values must be finite"):
+        GridWavefunction(0.0, 0.1, np.full(16, np.nan, dtype=complex))
+    with pytest.raises(ValidationError, match="GridWavefunction: mass must be > 0"):
+        GridWavefunction(0.0, 0.1, np.ones(16, dtype=complex), mass=0.0)
+    with pytest.raises(ValidationError, match="PotentialSpec: tabulated needs values"):
+        PotentialSpec("tabulated")
+    with pytest.raises(ValidationError, match="PotentialSpec: tabulated length does not match grid"):
+        PotentialSpec.tabulated(np.zeros(8)).evaluate(np.zeros(16))
+
+
+def test_empty_validity_mask_is_rejected():
+    # An r_floor above every |psi| masks every point.
+    fields = polar_decompose(GridWavefunction(0.0, 0.1, np.ones(16, dtype=complex)), r_floor=10.0)
+    assert not fields.valid.any()
+    with pytest.raises(ValidationError, match="quantum_potential: validity mask is empty"):
+        quantum_potential(fields, 1.0)
+    with pytest.raises(ValidationError, match="momentum_field: validity mask is empty"):
+        momentum_field(fields)
+
+
+def test_frames_must_be_uniformly_spaced():
+    x, dx = grid(64, 16.0, -8.0)
+    values = free_gaussian(x, 0.0)
+    frames = [wavefunction(values, -8.0, dx, t=t) for t in (0.0, 0.1, 0.3)]
+    for residual in (lambda: hj_residual(frames, PotentialSpec.free()), lambda: continuity_residual(frames, 1.0)):
+        with pytest.raises(GridError, match="frames must be uniformly spaced in time"):
+            residual()
+
+
+def test_anchor_masked_in_a_neighbour_frame_keeps_its_phase():
+    # The middle frame's anchor (its max R, at x = 0) is masked in the first
+    # frame, whose S there is NaN and gives no winding to remove: that frame's
+    # S is left as it is, and the residuals are taken on the points that stay
+    # valid.
+    x, dx = grid(64, 16.0, -8.0)
+    middle = free_gaussian(x, 0.0)
+    first = middle * np.exp(0.01j)
+    first[32] = 0.0
+    frames = [wavefunction(v, -8.0, dx, t=t) for v, t in ((first, 0.0), (middle, 0.01), (middle, 0.02))]
+    polars = [polar_decompose(f) for f in frames]
+    assert polars[1].valid[32] and not polars[0].valid[32]
+    assert hydro._anchored_phase_triple(polars)[0] is polars[0].S
+    assert np.isfinite(hj_residual(frames, PotentialSpec.free()).l2[0])

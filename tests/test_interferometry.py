@@ -44,6 +44,8 @@ def test_visibility_arithmetic():
     assert visibility(flat) == 0.0
     zero = FringeRecord(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0, 0.0)
     assert visibility(zero) == 0.0
+    with pytest.raises(ValidationError, match="visibility: record is empty"):
+        visibility(FringeRecord(np.array([]), np.array([]), 0.0, 0.0))
     ideal = FringeRecord(
         np.linspace(0, 2 * np.pi, 32, endpoint=False),
         0.02 * (1.0 + np.cos(np.linspace(0, 2 * np.pi, 32, endpoint=False))),
@@ -236,6 +238,9 @@ def test_area_and_strong_pulse_warning():
 def test_pair_validation():
     with pytest.raises(ValidationError):
         PulsePairConfig(BASE, delay=-1.0, rel_phase=0.0)
+    constant = PulsePairConfig(DrivingField(5.0, EnvelopeSpec.constant(PEAK)), 30.0, 0.0)
+    with pytest.raises(ValidationError, match="PulsePairConfig: constant envelopes have no pulse window"):
+        constant.window()
     assert PulsePairConfig(BASE, 30.0, 7.0).rel_phase == pytest.approx(7.0 - 2 * math.pi)
     with pytest.raises(ValidationError):
         phase_scan(SYSTEM, make_pair(), np.array([]), CFG)

@@ -172,3 +172,22 @@ def test_phase_shifted_replica():
 def test_invariant_violations_raise(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: TimeGrid(0.0, 0.0, 3), "grid: t1 must exceed t0"),
+        (lambda: TimeGrid(0.0, 1.0, 2), "grid: samples must be >= 3"),
+        (lambda: EnvelopeSpec.flat_top_cos2(1.0, 0.0, 1.0, -1.0), "EnvelopeSpec: plateau must be >= 0"),
+    ],
+    ids=["t1_not_above_t0", "two_samples", "negative_plateau"],
+)
+def test_invariant_violations_name_the_constraint(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == f"dressedphase: {message}"
+
+
+def test_complex_damping():
+    assert TwoLevelSystem(0.0, 5.0, gamma_re=0.2, gamma_im=0.3).gamma == 0.2 - 0.3j

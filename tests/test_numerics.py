@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,30 @@ def test_grid_validation():
         cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(GridError):
         check_monotone_grid(np.array([[0.0, 1.0]]))
+
+
+# Each Simpson triple divides by h0*h1*(h0 + h1), which must be a normal
+# float: spacings of 1e-103 make it 2e-309 (subnormal) and of 1e103 inf,
+# and two intervals of 1e-110 make the trailing triple's 0.  It is normal at
+# spacings of 1e-102 (2e-306), and two intervals of 1e-110 that share no
+# triple of the quadrature (an odd-start triple is never fitted) pass.
+SPACINGS = {
+    "fine": ([0.0, 1e-103, 2e-103], True),
+    "coarse": ([0.0, 1e103, 2e103], True),
+    "fine_trailing_triple": ([-1e-50, 0.0, 1e-110, 2e-110], True),
+    "just_normal": ([0.0, 1e-102, 2e-102], False),
+    "fine_pair_in_no_triple": ([-1e-50, 0.0, 1e-110, 2e-110, 1e-50], False),
+}
+
+
+@pytest.mark.parametrize("t,rejected", list(SPACINGS.values()), ids=list(SPACINGS))
+def test_simpson_denominator_must_be_normal(t, rejected):
+    t = np.array(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if rejected:
+            with pytest.raises(GridError, match=r"Simpson denominator h0\*h1\*\(h0 \+ h1\) a normal float"):
+                cumulative_simpson(np.ones(t.size), t)
+        else:
+            out = cumulative_simpson(np.ones(t.size), t)
+            np.testing.assert_allclose(out, t - t[0], rtol=1e-15)

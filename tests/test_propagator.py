@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -304,8 +305,13 @@ def test_trajectory_sequence_protocol():
     assert isinstance(state, TwoLevelState)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
     assert traj.frame == "bare"
+    assert list(traj) == [traj[i] for i in range(5)]
     with pytest.raises(ValueError):
         traj.times[0] = 5.0  # arrays are read-only
+    with pytest.raises(ValidationError, match="TwoLevelTrajectory: times and amplitudes must share a shape"):
+        TwoLevelTrajectory(t, traj.c_g[:4], traj.c_e)
+    with pytest.raises(ValidationError, match="TwoLevelTrajectory: frame must be 'bare' or 'rotating'"):
+        TwoLevelTrajectory(t, traj.c_g, traj.c_e, frame="lab")
 
 
 def test_rotating_frame_output():
@@ -532,6 +538,46 @@ def test_unreachable_coupling_is_rejected_before_any_step():
         with mock.patch.object(propagator, "_magnus_grid", stepped), pytest.raises(error):
             propagator._magnus_trajectory(coupling, 0j, t[:3], (1 + 0j, 0j), TIGHT)
     assert stepped.call_count == 2
+
+
+def test_overflowing_detuning_is_rejected_before_any_step():
+    """At the cap a Magnus step's exponent has a traceless part of about
+    |dw~| h / 2**21, whose square overflows from sqrt(max float) ~ 1.34e154
+    on.  A detuning past that is rejected before any Magnus grid is made,
+    on a trajectory of either engine and on the segments of a fringe scan
+    (composed and summed), where the doubling ran to the cap; one just
+    inside it goes on to the steps."""
+    t = np.linspace(0.0, 1.0, 3)  # intervals of 0.5
+    weak = DrivingField(5.0, EnvelopeSpec.gaussian(0.05, 0.0, 1.0))
+    with pytest.warns(UserWarning, match="overlap"):
+        overlapping = PulsePairConfig(weak, delay=1.0, rel_phase=0.0)
+    grid = mock.Mock(side_effect=AssertionError("a Magnus grid was made"))
+    far = TwoLevelSystem(0.0, 1e200)
+    with mock.patch.object(propagator, "_magnus_grid", grid):
+        for engine in (rwa_propagate, full_field_propagate):
+            with pytest.raises(StepSizeUnderflowError, match=r"the detuning \(1e\+200-0j\) overflows .* of 0\.5$"):
+                engine(far, RES_FIELD, TwoLevelState(1.0, 0.0), t, TIGHT)
+        for pair in (PulsePairConfig(weak, delay=30.0, rel_phase=0.0), overlapping):
+            with pytest.raises(StepSizeUnderflowError, match="the detuning .* overflows a Magnus step"):
+                phase_scan(far, pair, np.linspace(0.0, 1.0, 3), TIGHT)
+    grid.assert_not_called()
+    # Over intervals of 0.5 the bound is |dw~| = 2**22 sqrt(max float).
+    bound = 2.0**22 * math.sqrt(np.finfo(float).max)
+    stepped = mock.Mock(side_effect=RuntimeError("stepped"))
+    for detuning, error in ((complex(bound), StepSizeUnderflowError), (complex(0.0, -bound), StepSizeUnderflowError),
+                            (complex(np.nextafter(bound, 0.0)), RuntimeError)):
+        with mock.patch.object(propagator, "_magnus_grid", stepped), pytest.raises(error):
+            propagator._magnus_trajectory(lambda x: np.zeros(x.shape, dtype=complex), detuning, t, (1 + 0j, 0j), TIGHT)
+    assert stepped.call_count == 1
+
+
+def test_overflowing_magnus_step_is_not_warned_of():
+    """Below the cap such a detuning overflows the step, silently: the
+    propagator is not finite, so the doubling fails and goes on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _magnus_grid(lambda x: (np.zeros(x.shape, dtype=complex),), np.ones((1, 1)), 1e200 + 0j, np.array([0.0, 1.0]), 1)
+    assert not np.all(np.isfinite(u))
 
 
 def test_damped_coarse_round_passes_the_initial_norm():
