@@ -40,7 +40,7 @@ from .model import (
     PhaseSpec,
     TwoLevelSystem,
 )
-from .numerics import cumulative_simpson
+from .numerics import check_monotone_grid, cumulative_simpson
 from .propagator import (
     IntegratorConfig,
     TwoLevelState,
@@ -65,6 +65,9 @@ class TimeGrid:
             raise ValidationError("grid: t1 must exceed t0")
         if self.samples < 3:
             raise ValidationError("grid: samples must be >= 3")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValidationError("grid: t1 must exceed t0 by a finite span")
+        check_monotone_grid(self.array())
 
     def array(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.samples)

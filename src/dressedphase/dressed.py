@@ -10,11 +10,13 @@ raise ``FieldBelowFloorError`` when the Rabi frequency drops below
 ``OMEGA_FLOOR_FRACTION`` times its peak, instead of returning garbage.
 
 The grid-wide operations (``dressed_phases``, ``assemble_bare_state`` and
-``adiabatic_report``) run over blocks of samples (``numerics._BLOCK``), so their
-temporaries stay small; their results and errors are bit for bit those of
-one whole-grid evaluation.  The phases and the assembled state take one pass
-over the blocks: each block's running sum of phase increments continues
-from the last value of the block before, so no whole-grid integral is kept.
+``adiabatic_report``) walk the blocks of ``numerics._simpson_blocks``, so
+their temporaries stay small; their results and errors are bit for bit those
+of one whole-grid evaluation.  The phases and the assembled state take one
+pass over the blocks: each block's phase integral continues the block
+before's through ``numerics._running_simpson``, so no whole-grid integral is
+kept.  Every operation that forms the generalized Rabi frequency raises
+``ValidationError`` where it is not finite.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from .model import (
     complex_detuning,
     rabi_frequency,
 )
-from .numerics import (
-    _blocks,
-    _read_only,
-    _simpson_blocks,
-    _simpson_increments,
-    check_monotone_grid,
-)
+from .numerics import _read_only, _running_simpson, _simpson_blocks, check_monotone_grid
 from .propagator import TwoLevelTrajectory
 
 #: Rabi-frequency floor as a fraction of the peak Rabi frequency.
@@ -198,6 +194,7 @@ def generalized_rabi(system: TwoLevelSystem, field: DrivingField, t):
     rounding if dw~ has a real part of a few ulps; the principal root is taken.
     """
     omega = rabi_frequency(system, field, _as_times(t), 0)
+    _require_finite_rabi(system, field, omega, "generalized_rabi")
     w = _continued_rabi(complex_detuning(system, field), omega)
     return complex(w[0]) if np.ndim(t) == 0 else w
 
@@ -228,8 +225,12 @@ def _require_finite_rabi(system: TwoLevelSystem, field: DrivingField, omega, whe
     Omega, so the largest Omega decides.
     """
     dw = complex_detuning(system, field)
-    if not np.all(np.isfinite(_continued_rabi(dw, np.max(omega, keepdims=True)))):
-        raise ValidationError(f"{where}: the generalized Rabi frequency is not finite (|dw~| = {abs(dw):g})")
+    largest = np.max(omega, keepdims=True)
+    if not np.all(np.isfinite(_continued_rabi(dw, largest))):
+        raise ValidationError(
+            f"{where}: the generalized Rabi frequency is not finite"
+            f" (|dw~| = {abs(dw):g}, max Omega = {float(largest[0]):g})"
+        )
 
 
 def _omega_E_eff(system: TwoLevelSystem, field: DrivingField, t, f: _Frequencies) -> np.ndarray:
@@ -274,7 +275,9 @@ def level_shifts(system: TwoLevelSystem, field: DrivingField, t: float) -> Effec
     if np.ndim(t) != 0:
         raise ValidationError("level_shifts: t must be a scalar time")
     u = _as_times(t)
-    f = _frequencies(system, field, rabi_frequency(system, field, u, 0))
+    omega = rabi_frequency(system, field, u, 0)
+    _require_finite_rabi(system, field, omega, "level_shifts")
+    f = _frequencies(system, field, omega)
     lam_p = complex(0.5 * (complex_detuning(system, field) + f.gen_rabi[0]))
     lam_m = complex(f.lambda_minus[0])
     corr = complex(_lambda_tilde_correction(f, rabi_frequency(system, field, u, 1))[0])
@@ -314,6 +317,7 @@ def dressed_amplitudes(system: TwoLevelSystem, field: DrivingField, t, branch: s
     """
     _check_branch(branch)
     omega = _require_on_support(system, field, _as_times(t), "dressed_amplitudes")
+    _require_finite_rabi(system, field, omega, "dressed_amplitudes")
     dw = complex_detuning(system, field)
     real_amp, virt_amp = _mixing_amplitudes(dw, omega, _continued_rabi(dw, omega), branch)
     if np.ndim(t) == 0:
@@ -368,13 +372,11 @@ def dressed_phases(
 def _phase_blocks(system, field, t_grid, levels):
     """The checked grid, Omega on it and an iterator over its blocks.
 
-    Each block gives its slice, the generalized Rabi frequency there and the
-    phase integral of each of ``levels``: level "G" integrates omega_G and
-    level "E" omega_E_eff, cumulatively from t = 0.  A block's running sum
-    starts from the last value of the block before, so every block continues
-    the one sequential sum over the whole grid, bit for bit; the first sum
-    starts at its first increment, which keeps the sign of a zero imaginary
-    part.  The generalized Rabi frequency is checked before any block runs.
+    Each block gives the slice of samples it owns, the generalized Rabi
+    frequency there and the phase integral of each of ``levels``: level "G"
+    integrates omega_G and level "E" omega_E_eff, cumulatively from t = 0,
+    each block's continuing the block before's.  The generalized Rabi
+    frequency is checked before any block runs.
     """
     t = check_monotone_grid(t_grid)
     if t[0] != 0.0:
@@ -383,23 +385,17 @@ def _phase_blocks(system, field, t_grid, levels):
     _require_finite_rabi(system, field, omega, "dressed_phases")
 
     def blocks():
-        carry = {}
-        for s in _simpson_blocks(t.size):
-            # A Simpson block overlaps the next one by its last sample, which
-            # the next block writes.
-            b = slice(s.start, s.stop if s.stop == t.size else s.stop - 1)
+        integrals = dict.fromkeys(levels)
+        for s, b in _simpson_blocks(t.size):
             f = _frequencies(system, field, omega[s])
-            integrals = {}
             for level in levels:
                 rate = f.omega_G if level == "G" else _omega_E_eff(system, field, t[s], f)
-                out = np.empty(rate.size, dtype=complex)
-                out[0] = carry.get(level, 0.0)
-                _simpson_increments(rate, t[s], out[1:])
-                running = out[1:] if s.start == 0 else out
-                np.cumsum(running, out=running)
-                carry[level] = out[-1]
-                integrals[level] = out[: b.stop - b.start]
-            yield b, f.gen_rabi[: b.stop - b.start], integrals
+                integrals[level] = _running_simpson(rate, t[s], integrals[level], np.empty_like(rate))
+            # The callers work on the owned samples only: temporaries one
+            # sample past 2**14 are allocated differently, and page-fault
+            # about 8 times as often.
+            owned = slice(0, b.stop - b.start)
+            yield b, f.gen_rabi[owned], {level: v[owned] for level, v in integrals.items()}
 
     return t, omega, blocks()
 
@@ -512,7 +508,7 @@ def adiabatic_report(
     # Per block, the maximum over the block of each ratio(n, k), in (n, k)
     # order; np.max over the blocks is exact and keeps NaN.
     block_maxima = []
-    for b in _blocks(t.size):
+    for _, b in _simpson_blocks(t.size):
         log_derivs = _log_derivative_orders(system, field, t[b], omega[b], n_max)
         phase_derivs = field.phase._derivatives(t[b], n_max + 1)
         with np.errstate(over="ignore"):

@@ -4,9 +4,10 @@ The quadrature works on the caller's (possibly nonuniform) monotone grid by
 fitting a quadratic through consecutive point triples, which reduces to the
 classic composite Simpson rule on uniform grids; a triple too fine or too
 coarse for its quadratic in floats is a GridError.  It runs over blocks of
-``_BLOCK`` samples, so its temporaries stay small, and one cumulative sum
-over the whole grid follows: the result is bit for bit that of one
-whole-grid evaluation.
+``_BLOCK`` samples, so its temporaries stay small, and each block's running
+sum continues from the last value of the block before: the result is bit for
+bit that of one whole-grid evaluation.  The closed-form layer walks every grid
+through ``_simpson_blocks``.
 """
 
 from __future__ import annotations
@@ -66,40 +67,46 @@ def _triple_integrals(t0, t1, t2, f0, f1, f2) -> tuple:
     return left, right
 
 
-def _blocks(n: int):
-    """Slices of the consecutive blocks of ``_BLOCK`` samples of an n-point grid."""
-    for start in range(0, n, _BLOCK):
-        yield slice(start, start + _BLOCK)
-
-
 def _simpson_blocks(n: int):
-    """Slices of the blocks of an n-point grid, for the Simpson increments.
+    """The Simpson blocks of an n-point grid, each with the slice of samples it owns.
 
     Each block starts at an even index and ends on the first sample of the
     next, so no triple crosses a block; the last block takes the rest,
-    trailing odd interval included.  A grid of at most ``_BLOCK`` samples is
-    one block, and so is one too short for a triple.
+    trailing odd interval included.  A grid of at most ``_BLOCK`` + 2 samples
+    is one block, and so is one too short for a triple.  A block owns its
+    samples but the one it shares with the next, so the owned slices
+    partition the grid, each of ``_BLOCK`` samples but the last.
     """
     for start in range(0, max(n - 2, 1), _BLOCK):
-        yield slice(start, start + _BLOCK + 1 if start + _BLOCK < n - 2 else n)
+        stop = start + _BLOCK if start + _BLOCK < n - 2 else n
+        yield slice(start, stop + (stop < n)), slice(start, stop)
 
 
-def _simpson_increments(f: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` the integral of the Simpson quadratic over each interval of ``t``.
+def _running_simpson(f: np.ndarray, t: np.ndarray, carry: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Write to ``out``, and return, the cumulative Simpson integral of ``f`` over the block ``t``.
 
     Every even i < n - 2 starts a triple; for an odd interval count the final
-    interval comes from the last triple.
+    interval comes from the last triple.  ``carry`` is the running integral
+    of the block before, whose last sample is this block's first: the sum
+    starts from it, so consecutive blocks continue one sequential sum over
+    the whole grid, bit for bit.  On the first block ``carry`` is None, the
+    integral is 0 at the first sample and the sum starts at its first
+    increment, which keeps the sign of a zero imaginary part.
     """
     n = t.size
     if n < 3:
         raise GridError("cumulative_simpson: need at least 3 grid points")
     left, right = _triple_integrals(*(x[j : n - 2 + j : 2] for x in (t, f) for j in range(3)))
-    out[0 : n - 2 : 2] = left
-    out[1 : n - 1 : 2] = right
+    out[1 : n - 1 : 2] = left
+    out[2:n:2] = right
     if (n - 1) % 2 == 1:
         # The trailing triple as numpy scalars, whose powers round apart
         # from the array kernel's.
-        out[n - 2] = _triple_integrals(*t[n - 3 :], *f[n - 3 :])[1]
+        out[n - 1] = _triple_integrals(*t[n - 3 :], *f[n - 3 :])[1]
+    out[0] = 0.0 if carry is None else carry[-1]
+    running = out[1:] if carry is None else out
+    np.cumsum(running, out=running)
+    return out
 
 
 def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -115,10 +122,8 @@ def cumulative_simpson(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != t.shape:
         raise GridError("cumulative_simpson: f and t must have identical shapes")
-    out = np.zeros(t.size, dtype=np.result_type(f.dtype, np.float64))
-    for b in _simpson_blocks(t.size):
-        _simpson_increments(f[b], t[b], out[b.start + 1 : b.stop])
-    # One running sum over the whole grid, in place: adding a carry to each
-    # block's own sum would round apart.
-    np.cumsum(out[1:], out=out[1:])
+    out = np.empty(t.size, dtype=np.result_type(f.dtype, np.float64))
+    carry = None
+    for s, _ in _simpson_blocks(t.size):
+        carry = _running_simpson(f[s], t[s], carry, out[s])
     return out

@@ -390,6 +390,11 @@ MALFORMED = {
     "potential_phase_unresolved": (hydro_config(), "hydro.potential.omega0", 1e150,
                                    "hydro.potential.omega0"),
     "c_g_norm_overflows": (propagate_config(), "propagate.c_g", [1e300, 0.0], "propagate.c_g"),
+    # t1 - t0 overflows: rejected before numpy samples the grid and warns.
+    "grid_span_overflows": (propagate_config(), "grid", {"t0": -1e308, "t1": 1e308, "samples": 501}, "grid.t1"),
+    # A finite span too short for its samples in floats: they repeat.
+    "grid_samples_repeat": (propagate_config(), "grid", {"t0": 1e300, "t1": 1.0000000000000011e300, "samples": 501},
+                            "grid"),
 }
 
 

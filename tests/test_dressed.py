@@ -377,12 +377,21 @@ class TestDressedPhases:
 
     @pytest.mark.filterwarnings("error")
     def test_detuning_whose_square_overflows_is_rejected_without_a_warning(self):
-        """The rejection is the only report: numpy warns of nothing first."""
+        """The rejection is the only report: numpy warns of nothing first.
+
+        So it is where Omega^2 overflows, in the pointwise helpers: they
+        returned inf + nan*j or NaN.
+        """
         field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0))
         t = np.linspace(0.0, 1200.0, 241)
         for evaluate in (dressed_phases, assemble_bare_state):
             with pytest.raises(ValidationError, match="generalized Rabi frequency is not finite"):
                 evaluate(TwoLevelSystem(0.0, 1e160), field, PHASES, "ground", t)
+        strong = DrivingField(2.0, EnvelopeSpec.gaussian(1e155, 600.0, 600.0))
+        message = r"^dressedphase: {}: the generalized Rabi frequency is not finite \(\|dw~\| = 10, max Omega = 1e\+155\)$"
+        for evaluate in (generalized_rabi, dressed_amplitudes, level_shifts):
+            with pytest.raises(ValidationError, match=message.format(evaluate.__name__)):
+                evaluate(TwoLevelSystem(0.0, 12.0), strong, 600.0)
 
     def test_field_below_floor(self):
         field = DrivingField(5.0, EnvelopeSpec.gaussian(1.0, 0.0, 0.1))
@@ -570,15 +579,23 @@ def test_late_fault_raises_as_on_the_whole_grid(system, field, t, rabi, error, n
                 assert _raised(lambda: calls[name](t)) == whole
 
 
-@pytest.mark.parametrize("call,bound", [("ground", 66), ("excited", 66), ("dressed_phases", 100)])
+@pytest.mark.parametrize(
+    "call,bound",
+    [("ground", 66), ("excited", 66), ("dressed_phases", 100), ("adiabatic_report", 28), ("cumulative_simpson", 25)],
+)
 def test_closed_form_memory_per_sample(call, bound):
     # Each block's phase integrals continue the running sum of the block
     # before, so no whole-grid generalized Rabi frequency or phase integral
-    # is kept: the outputs, Omega and block temporaries stay under ``bound``
-    # bytes per sample.
+    # is kept, and the adiabatic ratios keep only their maxima per block:
+    # the outputs, Omega and block temporaries stay under ``bound`` bytes per
+    # sample.  ``cumulative_simpson`` integrates the complex generalized Rabi
+    # frequency, so its output alone takes 16.
     t = np.linspace(0.0, 1200.0, 16 * numerics._BLOCK + 1)
     field = DrivingField(2.0, EnvelopeSpec.gaussian(1.0, 600.0, 600.0), PhaseSpec.linear_chirp(1e-3))
-    evaluate = _grid_calls(TwoLevelSystem(0.0, 12.0), field)[call]
+    system = TwoLevelSystem(0.0, 12.0)
+    rate = generalized_rabi(system, field, t)
+    calls = {**_grid_calls(system, field), "cumulative_simpson": lambda t: numerics.cumulative_simpson(rate, t)}
+    evaluate = calls[call]
     evaluate(t)  # warm-up
     tracemalloc.start()
     try:

@@ -1,8 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dressedphase import numerics
 from dressedphase.errors import GridError
 from dressedphase.numerics import check_monotone_grid, cumulative_simpson
 
@@ -38,6 +40,21 @@ def test_nonuniform_grid():
     t[0], t[-1] = 0.0, 3.0
     out = cumulative_simpson(np.cos(t), t)
     assert abs(out[-1] - np.sin(3.0)) < 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 25, 26, 27])
+def test_simpson_blocks_own_a_partition_of_the_grid(n):
+    # Blocks of 8: each Simpson block starts at an even index and overlaps
+    # the next by one sample; the owned slices partition the grid, each of 8
+    # samples but the last, which ends the last Simpson block.
+    with mock.patch.object(numerics, "_BLOCK", 8):
+        blocks = list(numerics._simpson_blocks(n))
+    owned = [list(range(n))[b] for _, b in blocks]
+    assert sum(owned, []) == list(range(n))
+    assert all(len(b) == 8 for b in owned[:-1]) and 1 <= len(owned[-1]) <= 10
+    for i, (s, b) in enumerate(blocks):
+        assert s.start == b.start and s.start % 2 == 0
+        assert s.stop == (blocks[i + 1][0].start + 1 if i + 1 < len(blocks) else n)
 
 
 def test_grid_validation():
