@@ -14,11 +14,15 @@ CSV files (full 17-significant-digit round-trip formatting, comma separator,
 header row), every value exactly as ``b"%.17g" % v`` writes it, by
 ``csvformat.write_csv``.  ``summary.json`` is strict JSON: a metric that is not
 finite is written as null.  Environment variables are never consulted.
+
+Start-up is part of every run, so the module imports ``dressed``, ``hydro``,
+``csvformat`` and ``argparse`` only inside the functions that use them:
+``interfere`` and ``propagate`` runs load neither ``dressed`` nor ``hydro``,
+and ``hydro`` runs never load ``dressed``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -29,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dressed as dressed_mod
-from . import hydro as hydro_mod
 from .errors import ConfigError, DressedPhaseError, GridError, ValidationError
 from .interferometry import PulsePairConfig, fit_fringe, phase_scan
 from .model import (
+    BRANCHES,
+    MAX_ADIABATIC_ORDER,
     DrivingField,
     EnvelopeSpec,
     InitialPhases,
@@ -247,6 +251,8 @@ def _positive(problems: _Problems, path: str, value):
 
 def _potential(**values) -> dict:
     """The potential block as given, once PotentialSpec accepts it (harmonic needs omega0 > 0)."""
+    from . import hydro as hydro_mod
+
     hydro_mod.PotentialSpec(**values)
     return values
 
@@ -287,6 +293,8 @@ def _hydro(**values) -> dict:
     The residuals' centered time derivative needs 3 frames, so at least 2
     steps; the frames are counted against ``_HYDRO_MAX_VALUES`` before any exist.
     """
+    from . import hydro as hydro_mod
+
     hydro_mod.GridWavefunction.check_grid(values["n_points"], values["dx"], values["mass"])
     steps = hydro_mod.split_step_count(values["t_final"], values["dt"])
     if steps < 2:
@@ -308,6 +316,8 @@ def _hydro_start(p: dict) -> tuple:
     negligible at its edges, or a potential that is not finite there or
     whose half-step phase the time step cannot resolve.
     """
+    from . import hydro as hydro_mod
+
     mass, packet = p["mass"], p["packet"]
     x = p["x_min"] + p["dx"] * np.arange(p["n_points"])
     sigma, center, k0 = packet["sigma"], packet["center"], packet.get("k0", 0.0)
@@ -335,7 +345,7 @@ def _hydro_start(p: dict) -> tuple:
     return hydro_mod.GridWavefunction(p["x_min"], p["dx"], psi, mass=mass, t=0.0), potential
 
 
-_ORDER = _integer(0, dressed_mod.MAX_ADIABATIC_ORDER)
+_ORDER = _integer(0, MAX_ADIABATIC_ORDER)
 _ENGINE = _one_of("rwa", "full")
 _POTENTIAL = _section(
     {
@@ -359,7 +369,7 @@ _KIND_BLOCKS = {
         {**_DRIVE, **_GRID, **_INTEGRATOR},
         _section(
             {
-                "branch": (_one_of(*dressed_mod.BRANCHES), "ground"),
+                "branch": (_one_of(*BRANCHES), "ground"),
                 "phi_g": (_number, 0.0),
                 "phi_e": (_number, 0.0),
                 "compare": (_boolean, False),
@@ -548,6 +558,8 @@ def _re_im(source, *names) -> dict:
 
 
 def _run_dressed(config: ExperimentConfig):
+    from . import dressed as dressed_mod
+
     p = config.params
     t = config.grid.array()
     phases = InitialPhases(p["phi_g"], p["phi_e"])
@@ -575,6 +587,8 @@ def _run_dressed(config: ExperimentConfig):
 
 
 def _run_adiabatic(config: ExperimentConfig):
+    from . import dressed as dressed_mod
+
     t = config.grid.array()
     report = dressed_mod.adiabatic_report(config.system, config.field, t, config.params["n_max"])
     rows = [
@@ -639,6 +653,8 @@ def _run_hydro(config: ExperimentConfig):
     table; frame 0, and a written last frame, form their own.  The frames
     themselves stay alive for the norm drift.
     """
+    from . import hydro as hydro_mod
+
     p = config.params
     mass, dt = p["mass"], p["dt"]
     psi0, potential = _hydro_start(p)
@@ -687,6 +703,8 @@ def _run_hydro(config: ExperimentConfig):
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dressedphase",
         description="Two-level phase-dynamics experiments: JSON config in, CSV + summary.json out.",

@@ -27,23 +27,41 @@ _E_MIN, _E_MAX = -325, 308
 _SPECIAL = _E_MAX - _E_MIN + 1
 
 
-def _scaled_power(j: int) -> tuple:
-    """(m, e, rho): 64·10^j = m·2^e·(1 + rho), the mantissa m correctly rounded to 64 bits."""
-    if j >= 0:
-        n = 10**j << 6
+def _scaled_powers() -> tuple:
+    """Lists m, e and rho, one entry per exponent row: 64·10^(16-E) = m·2^e·(1 + rho).
+
+    Each mantissa m is correctly rounded to 64 bits, and the powers of ten
+    come from one recurrence.  A power 10^j below 1 has the mantissa of the
+    quotient 2^s / 10^-j, which lies in (2^63, 2^64) and is never a tie: its
+    bits are those of q = floor(2^bits / 10^-j), and each j takes q from the
+    last j's by one division by 10.
+    """
+    ten = [1]
+    for _ in range(16 - _E_MIN):
+        ten.append(ten[-1] * 10)
+    ms, es, rhos = [], [], []
+    for d in reversed(ten):  # 10^j for j = 16 - _E_MIN ... 0
+        n = d << 6
         shift = max(n.bit_length() - 64, 0)
         m, r = divmod(n, 1 << shift)
         m += 2 * r > 1 << shift or (2 * r == 1 << shift and m & 1)
-        return m, shift, (n - (m << shift)) / (m << shift)
-    d = 10**-j  # 2^s / d lies in (2^63, 2^64) and is never a tie
-    s = d.bit_length() + 63
-    m, r = divmod(1 << s, d)
-    m += 2 * r > d
-    return m, 6 - s, ((1 << s) - m * d) / (m * d)
+        ms.append(m)
+        es.append(shift)
+        rhos.append((n - (m << shift)) / (m << shift))
+    bits = ten[_E_MAX - 16].bit_length() + 65
+    q = 1 << bits
+    for d in ten[1 : _E_MAX - 15]:  # 10^-j for j = -1 ... 16 - _E_MAX
+        q //= 10
+        s = d.bit_length() + 63
+        m = ((q >> (bits - s - 1)) + 1) >> 1
+        ms.append(m)
+        es.append(6 - s)
+        rhos.append(((1 << s) - m * d) / (m * d))
+    return ms, es, rhos
 
 
-def _template(form: int, k: int) -> list:
-    """Source-row bytes of a value of ``form`` with ``k`` significant digits, then its separator.
+def _template(form: int) -> list:
+    """Source-row bytes of a value of ``form`` with 17 significant digits, then its separator.
 
     Forms 0-20 are fixed point with leading exponent E = form - 4, 21 is the
     exponent form, and 22, 23 and 24 are 0, inf and nan.
@@ -52,11 +70,11 @@ def _template(form: int, k: int) -> list:
     if form > 21:
         return [[0, 1], [0, 28, 26, 29], [26, 27, 26]][form - 22] + [25]
     if form == 21:
-        return [0, 3] + ([2] + digits[1:k] if k > 1 else []) + [24, 20, 21, 22, 23, 25]
+        return [0, 3, 2, *digits[1:], 24, 20, 21, 22, 23, 25]
     e = form - 4
     if e < 0:
-        return [0, 1, 2] + [1] * (-e - 1) + digits[:k] + [25]
-    return [0] + digits[: e + 1] + ([2] + digits[e + 1 : k] if k > e + 1 else []) + [25]
+        return [0, 1, 2] + [1] * (-e - 1) + digits + [25]
+    return [0] + digits[: e + 1] + ([2] + digits[e + 1 :] if e < 16 else []) + [25]
 
 
 @cache
@@ -67,31 +85,44 @@ def _tables():
     ``longdouble`` and its relative rounding error, the exponent text, and
     the template row of 17 digits in its form (the rows of 0, inf and nan
     scale 1.0 to 64·10^16, which has one digit).  Per 4-digit group: its
-    ASCII bytes and its trailing zeros.  Then one template per (form, digits).
+    ASCII bytes and its trailing zeros.  Then one template per (form, digits
+    k): its form's 17-digit template less each digit past the k-th that is
+    not an integer digit, and less the point when no fraction digit is left.
     """
     if np.finfo(np.longdouble).nmant < 63:
         return None
-    powers = [_scaled_power(16 - e) for e in range(_E_MIN, _E_MAX + 1)] + [_scaled_power(16)] * 3
-    high = np.array([m >> 32 for m, _, _ in powers], dtype=np.longdouble)
-    low = np.array([m & 0xFFFFFFFF for m, _, _ in powers], dtype=np.longdouble)
-    scale = np.ldexp(high * 2**32 + low, np.array([e for _, e, _ in powers]))
-    rho = np.array([r for _, _, r in powers])
+    # 0, inf and nan take the row of E = 0.
+    ms, es, rhos = (column + [column[-_E_MIN]] * 3 for column in _scaled_powers())
+    scale = np.ldexp(np.array(ms, dtype=np.uint64).astype(np.longdouble), es)
+    rho = np.array(rhos)
     e = np.arange(_E_MIN, _E_MAX + 1)
-    exponent = b"".join((b"%+03d" % k).ljust(4, b"\0") for k in e.tolist()) + bytes(12)
-    exponent = np.frombuffer(exponent, dtype=np.uint32)
+    a = np.abs(e)
+    wide = a >= 100  # three exponent digits
+    text = np.zeros((_SPECIAL + 3, 4), dtype=np.uint8)
+    text[:_SPECIAL, 0] = np.where(e < 0, 45, 43)  # '-' or '+'
+    text[:_SPECIAL, 1] = np.where(wide, a // 100, a // 10 % 10) + 48
+    text[:_SPECIAL, 2] = np.where(wide, a // 10 % 10, a % 10) + 48
+    text[:_SPECIAL, 3] = np.where(wide, a % 10 + 48, 0)
+    exponent = text.view(np.uint32).ravel()
     forms = np.concatenate([np.where((e >= -4) & (e <= 16), e + 4, 21), [22, 23, 24]])
     last = forms * 17 + 16
+    digits = np.arange(48, 58, dtype=np.uint8)
+    ascii4 = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), axis=-1)
+    ascii4 = ascii4.view(np.uint32).ravel()
     group = np.arange(10_000, dtype=np.uint16)
-    ascii4 = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
-    ascii4 = (ascii4 + 48).astype(np.uint8).view(np.uint32).ravel()
     zeros4 = (group % 10 == 0).astype(np.uint8) + (group % 100 == 0) + (group % 1000 == 0)
     zeros4[0] = 4
-    templates = np.full((25 * 17, _WIDEST), 31, dtype=np.intp)
+    full = np.full((25, 1, _WIDEST), 31, dtype=np.intp)  # each form's 17-digit template
     for form in range(25):
-        for k in range(1, 18):
-            row = _template(form, k)
-            templates[form * 17 + k - 1, : len(row)] = row
-    widths = (templates != 31).sum(axis=1)
+        row = _template(form)
+        full[form, 0, : len(row)] = row
+    whole = np.r_[[0] * 4, 1:18, 1, 0, 0, 0][:, None, None]  # integer digits of each form
+    k = np.arange(1, 18)[:, None]
+    digit = (full >= 3) & (full <= 19)
+    kept = (full != 31) & np.where(full == 2, k > whole, ~digit | (full - 3 < np.maximum(k, whole)))
+    widths = kept.sum(axis=2).ravel()
+    templates = np.full((25 * 17, _WIDEST), 31, dtype=np.intp)
+    templates[np.arange(_WIDEST) < widths[:, None]] = np.broadcast_to(full, kept.shape)[kept]
     return scale, rho, exponent, last, ascii4, zeros4, templates, widths
 
 

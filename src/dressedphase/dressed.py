@@ -34,6 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    BRANCHES,
+    MAX_ADIABATIC_ORDER,
     DrivingField,
     InitialPhases,
     TwoLevelSystem,
@@ -48,10 +50,6 @@ OMEGA_FLOOR_FRACTION = 1e-9
 
 #: |generalized Rabi| below which the 1/gen_rabi derivative correction is degenerate.
 DEGENERATE_RABI_FLOOR = 1e-12
-
-BRANCHES = ("ground", "excited")
-
-MAX_ADIABATIC_ORDER = 4
 
 
 @dataclass(frozen=True)

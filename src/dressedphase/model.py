@@ -18,6 +18,12 @@ from .errors import DerivativeOrderError, ValidationError
 
 MAX_DERIVATIVE_ORDER = 6
 
+# The dressed branches and the highest adiabatic order, defined here so that
+# the command line's config schema does not load ``dressed`` to read them.
+BRANCHES = ("ground", "excited")
+
+MAX_ADIABATIC_ORDER = 4
+
 ENVELOPE_SHAPES = ("constant", "gaussian", "sech", "flat_top_cos2")
 PHASE_SHAPES = ("constant", "linear_chirp", "quadratic_chirp", "sinusoidal")
 

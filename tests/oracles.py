@@ -8,7 +8,9 @@ envelope, the phase and the couplings, written apart from the array
 registries and the Magnus steps of the library.  The Magnus trajectory's
 reference is its step doubling run on the whole grid every round, and the
 Magnus grid's is its tuple form (``magnus_grid``): each 2x2 entry its own
-array, products entry by entry, every step's coefficients per step.
+array, products entry by entry, every step's coefficients per step.  The
+CSV kernel's tables have ``csv_tables_loop`` as theirs, which builds every
+power of ten and every (form, digits) template on its own.
 """
 
 import cmath
@@ -174,6 +176,65 @@ def write_csv_loop(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+
+
+def _scaled_power(j: int) -> tuple:
+    """(m, e, rho): 64·10^j = m·2^e·(1 + rho), the mantissa m correctly rounded to 64 bits."""
+    if j >= 0:
+        n = 10**j << 6
+        shift = max(n.bit_length() - 64, 0)
+        m, r = divmod(n, 1 << shift)
+        m += 2 * r > 1 << shift or (2 * r == 1 << shift and m & 1)
+        return m, shift, (n - (m << shift)) / (m << shift)
+    d = 10**-j  # 2^s / d lies in (2^63, 2^64) and is never a tie
+    s = d.bit_length() + 63
+    m, r = divmod(1 << s, d)
+    m += 2 * r > d
+    return m, 6 - s, ((1 << s) - m * d) / (m * d)
+
+
+def _template(form: int, k: int) -> list:
+    """Source-row bytes of a value of ``form`` with ``k`` significant digits, then its separator."""
+    digits = list(range(3, 20))
+    if form > 21:
+        return [[0, 1], [0, 28, 26, 29], [26, 27, 26]][form - 22] + [25]
+    if form == 21:
+        return [0, 3] + ([2] + digits[1:k] if k > 1 else []) + [24, 20, 21, 22, 23, 25]
+    e = form - 4
+    if e < 0:
+        return [0, 1, 2] + [1] * (-e - 1) + digits[:k] + [25]
+    return [0] + digits[: e + 1] + ([2] + digits[e + 1 : k] if k > e + 1 else []) + [25]
+
+
+def csv_tables_loop():
+    """The CSV kernel's tables, each power of ten and each template built on its own.
+
+    The reference for ``csvformat._tables``: every power from ``10**j``, every
+    (form, digits) template from its own list, in the layout ``_tables`` returns.
+    """
+    e_min, e_max, widest = -325, 308, 25
+    powers = [_scaled_power(16 - e) for e in range(e_min, e_max + 1)] + [_scaled_power(16)] * 3
+    high = np.array([m >> 32 for m, _, _ in powers], dtype=np.longdouble)
+    low = np.array([m & 0xFFFFFFFF for m, _, _ in powers], dtype=np.longdouble)
+    scale = np.ldexp(high * 2**32 + low, np.array([e for _, e, _ in powers]))
+    rho = np.array([r for _, _, r in powers])
+    e = np.arange(e_min, e_max + 1)
+    exponent = b"".join((b"%+03d" % k).ljust(4, b"\0") for k in e.tolist()) + bytes(12)
+    exponent = np.frombuffer(exponent, dtype=np.uint32)
+    forms = np.concatenate([np.where((e >= -4) & (e <= 16), e + 4, 21), [22, 23, 24]])
+    last = forms * 17 + 16
+    group = np.arange(10_000, dtype=np.uint16)
+    ascii4 = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    ascii4 = (ascii4 + 48).astype(np.uint8).view(np.uint32).ravel()
+    zeros4 = (group % 10 == 0).astype(np.uint8) + (group % 100 == 0) + (group % 1000 == 0)
+    zeros4[0] = 4
+    templates = np.full((25 * 17, widest), 31, dtype=np.intp)
+    for form in range(25):
+        for k in range(1, 18):
+            row = _template(form, k)
+            templates[form * 17 + k - 1, : len(row)] = row
+    widths = (templates != 31).sum(axis=1)
+    return scale, rho, exponent, last, ascii4, zeros4, templates, widths
 
 
 def scalar_envelope_fn(env):

@@ -24,7 +24,7 @@ from dressedphase.cli import (
     run,
 )
 from dressedphase.errors import ConfigError, ValidationError
-from oracles import write_csv_loop
+from oracles import csv_tables_loop, write_csv_loop
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -616,6 +616,15 @@ def test_csv_power_table_is_correctly_rounded():
         nearest = round(exact / Fraction(2) ** e) * Fraction(2) ** e
         assert Fraction(*entry.as_integer_ratio()) == nearest, j
         assert error == float((exact - nearest) / nearest), j
+
+
+def test_csv_tables_equal_their_construction_entry_by_entry():
+    # The powers from one recurrence and the templates from each form's
+    # 17-digit one are, in value and dtype, every power and template built
+    # on its own.
+    for table, reference in zip(csvformat._tables(), csv_tables_loop(), strict=True):
+        assert table.dtype == reference.dtype and table.shape == reference.shape
+        assert np.array_equal(table, reference)
 
 
 def test_csv_writer_without_long_double(tmp_path, monkeypatch):
