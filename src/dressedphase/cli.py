@@ -644,52 +644,31 @@ def _run_interfere(config: ExperimentConfig):
 def _run_hydro(config: ExperimentConfig):
     """Split-step frames, both residuals' L2 norms and every ``stride``-th frame's polar fields.
 
-    One pass over the solver's frames decomposes each frame once and keeps
-    a window of the last three decompositions: on frames j-2, j-1 and j it
-    takes both residuals of frame j-1, bit for bit what ``hj_residual`` and
-    ``continuity_residual`` compute there, and keeps their L2 norms alone.
-    A decomposition outlives the window only when its frame is written, and
-    the U and p formed for a written frame's residuals go straight into the
-    table; frame 0, and a written last frame, form their own.  The frames
-    themselves stay alive for the norm drift.
+    Both residuals come from ``hydro._frame_analysis``, as for ``hj_residual`` and
+    ``continuity_residual``; only their L2 norms, the written frames' fields and
+    the frames (for the norm drift) outlive its window of three decompositions.
     """
     from . import hydro as hydro_mod
 
     p = config.params
-    mass, dt = p["mass"], p["dt"]
     psi0, potential = _hydro_start(p)
     x = psi0.x
-    vx = potential.evaluate(x)
-
-    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], dt)
+    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
     stride = p["csv_stride"] or max(1, len(frames) // 16)
-    window, written, hj_l2, cont_l2 = [], [], [], []
-    u_p = np.empty((2, len(frames[::stride]), x.size))  # U and p of each written frame
-    for j, frame in enumerate(frames):
-        polar = hydro_mod.polar_decompose(frame)
-        if j % stride == 0:
-            written.append(polar)
-        window = [*window[-2:], polar]
-        if len(window) == 3:
-            grad = hydro_mod._central_difference(window[1].S, polar.dx)
-            u = hydro_mod.quantum_potential(window[1], mass)
-            hj = hydro_mod._frame_residual(window, dt, mass, vx, grad=grad, u=u)
-            hj_l2.append(hydro_mod._residual_l2(hj, polar.dx))
-            cont = hydro_mod._frame_residual(window, dt, mass, grad=grad)
-            cont_l2.append(hydro_mod._residual_l2(cont, polar.dx))
-            if (j - 1) % stride == 0:
-                u_p[:, (j - 1) // stride] = u, hydro_mod._momentum(window[1], grad)
-    for j in (0, len(frames) - 1):
-        if j % stride == 0:
-            polar = written[j // stride]
-            u_p[:, j // stride] = hydro_mod.quantum_potential(polar, mass), hydro_mod.momentum_field(polar)
+    analysis = hydro_mod._frame_analysis(frames, p["mass"], potential.evaluate(x), stride=stride)
+    fields = np.empty((4, len(frames[::stride]), x.size))  # R, S, U and p of each written frame
+    hj_l2, cont_l2, written = [], [], 0
+    for polar, u, mom, hj, cont in analysis:
+        if u is not None:
+            fields[:, written] = polar.R, polar.S, u, mom
+            written += 1
+        if hj is not None:
+            hj_l2.append(hj[1])
+            cont_l2.append(cont[1])
     table = {
         "t": np.repeat([frame.t for frame in frames[::stride]], x.size),
-        "x": np.tile(x, len(written)),
-        "R": np.concatenate([polar.R for polar in written]),
-        "S": np.concatenate([polar.S for polar in written]),
-        "U": u_p[0].ravel(),
-        "p": u_p[1].ravel(),
+        "x": np.tile(x, written),
+        **dict(zip(("R", "S", "U", "p"), fields.reshape(4, -1))),
     }
     metrics = {
         "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),

@@ -3,10 +3,10 @@
 A wavefunction on a periodic grid is split as psi = R exp(i S) (hbar = 1);
 the quantum Hamilton-Jacobi equation and the continuity equation are then
 checked as finite-difference residuals on numerically propagated frames.
-Each residual decomposes every frame once; both are written once, per
-frame, in ``_frame_residual``, which a caller that needs both (and the
-polar fields) runs on its own window of decomposed frames, with one phase
-gradient shared by the two.
+``_frame_analysis`` decomposes each frame once, in a window of three, and
+forms both residuals, the public ones and the command-line run alike.  S is
+unwrapped as ``np.unwrap`` does it, bit for bit, but with the ``mod`` taken
+only at the steps that wrap (``_unwrap``).
 Nodes are handled by masking points with R below a floor instead of
 regularizing the diverging quantum potential; all derivative stencils are
 second-order central differences, so residuals converge at second order.
@@ -240,34 +240,39 @@ def polar_decompose(psi: GridWavefunction, r_floor: float | None = None) -> Pola
         raise ValidationError("polar_decompose: r_floor must be > 0")
     valid = r >= r_floor
     s = np.full(psi.n_points, np.nan)
-    raw = np.angle(psi.values)
     for start, stop in _valid_runs(valid):
-        s[start:stop] = np.unwrap(raw[start:stop])
+        s[start:stop] = _unwrap(np.angle(psi.values[start:stop]))
     return PolarFields(R=r, S=s, valid=valid, dx=psi.dx, x_min=psi.x_min, r_floor=r_floor)
+
+
+def _unwrap(s: np.ndarray) -> np.ndarray:
+    """``np.unwrap(s)``, bit for bit, in place, with the ``mod`` taken only at steps of pi or more.
+
+    np.unwrap's correction is +0.0 wherever |dS| < pi; the same ``cumsum`` of them follows.
+    """
+    ds = s[1:] - s[:-1]
+    fix = np.zeros(ds.size)
+    wraps = np.flatnonzero(np.abs(ds) >= np.pi)
+    if wraps.size:
+        dw = ds[wraps]
+        dmod = np.mod(dw + np.pi, 2.0 * np.pi) - np.pi
+        dmod[(dmod == -np.pi) & (dw > 0)] = np.pi
+        fix[wraps] = dmod - dw
+    s[1:] += np.cumsum(fix)
+    return s
 
 
 def _valid_runs(valid: np.ndarray):
     """(start, stop) index pairs of contiguous True runs."""
-    idx = np.flatnonzero(np.diff(valid.astype(np.int8)))
-    edges = np.concatenate([[0], idx + 1, [valid.size]])
-    return [
-        (int(a), int(b))
-        for a, b in zip(edges[:-1], edges[1:])
-        if valid[a]
-    ]
+    padded = np.concatenate(([False], valid, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _central_difference(f: np.ndarray, dx: float) -> np.ndarray:
     """(f[i+1] - f[i-1]) / 2dx at interior points; NaN at both ends."""
     out = np.full(f.shape, np.nan)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    return out
-
-
-def _stencil_valid(valid: np.ndarray) -> np.ndarray:
-    """Interior points whose whole three-point stencil is valid."""
-    out = np.zeros(valid.shape, dtype=bool)
-    out[1:-1] = valid[1:-1] & valid[:-2] & valid[2:]
     return out
 
 
@@ -278,14 +283,17 @@ def quantum_potential(fields: PolarFields, mass: float) -> np.ndarray:
     The divergence at nodes is genuine, which is why masked points are
     omitted rather than regularized.
     """
-    if not fields.valid.any():
+    valid = fields.valid
+    if not valid.any():
         raise ValidationError("quantum_potential: validity mask is empty")
     r = fields.R
     d2 = np.full(r.shape, np.nan)
     d2[1:-1] = r[2:] - 2.0 * r[1:-1] + r[:-2]
     with np.errstate(invalid="ignore", divide="ignore"):
         u = -d2 / (2.0 * mass * fields.dx**2 * r)
-    return np.where(_stencil_valid(fields.valid), u, np.nan)
+    stencil = np.zeros(valid.shape, dtype=bool)
+    stencil[1:-1] = valid[1:-1] & valid[:-2] & valid[2:]
+    return np.where(stencil, u, np.nan)
 
 
 def momentum_field(fields: PolarFields) -> np.ndarray:
@@ -299,8 +307,9 @@ def momentum_field(fields: PolarFields) -> np.ndarray:
 
 
 def _momentum(fields: PolarFields, grad: np.ndarray) -> np.ndarray:
-    """``momentum_field`` from ``grad``, the central difference of the frame's S."""
-    return np.where(_stencil_valid(fields.valid), grad, np.nan)
+    """``momentum_field`` from ``grad``, the central difference of the frame's S: NaN
+    wherever a neighbour is masked (S is), so masking the centre completes the stencil."""
+    return np.where(fields.valid, grad, np.nan)
 
 
 @dataclass(frozen=True)
@@ -319,35 +328,11 @@ class ResidualSeries:
 def _frame_spacing(frames) -> float:
     if len(frames) < 3:
         raise InsufficientFramesError("insufficient frames: need at least 3")
-    times = np.array([f.t for f in frames])
-    dts = np.diff(times)
+    dts = np.diff([f.t for f in frames])
     dt = float(dts[0])
     if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-9 * dt:
         raise GridError("frames must be uniformly spaced in time")
     return dt
-
-
-def _frame_residual(window, dt: float, mass: float, vx=None, grad=None, u=None) -> np.ndarray:
-    """Residual at the middle of ``window``, three consecutive decomposed frames ``dt`` apart.
-
-    The quantum Hamilton-Jacobi residual when ``vx`` (the potential on the
-    grid) is given, else the continuity residual.  Not finite where a
-    stencil leaves the validity mask.  Both may share ``grad``, the central
-    difference of the middle frame's S, which anchoring never shifts; the
-    Hamilton-Jacobi residual may take ``u``, the middle frame's quantum
-    potential.
-    """
-    p_prev, p, p_next = window
-    if grad is None:
-        grad = _central_difference(p.S, p.dx)
-    if vx is None:
-        drho_dt = (p_next.R**2 - p_prev.R**2) / (2.0 * dt)
-        current = p.R**2 * grad / mass
-        return drho_dt + _central_difference(current, p.dx)
-    s_prev, _, s_next = _anchored_phase_triple(window)
-    ds_dt = (s_next - s_prev) / (2.0 * dt)
-    u = quantum_potential(p, mass) if u is None else u
-    return ds_dt + grad**2 / (2.0 * mass) + vx + u
 
 
 def _residual_l2(res: np.ndarray, dx: float) -> float:
@@ -356,16 +341,50 @@ def _residual_l2(res: np.ndarray, dx: float) -> float:
     return math.sqrt(float(np.sum(kept * kept) * dx))
 
 
+def _frame_analysis(frames, mass: float, vx=None, r_floor: float | None = None, stride: int = 0, continuity=True):
+    """Yield ``(polar, u, p, hj, cont)`` per frame, once its successor is decomposed.
+
+    Only a window of three decompositions (and their R^2) stays alive.  ``hj``
+    (given ``vx``, the potential on the grid) and ``cont`` (if ``continuity``)
+    are the frame's residuals as (field, L2 norm), None at the end frames.
+    ``u`` and ``p`` come at every ``stride``-th frame alone.
+    """
+    dt, last = _frame_spacing(frames), len(frames) - 1
+    polars, rhos = [], []
+    for j, frame in enumerate(frames):
+        polar = polar_decompose(frame, r_floor)
+        polars, rhos = [*polars[-2:], polar], [*rhos[-2:], polar.R**2 if continuity else None]
+        if j >= 2:
+            mid = polars[1]
+            grad = _central_difference(mid.S, mid.dx)
+            u = hj = cont = None
+            if continuity:
+                res = (rhos[2] - rhos[0]) / (2.0 * dt) + _central_difference(rhos[1] * grad / mass, mid.dx)
+                cont = res, _residual_l2(res, mid.dx)
+            if vx is not None:
+                s_prev, _, s_next = _anchored_phase_triple(polars)
+                u = quantum_potential(mid, mass)
+                res = (s_next - s_prev) / (2.0 * dt) + grad**2 / (2.0 * mass) + vx + u
+                hj = res, _residual_l2(res, mid.dx)
+            if stride and (j - 1) % stride == 0:
+                yield mid, u, _momentum(mid, grad), hj, cont
+            else:
+                yield mid, None, None, hj, cont
+        if j in (0, last):
+            if stride and j % stride == 0:
+                yield polar, quantum_potential(polar, mass), momentum_field(polar), None, None
+            else:
+                yield polar, None, None, None, None
+
+
 def _residual_series(frames, mass: float, r_floor: float | None, vx=None) -> ResidualSeries:
-    """``_frame_residual`` at every interior frame, masked with NaN where not finite, and its L2 norm."""
-    dt = _frame_spacing(frames)
-    polars = [polar_decompose(f, r_floor) for f in frames]
-    rows = []
-    l2 = []
-    for i in range(1, len(polars) - 1):
-        res = _frame_residual(polars[i - 1 : i + 2], dt, mass, vx)
-        rows.append(np.where(np.isfinite(res), res, np.nan))
-        l2.append(_residual_l2(res, polars[i].dx))
+    """The Hamilton-Jacobi residual if ``vx`` is given, else the continuity one, NaN where not finite."""
+    rows, l2 = [], []
+    for *_, hj, cont in _frame_analysis(frames, mass, vx, r_floor, continuity=vx is None):
+        res = cont if vx is None else hj
+        if res is not None:
+            rows.append(np.where(np.isfinite(res[0]), res[0], np.nan))
+            l2.append(res[1])
     return ResidualSeries(np.array([f.t for f in frames[1:-1]]), np.array(rows), np.array(l2))
 
 
@@ -376,10 +395,11 @@ def _anchored_phase_triple(window):
     global multiple of 2*pi; anchoring at the max-R point keeps the frame-to-
     frame dynamical phase continuous so the centered time derivative of S is
     clean.  Requires the phase at the anchor to advance by less than pi per
-    frame, which the frame spacing must provide.
+    frame, which the frame spacing must provide.  The floor masks only
+    points below the largest R, so R's first maximum is valid if any point is.
     """
     p_prev, p_mid, p_next = window
-    anchor = int(np.nanargmax(np.where(p_mid.valid, p_mid.R, -np.inf)))
+    anchor = int(np.argmax(p_mid.R))
     out = [p_prev.S, p_mid.S, p_next.S]
     for j, p in ((0, p_prev), (2, p_next)):
         if not (p.valid[anchor] and p_mid.valid[anchor]):

@@ -10,7 +10,10 @@ reference is its step doubling run on the whole grid every round, and the
 Magnus grid's is its tuple form (``magnus_grid``): each 2x2 entry its own
 array, products entry by entry, every step's coefficients per step.  The
 CSV kernel's tables have ``csv_tables_loop`` as theirs, which builds every
-power of ten and every (form, digits) template on its own.
+power of ten and every (form, digits) template on its own.  The hydro
+analysis has its frame-by-frame form as first written
+(``residual_series_loop``, ``hydro_run_loop``): ``np.unwrap`` per valid run,
+the stencil mask for U and p each, the anchor by ``nanargmax``.
 """
 
 import cmath
@@ -22,6 +25,7 @@ import numpy as np
 
 from dressedphase import propagator
 from dressedphase.errors import StepSizeUnderflowError, ValidationError
+from dressedphase.hydro import R_FLOOR_FRACTION, PolarFields
 from dressedphase.interferometry import FringeRecord, _step_capped, _visibility_value
 from dressedphase.propagator import IntegratorConfig, TwoLevelState, _check_engine
 
@@ -628,3 +632,111 @@ def phase_scan_loop(system, pair, delta_grid, cfg=IntegratorConfig(), engine="rw
     record.deltas.flags.writeable = False
     record.populations.flags.writeable = False
     return record
+
+
+# The hydrodynamic analysis as first written, frame by frame: ``np.angle``
+# of every sample and ``np.unwrap`` of each valid run, the stencil mask
+# formed for U and p each, and the anchor taken by ``nanargmax`` over the
+# valid points.  The library forms each of these once per frame and
+# unwraps with the ``mod`` only at the steps that wrap.
+
+
+def polar_decompose_loop(psi, r_floor=None):
+    """R, the validity mask and S of ``psi``, S unwrapped by ``np.unwrap`` run by run."""
+    r = np.abs(psi.values)
+    if r_floor is None:
+        r_floor = R_FLOOR_FRACTION * float(np.max(r))
+    valid = r >= r_floor
+    s = np.full(psi.n_points, np.nan)
+    raw = np.angle(psi.values)
+    idx = np.flatnonzero(np.diff(valid.astype(np.int8)))
+    edges = np.concatenate([[0], idx + 1, [valid.size]])
+    for a, b in zip(edges[:-1], edges[1:]):
+        if valid[a]:
+            s[a:b] = np.unwrap(raw[a:b])
+    return PolarFields(R=r, S=s, valid=valid, dx=psi.dx, x_min=psi.x_min, r_floor=r_floor)
+
+
+def _grid_difference(f, dx):
+    out = np.full(f.shape, np.nan)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    return out
+
+
+def _stencil_valid(valid):
+    out = np.zeros(valid.shape, dtype=bool)
+    out[1:-1] = valid[1:-1] & valid[:-2] & valid[2:]
+    return out
+
+
+def quantum_potential_loop(fields, mass):
+    """U = -(1/2m) R'' / R on the interior points whose three-point stencil is valid."""
+    r = fields.R
+    d2 = np.full(r.shape, np.nan)
+    d2[1:-1] = r[2:] - 2.0 * r[1:-1] + r[:-2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = -d2 / (2.0 * mass * fields.dx**2 * r)
+    return np.where(_stencil_valid(fields.valid), u, np.nan)
+
+
+def momentum_loop(fields):
+    """dS/dx on the interior points whose three-point stencil is valid."""
+    return np.where(_stencil_valid(fields.valid), _grid_difference(fields.S, fields.dx), np.nan)
+
+
+def anchored_phase_triple_loop(window):
+    """S of the three frames, the outer two shifted by the 2 pi winding at the middle one's max valid R."""
+    p_prev, p_mid, p_next = window
+    anchor = int(np.nanargmax(np.where(p_mid.valid, p_mid.R, -np.inf)))
+    out = [p_prev.S, p_mid.S, p_next.S]
+    for j, p in ((0, p_prev), (2, p_next)):
+        if not (p.valid[anchor] and p_mid.valid[anchor]):
+            continue
+        k = round((p_mid.S[anchor] - p.S[anchor]) / (2.0 * math.pi))
+        if k:
+            out[j] = p.S + 2.0 * math.pi * k
+    return out
+
+
+def frame_residual_loop(window, dt, mass, vx=None):
+    """The Hamilton-Jacobi residual at the middle of three decomposed frames if ``vx`` is given, else the continuity one."""
+    p_prev, p, p_next = window
+    grad = _grid_difference(p.S, p.dx)
+    if vx is None:
+        drho_dt = (p_next.R**2 - p_prev.R**2) / (2.0 * dt)
+        current = p.R**2 * grad / mass
+        return drho_dt + _grid_difference(current, p.dx)
+    s_prev, _, s_next = anchored_phase_triple_loop(window)
+    ds_dt = (s_next - s_prev) / (2.0 * dt)
+    return ds_dt + grad**2 / (2.0 * mass) + vx + quantum_potential_loop(p, mass)
+
+
+def residual_l2_loop(res, dx):
+    kept = res[np.isfinite(res)]
+    return math.sqrt(float(np.sum(kept * kept) * dx))
+
+
+def residual_series_loop(frames, mass, r_floor=None, vx=None):
+    """Residual rows (NaN where not finite) and L2 norms at every interior frame, all frames decomposed first."""
+    dt = frames[1].t - frames[0].t
+    polars = [polar_decompose_loop(f, r_floor) for f in frames]
+    rows, l2 = [], []
+    for i in range(1, len(polars) - 1):
+        res = frame_residual_loop(polars[i - 1 : i + 2], dt, mass, vx)
+        rows.append(np.where(np.isfinite(res), res, np.nan))
+        l2.append(residual_l2_loop(res, polars[i].dx))
+    return np.array(rows), np.array(l2)
+
+
+def hydro_run_loop(frames, mass, vx, stride):
+    """Both residuals' L2 norms, and R, S, U and p of every ``stride``-th frame, as the ``hydro`` run reports them."""
+    _, hj = residual_series_loop(frames, mass, vx=vx)
+    _, cont = residual_series_loop(frames, mass)
+    polars = [polar_decompose_loop(f) for f in frames[::stride]]
+    columns = {
+        "R": [f.R for f in polars],
+        "S": [f.S for f in polars],
+        "U": [quantum_potential_loop(f, mass) for f in polars],
+        "p": [momentum_loop(f) for f in polars],
+    }
+    return hj, cont, {name: np.concatenate(col) for name, col in columns.items()}

@@ -27,8 +27,12 @@ drive of the summed scan, is i K on the rotating-wave coupling and
 mu E0 sin(Phi) on the real field.  The
 fringe scans of both engines agree with the per-delta DP5 loop of
 ``oracles``; the composed scan of separated pulses is one cosine in delta.
+Weak separated pairs follow the paper's fringe laws, visibility 2r/(1 + r^2)
+with r = exp(-gamma' delay / 2) and delta* = Re(dw~) delay, on both engines,
+and damping lowers the visibility of overlapping pairs.
 The ``hydro`` run reports the residual norms and writes the polar fields that
-the public hydro functions give on its frames, bit for bit.  On random drives
+the public hydro functions give on its frames, bit for bit, and both equal
+the frame-by-frame oracle, whose unwrap is ``np.unwrap``.  On random drives
 of the paper's adiabatic regime the assembled ground branch stays within 10x
 the adiabatic margin of the rotating-wave oracle, the excited branch's phase
 within the margin, and stretching a constant-phase pulse lowers the error.
@@ -45,7 +49,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dressedphase import cli, numerics, propagator
+from dressedphase import cli, hydro, numerics, propagator
 from dressedphase.dressed import (
     BRANCHES,
     MAX_ADIABATIC_ORDER,
@@ -56,6 +60,8 @@ from dressedphase.dressed import (
     generalized_rabi,
 )
 from dressedphase.hydro import (
+    GridWavefunction,
+    PotentialSpec,
     continuity_residual,
     hj_residual,
     momentum_field,
@@ -96,9 +102,15 @@ from oracles import (
     dp5_full_propagate,
     dp5_rwa_propagate,
     expm_taylor,
+    free_gaussian,
+    hydro_run_loop,
     magnus_grid,
     magnus_trajectory_whole,
+    momentum_loop,
     phase_scan_loop,
+    polar_decompose_loop,
+    quantum_potential_loop,
+    residual_series_loop,
     scalar_envelope_fn,
     scalar_phase_fn,
 )
@@ -670,6 +682,82 @@ def test_other_scans_are_the_loop(delay, engine):
     assert np.max(np.abs(scan.populations - loop.populations)) <= SCAN_BOUND
 
 
+# The paper's observable.  Two weak, separated pulses give P_e(delta) =
+# |a + e^{i delta} b|^2 to first order in the pulse area, with |b| / |a| =
+# r = exp(-gamma' delay / 2), the coherence decayed between the pulses, and
+# arg(b / a) = -Re(dw~) delay: visibility 2r / (1 + r^2), and the fringe's
+# maximum at delta* = Re(dw~) delay mod 2 pi.  Both laws hold up to terms of
+# order area^2; a scan of n deltas also moves the visibility by at most
+# 1 - cos(pi / n) and delta* by at most pi / n.  The full field is read
+# through the fringe fit of 8 deltas, which no scan grid offsets; its steps
+# resolve the carrier over the whole window, so it is drawn as narrow
+# gaussians at carrier 10, where a wide or sech pair would take seconds.
+# Overlapping pairs have no such law: there damping only lowers the
+# visibility.
+FRINGE_DELTAS = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+WEAK_PAIR = {
+    "shape": st.sampled_from(("gaussian", "sech")),
+    "width": st.floats(0.5, 3.0),
+    "area": st.floats(0.01, 0.2),
+    "detuning": st.floats(-3.0, 3.0),
+    "separation": st.floats(2.0, 4.0),
+    "decay": st.floats(0.0, 2.0),
+}
+
+
+def _weak_pair(shape, width, area, detuning, separation, decay, carrier=5.0):
+    """A pair of pulses of ``area`` whose delay is ``separation`` support half-widths, with gamma' delay = ``decay``."""
+    envelope = EnvelopeSpec(shape, area / EnvelopeSpec(shape, 1.0, 0.0, width).area(), 0.0, width)
+    delay = separation * envelope.support_halfwidth()
+    system = TwoLevelSystem(0.0, carrier + detuning, gamma_re=decay / delay)
+    return system, PulsePairConfig(DrivingField(carrier, envelope), delay, 0.0)
+
+
+def _fringe_law(system, pair):
+    """The law's visibility and delta*."""
+    r = math.exp(-0.5 * system.gamma_re * pair.delay)
+    return 2.0 * r / (1.0 + r * r), complex_detuning(system, pair.base).real * pair.delay
+
+
+@settings(PROPERTY, max_examples=30)
+@given(drive=st.fixed_dictionaries(WEAK_PAIR))
+def test_separated_weak_fringe_follows_the_decay_law(drive):
+    system, pair = _weak_pair(**drive)
+    record = phase_scan(system, pair, FRINGE_DELTAS)
+    law_visibility, law_star = _fringe_law(system, pair)
+    n, order2 = FRINGE_DELTAS.size, drive["area"] ** 2
+    assert abs(record.visibility - law_visibility) <= 1.0 - math.cos(math.pi / n) + 0.5 * order2
+    assert abs(math.remainder(record.delta_star - law_star, 2.0 * math.pi)) <= math.pi / n + 0.5 * order2
+
+
+@settings(PROPERTY, max_examples=8)
+@given(drive=st.fixed_dictionaries({
+    **WEAK_PAIR,
+    "shape": st.just("gaussian"), "width": st.floats(0.5, 1.0), "separation": st.floats(2.0, 3.0),
+}))
+def test_separated_weak_full_field_fringe_follows_the_decay_law(drive):
+    system, pair = _weak_pair(**drive, carrier=10.0)
+    record = phase_scan(system, pair, SCAN_DELTAS, engine="full")
+    a, b, delta0, _ = fit_fringe(record)
+    law_visibility, law_star = _fringe_law(system, pair)
+    order2 = drive["area"] ** 2
+    assert abs(b / a - law_visibility) <= 0.5 * order2
+    assert abs(math.remainder(-delta0 - law_star, 2.0 * math.pi)) <= 0.5 * order2
+
+
+@pytest.mark.filterwarnings(OVERLAP)
+@settings(PROPERTY, max_examples=12)
+@given(drive=st.fixed_dictionaries({
+    **WEAK_PAIR,
+    "separation": st.floats(0.1, 2.0, exclude_max=True), "decay": st.floats(0.2, 2.0),
+}))
+def test_damping_lowers_the_visibility_of_overlapping_pairs(drive):
+    system, pair = _weak_pair(**drive)
+    undamped, _ = _weak_pair(**{**drive, "decay": 0.0})
+    deltas = FRINGE_DELTAS[::4]
+    assert phase_scan(system, pair, deltas).visibility < phase_scan(undamped, pair, deltas).visibility
+
+
 # The Magnus leg of the three-way check.  The closed-form 2x2 exponential
 # against Taylor with scaling and squaring: both round each entry to within
 # a few ulps of e^{||M||} (||M|| the largest row sum, which bounds every
@@ -1092,6 +1180,99 @@ def test_hydro_run_is_the_public_hydro_functions(block):
     assert_bits_equal(table["S"], np.concatenate([f.S for f in polars]))
     assert_bits_equal(table["U"], np.concatenate([quantum_potential(f, p["mass"]) for f in polars]))
     assert_bits_equal(table["p"], np.concatenate([momentum_field(f) for f in polars]))
+
+
+# Steps of exactly +-pi, +-2pi, just below pi and of either zero, mixed with
+# arbitrary ones: np.unwrap's correction turns on at |step| >= pi, and a step
+# of exactly +pi keeps +pi where the mod alone gives -pi.
+UNWRAP_SAMPLES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, math.pi / 2,
+                  -math.pi / 2, np.nextafter(math.pi, 0.0), -np.nextafter(math.pi, 0.0), 3.0 * math.pi)
+unwrap_inputs = st.lists(
+    st.sampled_from(UNWRAP_SAMPLES) | st.floats(-10.0, 10.0), min_size=1, max_size=40
+).map(np.array)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(phase=unwrap_inputs)
+def test_exact_unwrap_is_numpys(phase):
+    assert_bits_equal(hydro._unwrap(phase.copy()), np.unwrap(phase))
+
+
+# Frames of a free packet on 64 to 256 points over [-10, 10], 0.02 apart, as
+# drawn, times sin(k x) (nodes, so several valid runs under a raised floor)
+# or (-1)^n (steps of exactly +-pi at t = 0).  A fast packet turns by half a
+# cycle or more per point, so its wraps are steps between pi and 1.5 pi.
+hydro_waves = st.fixed_dictionaries({
+    "n_points": st.sampled_from([64, 128, 256]),
+    "center": st.floats(-1.0, 1.0),
+    "sigma": st.floats(0.5, 1.2),
+    "k0": st.floats(-2.0, 2.0),
+    "fast": st.none() | st.floats(-0.95, 0.95).filter(lambda q: abs(q) >= 0.5),
+    "modulation": st.sampled_from(("none", "nodes", "alternating")),
+    "k_nodes": st.floats(0.5, 4.0),
+    "frames": st.integers(3, 6),
+    "floor": st.none() | st.floats(1e-6, 0.1),
+    "omega0": st.floats(0.05, 1.0),
+})
+
+
+def _hydro_wave_frames(n_points, center, sigma, k0, fast, modulation, k_nodes, frames, **_):
+    dx = 20.0 / n_points
+    x = -10.0 + dx * np.arange(n_points)
+    if fast is not None:
+        k0 = fast * math.pi / dx
+    shape = {"none": 1.0, "nodes": np.sin(k_nodes * x), "alternating": (-1.0) ** np.arange(n_points)}
+    return [
+        GridWavefunction(-10.0, dx, free_gaussian(x, t, x0=center, sigma0=sigma, k0=k0) * shape[modulation], t=t)
+        for t in 0.02 * np.arange(frames)
+    ]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(wave=hydro_waves)
+def test_hydro_functions_are_the_frame_by_frame_oracle(wave):
+    frames = _hydro_wave_frames(**wave)
+    floor = wave["floor"] and wave["floor"] * float(np.max(np.abs(frames[0].values)))
+    for frame in frames:
+        got, want = polar_decompose(frame, floor), polar_decompose_loop(frame, floor)
+        assert_bits_equal(got.R, want.R)
+        assert_bits_equal(got.S, want.S)
+        np.testing.assert_array_equal(got.valid, want.valid)
+        if want.valid.any():
+            assert_bits_equal(quantum_potential(got, 1.0), quantum_potential_loop(want, 1.0))
+            assert_bits_equal(momentum_field(got), momentum_loop(want))
+    potential = PotentialSpec.harmonic(1.0, wave["omega0"])
+    for got, (rows, l2) in (
+        (hj_residual(frames, potential, floor),
+         residual_series_loop(frames, 1.0, floor, potential.evaluate(frames[0].x))),
+        (continuity_residual(frames, 1.0, floor), residual_series_loop(frames, 1.0, floor)),
+    ):
+        assert_bits_equal(got.fields, rows)
+        assert_bits_equal(got.l2, l2)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(block=hydro_blocks, fast=st.floats(-9.0, 9.0))
+def test_hydro_run_is_the_frame_by_frame_oracle(block, fast):
+    # hydro_blocks' packets, and ones turning by up to 0.9 pi per point on
+    # 64 points, at most 4 steps of 0.02 from the centre so none leaks.
+    n, steps = block["n_points"], min(block["steps"], 4)
+    packet = {**block["packet"], "sigma": min(block["packet"]["sigma"], 1.0), "k0": fast}
+    raw = {"kind": "hydro", "hydro": {
+        "x_min": -10.0, "dx": 20.0 / n, "n_points": n, "potential": block["potential"],
+        "packet": packet, "t_final": steps * 0.02, "dt": 0.02, "csv_stride": block["csv_stride"],
+    }}
+    config = cli.load_config_dict(raw)
+    metrics, tables = cli._run_hydro(config)
+    p = config.params
+    psi0, potential = cli._hydro_start(p)
+    frames = split_step_solve(psi0, potential, p["t_final"], p["dt"])
+    stride = block["csv_stride"] or max(1, len(frames) // 16)
+    hj, cont, columns = hydro_run_loop(frames, p["mass"], potential.evaluate(psi0.x), stride)
+    assert_bits_equal(np.array(metrics["hj_residual_l2"]), hj)
+    assert_bits_equal(np.array(metrics["continuity_residual_l2"]), cont)
+    for name, column in columns.items():
+        assert_bits_equal(tables["hydro"][name], column)
 
 
 # The paper's adiabatic regime: a pulse centred at tau on the grid of 2,401
