@@ -283,7 +283,7 @@ def _propagate(**values) -> dict:
     return values
 
 
-# The complex values split_step_solve may keep in its frames: 2**26 (1 GiB).
+# Frames x points at most 2**26: this bounds a run's length and its per-frame residual lists in summary.json.
 _HYDRO_MAX_VALUES = 2**26
 
 
@@ -506,7 +506,7 @@ def run(config: ExperimentConfig, out_dir) -> RunSummary:
     outputs = []
     for stem, columns in tables.items():
         path = out / f"{stem}.csv"
-        csvformat.write_csv(path, list(columns), np.column_stack(list(columns.values())))
+        csvformat.write_csv(path, list(columns), columns.values())
         outputs.append(str(path))
     summary = RunSummary(
         config=config.to_dict(),
@@ -644,39 +644,40 @@ def _run_interfere(config: ExperimentConfig):
 def _run_hydro(config: ExperimentConfig):
     """Split-step frames, both residuals' L2 norms and every ``stride``-th frame's polar fields.
 
-    Both residuals come from ``hydro._frame_analysis``, as for ``hj_residual`` and
-    ``continuity_residual``; only their L2 norms, the written frames' fields and
-    the frames (for the norm drift) outlive its window of three decompositions.
+    The solver's frames stream through the window of three of ``hydro._frame_analysis``,
+    which forms both residuals as ``hj_residual`` and ``continuity_residual`` do; only
+    frame 0, the last frame, the written frames' times and fields and the L2 norms outlive it.
     """
     from . import hydro as hydro_mod
 
     p = config.params
     psi0, potential = _hydro_start(p)
     x = psi0.x
-    frames = hydro_mod.split_step_solve(psi0, potential, p["t_final"], p["dt"])
-    stride = p["csv_stride"] or max(1, len(frames) // 16)
-    analysis = hydro_mod._frame_analysis(frames, p["mass"], potential.evaluate(x), stride=stride)
-    fields = np.empty((4, len(frames[::stride]), x.size))  # R, S, U and p of each written frame
-    hj_l2, cont_l2, written = [], [], 0
-    for polar, u, mom, hj, cont in analysis:
+    n_frames = hydro_mod.split_step_count(p["t_final"], p["dt"]) + 1
+    stride = p["csv_stride"] or max(1, n_frames // 16)
+    frames = hydro_mod._split_steps(psi0, potential, p["t_final"], p["dt"])
+    analysis = hydro_mod._frame_analysis(frames, p["dt"], p["mass"], potential.evaluate(x), stride=stride)
+    fields = np.empty((4, len(range(0, n_frames, stride)), x.size))  # R, S, U and p of each written frame
+    hj_l2, cont_l2, times = [], [], []
+    for frame, polar, u, mom, hj, cont in analysis:
         if u is not None:
-            fields[:, written] = polar.R, polar.S, u, mom
-            written += 1
+            fields[:, len(times)] = polar.R, polar.S, u, mom
+            times.append(frame.t)
         if hj is not None:
             hj_l2.append(hj[1])
             cont_l2.append(cont[1])
     table = {
-        "t": np.repeat([frame.t for frame in frames[::stride]], x.size),
-        "x": np.tile(x, written),
+        "t": np.repeat(times, x.size),
+        "x": np.tile(x, len(times)),
         **dict(zip(("R", "S", "U", "p"), fields.reshape(4, -1))),
     }
     metrics = {
-        "norm_drift": float(abs(frames[-1].norm() - frames[0].norm())),
+        "norm_drift": float(abs(frame.norm() - psi0.norm())),
         "hj_residual_l2": hj_l2,
         "hj_residual_l2_max": max(hj_l2),
         "continuity_residual_l2": cont_l2,
         "continuity_residual_l2_max": max(cont_l2),
-        "frames": len(frames),
+        "frames": n_frames,
     }
     return metrics, {"hydro": table}
 

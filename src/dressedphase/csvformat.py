@@ -1,13 +1,13 @@
 """The command line's CSV writer: exact ``%.17g`` text of float64 tables, in numpy.
 
-``write_csv`` writes a header row, then every value of a 2-D float table as
-``b"%.17g" % v`` writes it, comma separated, a newline ending each row, as
-ASCII bytes to a file opened in binary mode.  It cuts the table into blocks
-of about 4,096 values (whole rows).  A block of 512 values or more is
-formatted by the numpy kernel ``_format_block``; a smaller block is cheaper
-through one bytes ``%``, and so is every block where ``longdouble`` has
-fewer than 63 mantissa bits.  The kernel's tables are built on the first
-block that takes it.
+``write_csv`` writes a header row, then every value of a table of float
+columns as ``b"%.17g" % v`` writes it, comma separated, a newline ending
+each row, as ASCII bytes to a file opened in binary mode.  It stacks the
+columns one block of about 4,096 values (whole rows) at a time.  A block of
+512 values or more is formatted by the numpy kernel ``_format_block``; a
+smaller block is cheaper through one bytes ``%``, and so is every block
+where ``longdouble`` has fewer than 63 mantissa bits.  The kernel's tables
+are built on the first block that takes it.
 """
 
 from __future__ import annotations
@@ -215,24 +215,27 @@ def _format_block(x, tables, rows, offsets):
     return text[text != 0]
 
 
-def write_csv(path, header: list[str], table) -> None:
-    """Write ``header``, then each row of the 2-D float ``table``, each value as ``b"%.17g" % v`` writes it.
+def write_csv(path, header: list[str], columns) -> None:
+    """Write ``header``, then the rows of the 1-D float ``columns``, each value as ``b"%.17g" % v`` writes it.
 
+    Each block is stacked from the columns' slices, with no copy of the whole table.
     512 values is the crossover measured between one bytes ``%`` and the kernel.
     """
-    table = np.asarray(table, dtype=float)
-    columns = len(header)
-    block_rows = max(1, 4096 // columns)
-    row = (",".join(["%.17g"] * columns) + "\n").encode()
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    shapes = [column.shape for column in columns]
+    if len(shapes) != len(header) or len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"write_csv: {len(header)} names need as many 1-D columns of one length, not {shapes}")
+    block_rows = max(1, 4096 // len(header))
+    row = (",".join(["%.17g"] * len(header)) + "\n").encode()
     kernel = None  # (tables, source rows, offsets) from the first large block; False without tables
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), block_rows):
-            block = table[start : start + block_rows]
+        for start in range(0, shapes[0][0], block_rows):
+            block = np.column_stack([column[start : start + block_rows] for column in columns])
             large = block.size >= 512
             if large and kernel is None:
                 tables = _tables()
-                kernel = tables is not None and (tables, *_source_rows(columns, block_rows))
+                kernel = tables is not None and (tables, *_source_rows(len(header), block_rows))
             if large and kernel:
                 fh.write(_format_block(block.ravel(), *kernel))
             else:

@@ -4,9 +4,10 @@ A wavefunction on a periodic grid is split as psi = R exp(i S) (hbar = 1);
 the quantum Hamilton-Jacobi equation and the continuity equation are then
 checked as finite-difference residuals on numerically propagated frames.
 ``_frame_analysis`` decomposes each frame once, in a window of three, and
-forms both residuals, the public ones and the command-line run alike.  S is
-unwrapped as ``np.unwrap`` does it, bit for bit, but with the ``mod`` taken
-only at the steps that wrap (``_unwrap``).
+forms both residuals, the public ones and the command-line run alike; the
+run streams the solver's frames through it (``_split_steps``), so it keeps
+three frames, not all.  S is unwrapped as ``np.unwrap`` does it, bit for
+bit, but with the ``mod`` taken only at the steps that wrap (``_unwrap``).
 Nodes are handled by masking points with R below a floor instead of
 regularizing the diverging quantum potential; all derivative stencils are
 second-order central differences, so residuals converge at second order.
@@ -187,10 +188,7 @@ def split_step_count(t_final: float, dt: float) -> int:
 
 
 def split_step_solve(
-    psi0: GridWavefunction,
-    potential: PotentialSpec,
-    t_final: float,
-    dt: float,
+    psi0: GridWavefunction, potential: PotentialSpec, t_final: float, dt: float
 ) -> list[GridWavefunction]:
     """Strang-split spectral propagation; returns frames at t0, t0+dt, ..., t0+t_final.
 
@@ -200,31 +198,28 @@ def split_step_solve(
     would wrap around), and ``ValidationError`` before any step when the
     potential's half-step phase cannot be resolved (``_check_half_step_phase``).
     """
+    return list(_split_steps(psi0, potential, t_final, dt))
+
+
+def _split_steps(psi0, potential, t_final, dt):
+    """``split_step_solve``'s frames one at a time, psi0 first: its checks run before the first step."""
     n_steps = split_step_count(t_final, dt)
     if not _edge_safe(psi0.values):
-        raise EdgeLeakageError(
-            "edge leakage: initial wavefunction is not negligible at the grid edge"
-        )
+        raise EdgeLeakageError("edge leakage: initial wavefunction is not negligible at the grid edge")
 
-    x = psi0.x
-    v = potential.evaluate(x)
+    v = potential.evaluate(psi0.x)
     _check_half_step_phase(v, dt, "split_step_solve: potential")
     k = 2.0 * math.pi * np.fft.fftfreq(psi0.n_points, d=psi0.dx)
     exp_v_half = np.exp(-0.5j * dt * v)
     exp_kin = np.exp(-0.5j * dt * k**2 / psi0.mass)
 
-    frames = [psi0]
+    yield psi0
     psi = psi0.values
     for step in range(1, n_steps + 1):
-        psi = exp_v_half * psi
-        psi = np.fft.ifft(exp_kin * np.fft.fft(psi))
-        psi = exp_v_half * psi
+        psi = exp_v_half * np.fft.ifft(exp_kin * np.fft.fft(exp_v_half * psi))
         if not _edge_safe(psi):
             raise EdgeLeakageError(f"edge leakage at step {step} (t = {psi0.t + step * dt})")
-        frames.append(
-            GridWavefunction(psi0.x_min, psi0.dx, psi, mass=psi0.mass, t=psi0.t + step * dt)
-        )
-    return frames
+        yield GridWavefunction(psi0.x_min, psi0.dx, psi, mass=psi0.mass, t=psi0.t + step * dt)
 
 
 def polar_decompose(psi: GridWavefunction, r_floor: float | None = None) -> PolarFields:
@@ -299,17 +294,12 @@ def quantum_potential(fields: PolarFields, mass: float) -> np.ndarray:
 def momentum_field(fields: PolarFields) -> np.ndarray:
     """Particle momentum p = dS/dx (hbar = 1) by central differences; v = p/m.
 
-    NaN outside valid interiors.
+    NaN outside valid interiors: the difference is NaN wherever a neighbour
+    is masked (S is), so masking the centre completes the stencil.
     """
     if not fields.valid.any():
         raise ValidationError("momentum_field: validity mask is empty")
-    return _momentum(fields, _central_difference(fields.S, fields.dx))
-
-
-def _momentum(fields: PolarFields, grad: np.ndarray) -> np.ndarray:
-    """``momentum_field`` from ``grad``, the central difference of the frame's S: NaN
-    wherever a neighbour is masked (S is), so masking the centre completes the stencil."""
-    return np.where(fields.valid, grad, np.nan)
+    return np.where(fields.valid, _central_difference(fields.S, fields.dx), np.nan)
 
 
 @dataclass(frozen=True)
@@ -341,20 +331,33 @@ def _residual_l2(res: np.ndarray, dx: float) -> float:
     return math.sqrt(float(np.sum(kept * kept) * dx))
 
 
-def _frame_analysis(frames, mass: float, vx=None, r_floor: float | None = None, stride: int = 0, continuity=True):
-    """Yield ``(polar, u, p, hj, cont)`` per frame, once its successor is decomposed.
+def _frame_analysis(frames, dt: float, mass: float, vx=None, r_floor=None, stride: int = 0, continuity=True):
+    """Yield ``(frame, polar, u, p, hj, cont)`` per frame of the iterable ``frames``, once its successor is decomposed.
 
-    Only a window of three decompositions (and their R^2) stays alive.  ``hj``
-    (given ``vx``, the potential on the grid) and ``cont`` (if ``continuity``)
-    are the frame's residuals as (field, L2 norm), None at the end frames.
-    ``u`` and ``p`` come at every ``stride``-th frame alone.
+    Only a window of three frames, their decompositions and R^2 stays alive; each
+    frame must follow the last by ``dt``, as ``_frame_spacing`` requires, and the
+    last comes once ``frames`` ends.  ``hj`` (given ``vx``, the potential on the
+    grid) and ``cont`` (if ``continuity``) are the frame's residuals as (field, L2
+    norm), None at the end frames.  ``u`` and ``p`` come at every ``stride``-th frame.
     """
-    dt, last = _frame_spacing(frames), len(frames) - 1
-    polars, rhos = [], []
+
+    def entry(j, frame, polar, u=None, grad=None, hj=None, cont=None):
+        if not (stride and j % stride == 0):
+            return frame, polar, None, None, hj, cont
+        if grad is None:  # an end frame, which has no residuals
+            return frame, polar, quantum_potential(polar, mass), momentum_field(polar), None, None
+        return frame, polar, u, np.where(polar.valid, grad, np.nan), hj, cont
+
+    window = []
     for j, frame in enumerate(frames):
+        if window and abs(frame.t - window[-1][0].t - dt) > 1e-9 * dt:
+            raise GridError("frames must be uniformly spaced in time")
         polar = polar_decompose(frame, r_floor)
-        polars, rhos = [*polars[-2:], polar], [*rhos[-2:], polar.R**2 if continuity else None]
+        window = [*window[-2:], (frame, polar, polar.R**2 if continuity else None)]
+        if j == 0:
+            yield entry(j, frame, polar)
         if j >= 2:
+            kept, polars, rhos = zip(*window)
             mid = polars[1]
             grad = _central_difference(mid.S, mid.dx)
             u = hj = cont = None
@@ -366,21 +369,14 @@ def _frame_analysis(frames, mass: float, vx=None, r_floor: float | None = None, 
                 u = quantum_potential(mid, mass)
                 res = (s_next - s_prev) / (2.0 * dt) + grad**2 / (2.0 * mass) + vx + u
                 hj = res, _residual_l2(res, mid.dx)
-            if stride and (j - 1) % stride == 0:
-                yield mid, u, _momentum(mid, grad), hj, cont
-            else:
-                yield mid, None, None, hj, cont
-        if j in (0, last):
-            if stride and j % stride == 0:
-                yield polar, quantum_potential(polar, mass), momentum_field(polar), None, None
-            else:
-                yield polar, None, None, None, None
+            yield entry(j - 1, kept[1], mid, u, grad, hj, cont)
+    yield entry(j, frame, polar)
 
 
 def _residual_series(frames, mass: float, r_floor: float | None, vx=None) -> ResidualSeries:
     """The Hamilton-Jacobi residual if ``vx`` is given, else the continuity one, NaN where not finite."""
     rows, l2 = [], []
-    for *_, hj, cont in _frame_analysis(frames, mass, vx, r_floor, continuity=vx is None):
+    for *_, hj, cont in _frame_analysis(frames, _frame_spacing(frames), mass, vx, r_floor, continuity=vx is None):
         res = cont if vx is None else hj
         if res is not None:
             rows.append(np.where(np.isfinite(res[0]), res[0], np.nan))

@@ -23,7 +23,7 @@ from dressedphase.cli import (
     main,
     run,
 )
-from dressedphase.errors import ConfigError, ValidationError
+from dressedphase.errors import ConfigError, EdgeLeakageError, ValidationError
 from oracles import csv_tables_loop, write_csv_loop
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -522,7 +522,7 @@ SPECIAL_VALUES = [
 
 def _assert_csv_matches_per_value_writer(directory, table):
     header = [f"c{j}" for j in range(table.shape[1])]
-    csvformat.write_csv(directory / "rows.csv", header, table)
+    csvformat.write_csv(directory / "rows.csv", header, table.T)
     write_csv_loop(directory / "values.csv", header, table)
     written = (directory / "rows.csv").read_bytes()
     assert written == (directory / "values.csv").read_bytes()
@@ -566,6 +566,39 @@ def test_csv_writer_matches_on_any_bit_pattern(tmp_path_factory, bits, shape):
 def test_csv_writer_matches_on_any_float(tmp_path_factory, values, shape):
     # st.floats draws subnormals, signed zeros, infinities and NaN.
     _assert_csv_matches_per_value_writer(tmp_path_factory.mktemp("csv"), _cycled(values, shape))
+
+
+@pytest.mark.parametrize(
+    "columns", [[[0.0] * 5, [1.0] * 4], [[0.0] * 4, [1.0] * 4, [2.0] * 4], [np.zeros((4, 2))]]
+)
+def test_csv_writer_rejects_columns_that_do_not_align(tmp_path, columns):
+    # Unequal lengths, more columns than names, a 2-D column: stacked one
+    # block at a time, each would write misaligned rows, so none opens the file.
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"1-D columns of one length, not \[\(\d"):
+        csvformat.write_csv(path, ["a", "b"][: len(columns)], columns)
+    assert not path.exists()
+
+
+# Rows on either side of whole blocks (4,096 // columns rows), and any count
+# up to three blocks; values from the whole float range, with NaN, +-inf
+# and -0.0 drawn often.
+csv_specials = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+
+
+@CSV_PROPERTY
+@given(data=st.data(), columns=st.integers(1, 7))
+def test_csv_writer_stacks_any_columns_as_rows(tmp_path_factory, data, columns):
+    block = 4096 // columns
+    edges = [k * block + d for k in (1, 2) for d in (-1, 0, 1)]
+    rows = data.draw(st.sampled_from([0, 1, *edges]) | st.integers(0, 3 * block))
+    values = data.draw(st.lists(st.floats() | csv_specials, min_size=1, max_size=300))
+    table = [np.resize(np.array(values[j:] + values[:j]), rows) for j in range(columns)]
+    header = [f"c{j}" for j in range(columns)]
+    directory = tmp_path_factory.mktemp("csv")
+    csvformat.write_csv(directory / "columns.csv", header, table)
+    write_csv_loop(directory / "values.csv", header, zip(*table))
+    assert (directory / "columns.csv").read_bytes() == (directory / "values.csv").read_bytes()
 
 
 def test_csv_writer_matches_at_every_power_of_ten(tmp_path):
@@ -747,9 +780,11 @@ def test_hydro_run_decomposes_each_frame_once(tmp_path):
 
 
 def test_hydro_run_memory_grows_by_the_frame_list_alone():
-    # The solver's frame list is the one store that grows with the frame
-    # count (16 B per point and frame); decompositions and residual rows live
-    # only in the three-frame window, and both runs write 17 frames.
+    # No frame list is kept: the solver's frames stream through the analysis'
+    # window of three, where the decompositions and residual rows live too,
+    # and both runs write 17 frames.  Only the lists of residual norms grow
+    # with the frame count, by a few KB; a run holding its 100 extra frames
+    # (16 B per point and frame) would grow by 25 times the bound.
     cfg = json.loads((DEMO_CONFIGS / "hydro.json").read_text())
 
     def traced_peak(t_final):
@@ -764,7 +799,25 @@ def test_hydro_run_memory_grows_by_the_frame_list_alone():
             tracemalloc.stop()
 
     growth = traced_peak(4.0) - traced_peak(2.0)  # 201 frames against 101
-    assert growth <= 1.1 * 100 * 16 * cfg["hydro"]["n_points"]
+    assert growth <= 4 * 16 * cfg["hydro"]["n_points"]
+
+
+def test_leaking_run_exits_2_with_the_solvers_message(tmp_path, capsys):
+    # The packet reaches the grid edge at a step past the first window, so
+    # the streamed run fails after frames went through the analysis: exit 2
+    # with split_step_solve's own message for the same input, and no output.
+    cfg = json.loads((DEMO_CONFIGS / "hydro.json").read_text())
+    cfg["hydro"]["packet"]["k0"] = 40.0
+    p = load_config_dict(cfg).params
+    with pytest.raises(EdgeLeakageError) as leak:
+        hydro.split_step_solve(*cli._hydro_start(p), p["t_final"], p["dt"])
+    assert "at step" in str(leak.value)
+    path = write_config(tmp_path, cfg)
+    with mock.patch.object(hydro, "polar_decompose", wraps=hydro.polar_decompose) as decompose:
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert decompose.call_count >= 3
+    assert capsys.readouterr().err == f"error: {leak.value}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dressedphase import hydro
 from dressedphase.errors import (
+    DressedPhaseError,
     EdgeLeakageError,
     GridError,
     InsufficientFramesError,
@@ -87,6 +90,25 @@ class TestSolver:
             split_step_solve(psi0, at_bound, t_final=1.0, dt=0.5)
         below = PotentialSpec.tabulated(np.full(256, np.nextafter(2.0**54, 0.0)))
         assert len(split_step_solve(psi0, below, t_final=1.0, dt=0.5)) == 3
+
+    @pytest.mark.parametrize("case", ["count", "edge", "phase"])
+    def test_streamed_checks_run_before_the_first_step(self, case):
+        # The frames' generator raises split_step_solve's error, with its
+        # message, on its first frame, before any step's FFT.
+        x, dx = grid(256, 20.0, -10.0)
+        psi0 = wavefunction(free_gaussian(x, 0.0), -10.0, dx)
+        args = {
+            "count": (psi0, PotentialSpec.free(), 1.0, 0.3),
+            "edge": (wavefunction(np.exp(-(x**2) / 64.0) + 0.0j, -10.0, dx), PotentialSpec.free(), 0.1, 0.01),
+            "phase": (psi0, PotentialSpec.harmonic(1.0, 1e150), 0.04, 0.02),
+        }[case]
+        with pytest.raises(DressedPhaseError) as listed:
+            split_step_solve(*args)
+        frames = hydro._split_steps(*args)
+        with mock.patch.object(np.fft, "fft", side_effect=AssertionError("a step ran")):
+            with pytest.raises(type(listed.value)) as streamed:
+                next(frames)
+        assert str(streamed.value) == str(listed.value)
 
     def test_dt_must_divide_t_final(self):
         x, dx = grid(256, 20.0, -10.0)
@@ -293,6 +315,22 @@ class TestResiduals:
         stripped_hj = hj_residual(amp_stripped, PotentialSpec.free()).l2[0]
         assert stripped_cont > 100.0 * true_cont
         assert stripped_hj > 100.0 * true_hj
+
+    def test_streamed_frames_keep_the_spacing_rule(self):
+        # The window checks each frame's spacing as it arrives: the solver's
+        # frames, streamed, pass, and a frame off their times fails with the
+        # error and message of the whole-list rule.
+        x, dx = grid(256, 20.0, -10.0)
+        psi0 = wavefunction(free_gaussian(x, 0.0), -10.0, dx)
+        streamed = hydro._split_steps(psi0, PotentialSpec.free(), 0.2, 0.02)
+        assert len(list(hydro._frame_analysis(streamed, 0.02, 1.0))) == 11
+        frames = split_step_solve(psi0, PotentialSpec.free(), 0.2, 0.02)
+        late = [*frames[:5], dataclasses.replace(frames[5], t=frames[5].t + 1e-6), *frames[6:]]
+        with pytest.raises(GridError) as listed:
+            hj_residual(late, PotentialSpec.free())
+        with pytest.raises(GridError) as stream:
+            list(hydro._frame_analysis(iter(late), 0.02, 1.0))
+        assert str(stream.value) == str(listed.value) == "dressedphase: frames must be uniformly spaced in time"
 
     def test_insufficient_frames(self):
         x, dx = grid(256, 20.0, -10.0)

@@ -59,6 +59,7 @@ from dressedphase.dressed import (
     dressed_phases,
     generalized_rabi,
 )
+from dressedphase.errors import GridError
 from dressedphase.hydro import (
     GridWavefunction,
     PotentialSpec,
@@ -1180,6 +1181,35 @@ def test_hydro_run_is_the_public_hydro_functions(block):
     assert_bits_equal(table["S"], np.concatenate([f.S for f in polars]))
     assert_bits_equal(table["U"], np.concatenate([quantum_potential(f, p["mass"]) for f in polars]))
     assert_bits_equal(table["p"], np.concatenate([momentum_field(f) for f in polars]))
+
+
+# Frame times from t0 by steps of dt, each but the first off by a relative
+# amount from none to 1e-8, either side of the rule's 1e-9, and the solver's
+# own times: psi0.t plus step * dt.
+frame_times = st.tuples(
+    st.floats(-1e3, 1e3), st.floats(1e-3, 1.0),
+    st.lists(st.sampled_from((0.0, 1e-10, -1e-10, 9e-10, -9e-10, 1.1e-9, -1.1e-9, 1e-8)), min_size=2, max_size=6),
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(times=frame_times, solver=st.booleans())
+def test_streamed_spacing_rule_is_the_whole_list_rule(times, solver):
+    # The window checks each frame's spacing against the first as it arrives,
+    # and fails where _frame_spacing fails on the whole list, with its message.
+    t0, dt, offsets = times
+    ts = t0 + dt * np.arange(len(offsets) + 1) if solver else np.cumsum([t0, dt, *(dt * (1 + e) for e in offsets[1:])])
+    x = -4.0 + 0.5 * np.arange(16)
+    frames = [GridWavefunction(-4.0, 0.5, np.exp(-(x**2)) + 0.0j, t=t) for t in ts.tolist()]
+    dt = frames[1].t - frames[0].t  # _frame_spacing's dt
+    failures = []
+    for check in (lambda: hydro._frame_spacing(frames), lambda: list(hydro._frame_analysis(iter(frames), dt, 1.0))):
+        try:
+            check()
+            failures.append(None)
+        except GridError as exc:
+            failures.append(str(exc))
+    assert failures[0] == failures[1]
 
 
 # Steps of exactly +-pi, +-2pi, just below pi and of either zero, mixed with
